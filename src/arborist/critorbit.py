@@ -17,11 +17,22 @@ closed recursion:
         r_1 = -r^2 - s^2,
         r_{n+1} = r_n^2 + 2 r_n r s**(2**n - 1) - s**(2**(n+1))
 
-This module computes the sequence both ways and insists they agree, and
-hosts the valuation, decomposition, sign, and congruence analyzers the
-certification layer relies on.  Note D_1 = -(f(0) - a) = -r_1/s^2: sign
-statements below are always about f^n(0) - a, whose sign at n = 1 is the
-opposite of D_1's.
+The integers r_n over the known denominator s**(2**n) are the only stored
+form of the orbit; every D_n is derived from them on demand.  As a
+cross-check the module also iterates the map on integers: with c = C/s^2,
+f^n(0) = X_n / s**(2**n) where
+
+    X_1 = C,   X_{n+1} = X_n^2 + C s**(2**(n+1) - 2),
+
+so r_n = X_n - r s**(2**n - 1).  The two computations share nothing but
+the inputs, and they must agree together with the law gcd(r_n, s) = 1.
+
+The module also hosts the valuation, decomposition, sign, and congruence
+analyzers the certification layer relies on.  Note D_1 = -(f(0) - a) =
+-r_1/s^2: sign statements below are always about f^n(0) - a, whose sign at
+n = 1 is the opposite of D_1's.  Since every denominator is an even power
+of s, the square class of D_n is that of the integer -r_1 (n = 1) or r_n
+(n >= 2); see :attr:`AdjustedOrbit.square_class_reps`.
 """
 
 from __future__ import annotations
@@ -32,7 +43,7 @@ from fractions import Fraction
 
 from .dynamics import Family, QuadMap
 from .errors import InvariantViolation
-from .exactnum import primes_up_to, v_int
+from .exactnum import format_rational, primes_up_to, v_int
 
 DEFAULT_DEPTH = 12
 
@@ -41,13 +52,13 @@ DEFAULT_DEPTH = 12
 class AdjustedOrbit:
     """Immutable adjusted critical orbit to a fixed depth.
 
-    ``d_values[i-1]`` is D_i and ``numerators[i-1]`` is r_i, the reduced
-    numerator of f^i(0) - a over denominator s**(2**i).
+    ``numerators[i-1]`` is r_i, the reduced numerator of f^i(0) - a over
+    denominator s**(2**i); it is the only stored form of the orbit.  D_i and
+    ``d_values`` are derived from it on each access and not cached.
     """
 
     qmap: QuadMap
     depth: int
-    d_values: tuple[Fraction, ...]
     numerators: tuple[int, ...]
     s: int
 
@@ -60,9 +71,24 @@ class AdjustedOrbit:
     def family(self) -> Family:
         return self.qmap.family
 
+    @property
+    def d_values(self) -> tuple[Fraction, ...]:
+        """(D_1, ..., D_N), rebuilt from the numerators on every access."""
+        return tuple(self.D(i) for i in range(1, self.depth + 1))
+
+    @property
+    def square_class_reps(self) -> tuple[int, ...]:
+        """(-r_1, r_2, ..., r_N): integers in the square classes of the D_i.
+
+        Every denominator s**(2**i) is a square, so D_i and its signed
+        numerator agree modulo squares.
+        """
+        return (-self.numerators[0], *self.numerators[1:])
+
     def D(self, i: int) -> Fraction:
         """D_i, 1-based."""
-        return self.d_values[i - 1]
+        rn = self.numerators[i - 1]
+        return Fraction(-rn if i == 1 else rn, self.s ** (2**i))
 
     def r(self, i: int) -> int:
         """r_i, the reduced numerator of f^i(0) - a, 1-based."""
@@ -151,9 +177,10 @@ def numerator_recursion(family: Family, r: int, s: int, depth: int) -> list[int]
 def d_sequence(qmap: QuadMap, depth: int = DEFAULT_DEPTH) -> AdjustedOrbit:
     """Build the adjusted orbit, cross-checking recursion against iteration.
 
-    The sequence is computed by direct exact iteration and independently by
-    the family numerator recursion; any disagreement (value, denominator, or
-    the gcd(r_n, s) = 1 law) raises InvariantViolation.
+    The numerators come from the closed family recursion and, independently,
+    from integer iteration of the map over the denominators s**(2**n); any
+    disagreement, or a numerator sharing a factor with s (the denominator
+    law), raises InvariantViolation.
     """
     if qmap.family not in (Family.CYCLE1, Family.CYCLE2):
         raise ValueError("adjusted orbits are defined for the two known families")
@@ -161,32 +188,29 @@ def d_sequence(qmap: QuadMap, depth: int = DEFAULT_DEPTH) -> AdjustedOrbit:
         raise ValueError("map has no base point")
     if depth < 1:
         raise ValueError("depth must be positive")
-    a, c = qmap.a, qmap.c
+    a = qmap.a
     r, s = a.numerator, a.denominator
-
-    offsets = []  # f^n(0) - a for n = 1..depth
-    x = Fraction(0)
-    for _ in range(depth):
-        x = x * x + c
-        offsets.append(x - a)
+    scaled_c = qmap.c * s * s
+    if scaled_c.denominator != 1:
+        raise InvariantViolation(f"c = {qmap.c} is not an integer over s^2 for a = {a}")
+    C = scaled_c.numerator
 
     nums = numerator_recursion(qmap.family, r, s, depth)
-    for n, (direct, rn) in enumerate(zip(offsets, nums), start=1):
-        den = s ** (2**n)
-        if math.gcd(rn, s) != 1:
-            raise InvariantViolation(f"gcd(r_{n}, s) != 1 for a = {a}")
-        if direct != Fraction(rn, den):
+    x = C  # X_n, the numerator of f^n(0) over s**(2**n)
+    power = s  # s**(2**n - 1)
+    for n, rn in enumerate(nums, start=1):
+        if n > 1:
+            square = power * power
+            x = x * x + C * square
+            power = square * s
+        if x - r * power != rn:
             raise InvariantViolation(
                 f"recursion/iteration mismatch at n = {n} for a = {a}"
             )
-        if rn != 0 and direct.denominator != den:
-            raise InvariantViolation(f"denominator law fails at n = {n} for a = {a}")
+        if math.gcd(rn, s) != 1:
+            raise InvariantViolation(f"gcd(r_{n}, s) != 1 for a = {a}")
 
-    d_values = (a - c, *offsets[1:])
-    assert d_values[0] == -offsets[0]
-    return AdjustedOrbit(
-        qmap=qmap, depth=depth, d_values=d_values, numerators=tuple(nums), s=s
-    )
+    return AdjustedOrbit(qmap=qmap, depth=depth, numerators=tuple(nums), s=s)
 
 
 def decompose1(orbit: AdjustedOrbit, n: int) -> Decomposition1:
@@ -386,10 +410,10 @@ def orbit_report(orbit: AdjustedOrbit, prime_bound: int = 100) -> dict:
     ]
     sign = sign_predict(orbit.qmap)
     report = {
-        "a": str(a),
+        "a": format_rational(a),
         "family": orbit.family.value,
         "N": orbit.depth,
-        "D": [str(d) for d in orbit.d_values],
+        "D": [format_rational(d) for d in orbit.d_values],
         "sign_class": {"kind": sign.kind, "from": sign.start},
         "valuation_checks": {
             str(p): [

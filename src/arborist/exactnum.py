@@ -27,6 +27,11 @@ INFINITY = math.inf
 
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(?:/\d+)?$")
 
+# Up to 2000 bits (603 decimal digits) str() stays below the smallest
+# int_max_str_digits setting the interpreter accepts, 640 digits.
+_STR_SAFE_BITS = 2000
+_LOG10_2 = math.log10(2)
+
 # Below this bound, Miller-Rabin with the first 13 prime bases is a proof.
 _MR_DETERMINISTIC_LIMIT = 3_317_044_064_679_887_385_961_981
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
@@ -47,8 +52,26 @@ def parse_rational(text: str) -> Fraction:
 
 
 def format_rational(x: Fraction) -> str:
-    """Serialize a rational as ``r/s``, omitting the denominator when 1."""
-    return str(Fraction(x))
+    """Serialize a rational as ``r/s``, omitting the denominator when 1.
+
+    Numerator and denominator may have any number of digits: the
+    interpreter's ``int_max_str_digits`` limit does not apply.
+    """
+    x = Fraction(x)
+    if x.denominator == 1:
+        return _decimal(x.numerator)
+    return f"{_decimal(x.numerator)}/{_decimal(x.denominator)}"
+
+
+def _decimal(n: int) -> str:
+    # Larger values are split at a power of ten into halves converted apart.
+    if n < 0:
+        return "-" + _decimal(-n)
+    if n.bit_length() <= _STR_SAFE_BITS:
+        return str(n)
+    k = int(n.bit_length() * _LOG10_2) // 2
+    high, low = divmod(n, 10**k)
+    return _decimal(high) + _decimal(low).zfill(k)
 
 
 def v_int(n: int, p: int) -> int | float:

@@ -13,6 +13,12 @@ built by gcd refinement, never by factoring: a product of coprime basis
 powers is a square iff each non-square basis element carries an even total
 exponent, so composite basis elements are perfectly good coordinates and
 perfect-square ones drop out entirely.
+
+Values may be given as integers: an integer is a rational with denominator
+1.  Callers that know a value's square class through an integer, such as
+the adjusted orbit's :attr:`~arborist.critorbit.AdjustedOrbit.square_class_reps`
+whose denominators are all even powers of s, should pass that integer and
+keep square denominators out of the refinement.
 """
 
 from __future__ import annotations
@@ -78,7 +84,7 @@ class StructuredResult:
 
 
 def square_classes(
-    values: Sequence[Fraction],
+    values: Sequence[Fraction | int],
 ) -> tuple[CoprimeBasis, list[SquareClassVector]]:
     """Express nonzero rationals as sign bits plus parity vectors.
 
@@ -117,7 +123,7 @@ def square_classes(
     return basis, vectors
 
 
-def two_independent(values: Sequence[Fraction]) -> IndependenceResult:
+def two_independent(values: Sequence[Fraction | int]) -> IndependenceResult:
     """Decide 2-independence by F_2 elimination over the square classes.
 
     A dependency witness (subset with square product) is re-verified with

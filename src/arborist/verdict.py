@@ -181,11 +181,11 @@ def _audit_independence(qmap: QuadMap, depth: int) -> None:
     if depth <= 0:
         return
     orbit = d_sequence(qmap, depth)
-    if any(d == 0 for d in orbit.d_values):
+    if 0 in orbit.numerators:
         raise InvariantViolation(
             f"zero adjusted-orbit term for certified base point {qmap.a}"
         )
-    result = two_independent(orbit.d_values)
+    result = two_independent(orbit.square_class_reps)
     if not result.independent:
         raise InvariantViolation(
             f"certified base point {qmap.a} fails the independence audit "
@@ -203,8 +203,11 @@ def certify_family1(a: Fraction, depth_check: int = DEFAULT_DEPTH) -> Verdict:
     independence checker to depth_check; an audit failure is a bug and
     raises InvariantViolation.
     """
-    a = Fraction(a)
-    qmap = family1(a)
+    return _certify1(family1(Fraction(a)), depth_check)
+
+
+def _certify1(qmap: QuadMap, depth_check: int) -> Verdict:
+    a = qmap.a
     de = compute_delta_e(a)
     common = dict(a=a, family=Family.CYCLE1, delta=de.delta, e=de.e)
     if a == -2:
@@ -266,8 +269,11 @@ def certify_family2(a: Fraction, depth_check: int = DEFAULT_DEPTH) -> Verdict:
     Same contract as the fixed-point-tail procedure, with the r/s conditions
     T1.2-1..3 and no delta/e bookkeeping.
     """
-    a = Fraction(a)
-    qmap = family2(a)
+    return _certify2(family2(Fraction(a)), depth_check)
+
+
+def _certify2(qmap: QuadMap, depth_check: int) -> Verdict:
+    a = qmap.a
     common = dict(a=a, family=Family.CYCLE2)
     a_minus_c = a - qmap.c
     if rational_is_square(a_minus_c):
@@ -324,11 +330,11 @@ def certify(a: Fraction, family: Family | int, depth: int = DEFAULT_DEPTH) -> Ve
     if depth < 1:
         raise ValueError("depth must be positive")
     if fam is Family.CYCLE1:
-        verdict = certify_family1(a, depth_check=depth)
         qmap = family1(a)
+        verdict = _certify1(qmap, depth)
     elif fam is Family.CYCLE2:
-        verdict = certify_family2(a, depth_check=depth)
         qmap = family2(a)
+        verdict = _certify2(qmap, depth)
     else:
         raise ValueError("certification requires one of the two known families")
     if verdict.status is not VerdictStatus.INAPPLICABLE:
@@ -336,7 +342,7 @@ def certify(a: Fraction, family: Family | int, depth: int = DEFAULT_DEPTH) -> Ve
 
     orbit = d_sequence(qmap, depth)
     detail = dict(verdict.detail)
-    zero_levels = [i + 1 for i, d in enumerate(orbit.d_values) if d == 0]
+    zero_levels = [i + 1 for i, rn in enumerate(orbit.numerators) if rn == 0]
     if zero_levels:
         detail["zero_levels"] = zero_levels
         return Verdict(
@@ -348,7 +354,7 @@ def certify(a: Fraction, family: Family | int, depth: int = DEFAULT_DEPTH) -> Ve
             e=verdict.e,
             detail=detail,
         )
-    result = two_independent(orbit.d_values)
+    result = two_independent(orbit.square_class_reps)
     if result.independent:
         detail["note"] = "finite-depth evidence only, not a proof"
         return Verdict(

@@ -1,4 +1,6 @@
 import math
+import sys
+from contextlib import contextmanager
 from fractions import Fraction
 
 import pytest
@@ -14,6 +16,7 @@ from arborist.critorbit import (
     sign_predict,
 )
 from arborist.dynamics import Family, family1, family2
+from arborist.errors import InvariantViolation
 from arborist.exactnum import primes_up_to
 
 
@@ -40,6 +43,24 @@ def sample_points(bound):
                 yield Family.CYCLE2, a
 
 
+def current_int_str_limit():
+    """The interpreter's int/str digit limit; None where it has none."""
+    return getattr(sys, "get_int_max_str_digits", lambda: None)()
+
+
+@contextmanager
+def int_str_limit(digits):
+    """Set the int/str digit limit for the block, where the interpreter has one."""
+    saved = current_int_str_limit()
+    if saved is not None:
+        sys.set_int_max_str_digits(digits)
+    try:
+        yield
+    finally:
+        if saved is not None:
+            sys.set_int_max_str_digits(saved)
+
+
 def build(family, a, depth):
     qmap = family1(a) if family is Family.CYCLE1 else family2(a)
     return d_sequence(qmap, depth)
@@ -54,6 +75,7 @@ class TestDSequence:
             Fraction(-311, 256),
         )
         assert orbit.numerators == (-5, -11, -311)
+        assert orbit.square_class_reps == (5, -11, -311)
 
     def test_family1_fifth(self):
         orbit = build(Family.CYCLE1, Fraction(1, 5), 2)
@@ -77,6 +99,22 @@ class TestDSequence:
             d_sequence(custom(Fraction(-3, 4), Fraction(1, 2)), 3)
         with pytest.raises(ValueError):
             d_sequence(family1(Fraction(1, 2)), 0)
+
+    @pytest.mark.parametrize("level", [1, 2, 5])
+    def test_perturbed_recursion_is_caught(self, monkeypatch, level):
+        import arborist.critorbit as critorbit
+
+        honest = critorbit.numerator_recursion
+
+        def perturbed(*args):
+            nums = honest(*args)
+            nums[level - 1] += 1
+            return nums
+
+        monkeypatch.setattr(critorbit, "numerator_recursion", perturbed)
+        for family, a in [(Family.CYCLE1, Fraction(13, 29)), (Family.CYCLE2, Fraction(2, 3))]:
+            with pytest.raises(InvariantViolation):
+                build(family, a, 5)
 
 
 class TestNumeratorRecursion:
@@ -331,3 +369,16 @@ class TestOrbitReport:
     def test_family2_has_no_congruence_laws(self):
         orbit = build(Family.CYCLE2, Fraction(2, 3), 3)
         assert orbit_report(orbit)["congruence_checks"] == {}
+
+    def test_deep_report_ignores_int_str_limit(self):
+        # r_12 for s = 29 has about 7000 digits, past the default limit of
+        # 4300 that str() enforces since Python 3.11 (and 3.10.7)
+        import json
+
+        orbit = build(Family.CYCLE1, Fraction(13, 29), 12)
+        with int_str_limit(4300):
+            report = orbit_report(orbit)
+            json.dumps(report)
+            assert current_int_str_limit() in (4300, None)  # left as it was
+        with int_str_limit(0):
+            assert report["D"] == [str(d) for d in orbit.d_values]

@@ -16,6 +16,7 @@ from arborist.independence import (
     structured_independent_family1,
     two_independent,
 )
+from arborist.verdict import VerdictStatus, certify
 
 nonzero = st.fractions(min_value=-50, max_value=50, max_denominator=50).filter(
     lambda f: f != 0
@@ -207,3 +208,49 @@ class TestDSequenceOracleAgreement:
                     fast = two_independent(values)
                     slow = brute_force_independent(values)
                     assert fast.independent == slow.independent, (family, a)
+
+
+class TestIntegerRepresentatives:
+    def test_integer_path_matches_rational_path(self):
+        depth = 8
+        checked = dependent_at_level = 0
+        for s in range(1, 13):
+            for r in range(-12, 13):
+                if r == 0 or math.gcd(abs(r), s) != 1:
+                    continue
+                a = Fraction(r, s)
+                for family, ctor in ((Family.CYCLE1, family1), (Family.CYCLE2, family2)):
+                    if (family is Family.CYCLE1 and a == -1) or (
+                        family is Family.CYCLE2 and a == Fraction(1, 2)
+                    ):
+                        continue
+                    orbit = d_sequence(ctor(a), depth)
+                    if 0 in orbit.numerators:
+                        continue
+                    by_int = two_independent(orbit.square_class_reps)
+                    by_frac = two_independent(orbit.d_values)
+                    assert by_int == by_frac, (family, a)
+                    checked += 1
+                    verdict = certify(a, family, depth=depth)
+                    if verdict.status is VerdictStatus.DEPENDENT_AT_LEVEL:
+                        dependent_at_level += 1
+                        assert verdict.witness == tuple(i + 1 for i in by_int.witness)
+        assert checked > 300
+        assert dependent_at_level >= 5
+
+    def test_denominators_stay_out_of_factor_refine(self, monkeypatch):
+        import arborist.independence as independence
+
+        seen = []
+        honest = independence.factor_refine
+
+        def recording(inputs):
+            inputs = list(inputs)
+            seen.extend(inputs)
+            return honest(inputs)
+
+        monkeypatch.setattr(independence, "factor_refine", recording)
+        verdict = certify(Fraction(13, 29), 1, depth=10)
+        assert verdict.status is VerdictStatus.PROVEN_SURJECTIVE
+        assert seen
+        assert all(n % 29 for n in seen)

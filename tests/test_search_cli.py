@@ -184,6 +184,12 @@ class TestCliOrbit:
         payload = json.loads(capsys.readouterr().out)
         assert payload["D"] == ["5/4", "-11/16", "-311/256"]
 
+    def test_default_depth_with_large_denominator(self, capsys):
+        # r_12 has about 7000 digits, more than str() converts by default
+        assert main(["orbit", "--family", "1", "--a", "13/29"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["N"] == 12 and len(payload["D"]) == 12
+
 
 class TestCliIndependence:
     def test_oracle_dependency(self, capsys):
