@@ -6,50 +6,38 @@ from .critorbit import (
     AdjustedOrbit,
     CongruenceReport,
     Decomposition1,
-    Decomposition2,
     SignPrediction,
     ValuationCheck,
     check_valuations,
     congruence_check,
     d_sequence,
     decompose1,
-    decompose2,
     numerator_recursion,
     orbit_report,
     sign_predict,
 )
 from .dynamics import (
     Family,
-    OrbitInfo,
     QuadMap,
-    custom,
-    detect_orbit,
     family1,
     family2,
     iterate,
-    poonen_fixed,
-    poonen_period2,
 )
 from .errors import DegenerateBasePoint, InvariantViolation
 from .exactnum import (
-    Rational,
     factor_refine,
     format_rational,
     is_perfect_square,
     jacobi,
     parse_rational,
-    perfect_power_decompose,
     rational_is_square,
-    v_p,
 )
 from .independence import (
     CoprimeBasis,
     IndependenceResult,
     SquareClassVector,
-    StructuredResult,
     brute_force_independent,
     square_classes,
-    structured_independent_family1,
     two_independent,
 )
 from .search import SearchConfig, SearchSummary, enumerate_rationals, search
@@ -70,21 +58,17 @@ __all__ = [
     "CongruenceReport",
     "CoprimeBasis",
     "Decomposition1",
-    "Decomposition2",
     "DegenerateBasePoint",
     "DeltaE",
     "Family",
     "IndependenceResult",
     "InvariantViolation",
-    "OrbitInfo",
     "QuadMap",
-    "Rational",
     "RenderConfig",
     "SearchConfig",
     "SearchSummary",
     "SignPrediction",
     "SquareClassVector",
-    "StructuredResult",
     "ValuationCheck",
     "Verdict",
     "VerdictStatus",
@@ -95,11 +79,8 @@ __all__ = [
     "check_valuations",
     "compute_delta_e",
     "congruence_check",
-    "custom",
     "d_sequence",
     "decompose1",
-    "decompose2",
-    "detect_orbit",
     "enumerate_rationals",
     "factor_refine",
     "family1",
@@ -111,17 +92,12 @@ __all__ = [
     "numerator_recursion",
     "orbit_report",
     "parse_rational",
-    "perfect_power_decompose",
     "points_csv",
-    "poonen_fixed",
-    "poonen_period2",
     "rational_is_square",
     "render",
     "sample_backward",
     "search",
     "sign_predict",
     "square_classes",
-    "structured_independent_family1",
     "two_independent",
-    "v_p",
 ]

@@ -12,7 +12,7 @@ import json
 import sys
 
 from .backorbit import RenderConfig, points_csv, render, sample_backward
-from .critorbit import d_sequence, orbit_report
+from .critorbit import DEFAULT_DEPTH, d_sequence, orbit_report
 from .dynamics import family1, family2
 from .errors import DegenerateBasePoint, InvariantViolation
 from .exactnum import parse_rational
@@ -126,13 +126,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="certify a single base point")
     p.add_argument("--family", type=int, choices=(1, 2), required=True)
     p.add_argument("--a", required=True, metavar="R/S")
-    p.add_argument("--depth", type=int, default=12)
+    p.add_argument("--depth", type=int, default=DEFAULT_DEPTH)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("orbit", help="adjusted critical orbit report")
     p.add_argument("--family", type=int, choices=(1, 2), required=True)
     p.add_argument("--a", required=True, metavar="R/S")
-    p.add_argument("--depth", type=int, default=12)
+    p.add_argument("--depth", type=int, default=DEFAULT_DEPTH)
     p.set_defaults(func=cmd_orbit)
 
     p = sub.add_parser("independence", help="2-independence of a value list")
@@ -143,7 +143,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("search", help="height-bounded certification sweep")
     p.add_argument("--height", type=int, required=True)
     p.add_argument("--family", type=int, choices=(1, 2), action="append")
-    p.add_argument("--depth", type=int, default=12)
+    p.add_argument("--depth", type=int, default=DEFAULT_DEPTH)
     p.add_argument("--out", required=True)
     p.add_argument("--workers", type=int, default=1)
     p.set_defaults(func=cmd_search)

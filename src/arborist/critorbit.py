@@ -27,12 +27,13 @@ f^n(0) = X_n / s**(2**n) where
 so r_n = X_n - r s**(2**n - 1).  The two computations share nothing but
 the inputs, and they must agree together with the law gcd(r_n, s) = 1.
 
-The module also hosts the valuation, decomposition, sign, and congruence
-analyzers the certification layer relies on.  Note D_1 = -(f(0) - a) =
--r_1/s^2: sign statements below are always about f^n(0) - a, whose sign at
-n = 1 is the opposite of D_1's.  Since every denominator is an even power
-of s, the square class of D_n is that of the integer -r_1 (n = 1) or r_n
-(n >= 2); see :attr:`AdjustedOrbit.square_class_reps`.
+The module also hosts the valuation, sign and congruence analyzers that
+:func:`orbit_report` collects, and the first family's numerator
+decomposition.  Note D_1 = -(f(0) - a) = -r_1/s^2: sign statements below
+are always about f^n(0) - a, whose sign at n = 1 is the opposite of D_1's.
+Since every denominator is an even power of s, the square class of D_n is
+that of the integer -r_1 (n = 1) or r_n (n >= 2); see
+:attr:`AdjustedOrbit.square_class_reps`.
 """
 
 from __future__ import annotations
@@ -64,7 +65,6 @@ class AdjustedOrbit:
 
     @property
     def a(self) -> Fraction:
-        assert self.qmap.a is not None
         return self.qmap.a
 
     @property
@@ -103,16 +103,6 @@ class Decomposition1:
     sign: int
     e: int
     t: int
-
-
-@dataclass(frozen=True)
-class Decomposition2:
-    """r_n = -(2**two_part) * t with t odd positive (two-cycle family,
-    base points 1/s and 2/s with 0 < a < 1 only)."""
-
-    n: int
-    t: int
-    two_part: int
 
 
 @dataclass(frozen=True)
@@ -182,10 +172,6 @@ def d_sequence(qmap: QuadMap, depth: int = DEFAULT_DEPTH) -> AdjustedOrbit:
     disagreement, or a numerator sharing a factor with s (the denominator
     law), raises InvariantViolation.
     """
-    if qmap.family not in (Family.CYCLE1, Family.CYCLE2):
-        raise ValueError("adjusted orbits are defined for the two known families")
-    if qmap.a is None:
-        raise ValueError("map has no base point")
     if depth < 1:
         raise ValueError("depth must be positive")
     a = qmap.a
@@ -233,38 +219,6 @@ def decompose1(orbit: AdjustedOrbit, n: int) -> Decomposition1:
             f"r_{n} = {rn} does not decompose as sign * 2^{e} * {r_abs} * odd-coprime"
         )
     return Decomposition1(n=n, sign=1 if rn > 0 else -1, e=e, t=t)
-
-
-def decompose2(orbit: AdjustedOrbit, n: int) -> Decomposition2:
-    """Split r_n as -(2**two_part) * t for the two-cycle family.
-
-    Only defined where the certification procedure needs it: base points
-    1/s with s even (every numerator odd) and 2/s with s odd, s >= 3, both
-    with 0 < a < 1 so that r_n < 0 for all n.  For 2/s the 2-part is
-    exactly 4 at even n and 1 at odd n.
-    """
-    if orbit.family is not Family.CYCLE2:
-        raise ValueError("decomposition applies to the two-cycle-tail family only")
-    if not 1 <= n <= orbit.depth:
-        raise ValueError(f"index {n} outside 1..{orbit.depth}")
-    r, s = orbit.a.numerator, orbit.s
-    if r == 1 and s % 2 == 0:
-        expected_two = 0
-    elif r == 2 and s >= 3:
-        expected_two = 2 if n % 2 == 0 else 0
-    else:
-        raise ValueError(
-            "decomposition defined only for base points 1/even-s and 2/odd-s in (0, 1)"
-        )
-    rn = orbit.r(n)
-    if rn >= 0:
-        raise InvariantViolation(f"r_{n} = {rn} is not negative")
-    two = int(v_int(rn, 2))
-    if two != expected_two:
-        raise InvariantViolation(
-            f"r_{n} = {rn} has 2-part 2^{two}, expected 2^{expected_two}"
-        )
-    return Decomposition2(n=n, t=abs(rn) >> two, two_part=two)
 
 
 def check_valuations(orbit: AdjustedOrbit, p: int) -> list[ValuationCheck]:
@@ -360,8 +314,6 @@ def sign_predict(qmap: QuadMap) -> SignPrediction:
     rational roots other than 0.  The excluded points a in {-2, -1, 1} of
     the fixed-point-tail family are reported as boundary.
     """
-    if qmap.family not in (Family.CYCLE1, Family.CYCLE2) or qmap.a is None:
-        raise ValueError("sign prediction requires a known family with base point")
     a = qmap.a
     if qmap.family is Family.CYCLE1:
         if a in (-2, -1, 1):

@@ -1,7 +1,6 @@
 """Quadratic maps x -> x^2 + c over Q, exact orbits, and the two
 constructors producing strictly preperiodic base points (tail length 1 into
-a fixed point, and tail length 1 into a two-cycle), together with the
-cross-parametrizations by the rational fixed-point / two-cycle parameter.
+a fixed point, and tail length 1 into a two-cycle).
 """
 
 from __future__ import annotations
@@ -9,7 +8,6 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple
 
 from .errors import DegenerateBasePoint
 
@@ -21,35 +19,18 @@ class Family(enum.Enum):
     CYCLE1 = 1
     #: a -> a-1 -> -a -> a-1 ...  (one step onto a two-cycle)
     CYCLE2 = 2
-    #: arbitrary map, no orbit shape guaranteed
-    CUSTOM = 0
 
 
 @dataclass(frozen=True)
 class QuadMap:
-    """The map x -> x^2 + c, optionally carrying a distinguished base point."""
+    """The map x -> x^2 + c with its family and distinguished base point."""
 
     c: Fraction
-    family: Family = Family.CUSTOM
-    a: Fraction | None = None
+    family: Family
+    a: Fraction
 
     def apply(self, x: Fraction) -> Fraction:
         return x * x + self.c
-
-
-@dataclass(frozen=True)
-class OrbitInfo:
-    """First-repetition data: points holds the tail plus one full cycle."""
-
-    tail_length: int
-    cycle_length: int
-    points: tuple[Fraction, ...]
-
-
-class ParamPoint(NamedTuple):
-    a: Fraction
-    c: Fraction
-    partner: Fraction
 
 
 def family1(a: Fraction | int) -> QuadMap:
@@ -84,13 +65,6 @@ def family2(a: Fraction | int) -> QuadMap:
     return f
 
 
-def custom(c: Fraction | int, a: Fraction | int | None = None) -> QuadMap:
-    """Arbitrary quadratic map; usable with iterate/detect_orbit only."""
-    return QuadMap(
-        c=Fraction(c), family=Family.CUSTOM, a=None if a is None else Fraction(a)
-    )
-
-
 def iterate(f: QuadMap, x: Fraction | int, n: int) -> Fraction:
     """Exact n-fold composition f^n(x); n = 0 returns x."""
     if n < 0:
@@ -100,76 +74,3 @@ def iterate(f: QuadMap, x: Fraction | int, n: int) -> Fraction:
         x = f.apply(x)
     return x
 
-
-def _provably_escapes(f: QuadMap, x: Fraction) -> bool:
-    # |x| > 1 with |x|^2 - |x| > |c| forces |f(x)| > |x| forever, and a
-    # denominator exceeding den(c) grows strictly under x -> x^2 + c; either
-    # way no later value can match an earlier one.
-    ax = -x if x < 0 else x
-    if ax > 1 and ax * ax - ax > abs(f.c):
-        return True
-    return x.denominator > f.c.denominator
-
-
-def detect_orbit(f: QuadMap, x: Fraction | int, max_steps: int = 64) -> OrbitInfo | None:
-    """Detect preperiodicity of x under f by first repetition.
-
-    Returns None when no repetition occurs within max_steps or when the
-    orbit provably escapes (heights of non-preperiodic rational orbits blow
-    up doubly exponentially, so the guards keep this cheap).
-    """
-    if max_steps < 1:
-        raise ValueError("max_steps must be positive")
-    x = Fraction(x)
-    seen: dict[Fraction, int] = {}
-    points: list[Fraction] = []
-    cur = x
-    for _ in range(max_steps + 1):
-        if cur in seen:
-            tail = seen[cur]
-            return OrbitInfo(
-                tail_length=tail,
-                cycle_length=len(points) - tail,
-                points=tuple(points),
-            )
-        if _provably_escapes(f, cur):
-            return None
-        seen[cur] = len(points)
-        points.append(cur)
-        cur = f.apply(cur)
-    return None
-
-
-def poonen_fixed(rho: Fraction | int) -> ParamPoint:
-    """Base point and map from the rational fixed-point parameter.
-
-    The fixed points of x^2 + (1/4 - rho^2) are 1/2 +- rho; the returned
-    a = -(1/2 + rho) maps onto one of them in a single step, and the partner
-    -1 - a is the other preperiodic point of the same map.
-    """
-    rho = Fraction(rho)
-    if rho == Fraction(1, 2) or rho == Fraction(-1, 2):
-        raise DegenerateBasePoint(f"parameter {rho} yields a degenerate base point")
-    a = -(Fraction(1, 2) + rho)
-    c = Fraction(1, 4) - rho * rho
-    partner = -1 - a
-    assert c == -a - a * a
-    return ParamPoint(a=a, c=c, partner=partner)
-
-
-def poonen_period2(sigma: Fraction | int) -> ParamPoint:
-    """Base point and map from the rational two-cycle parameter.
-
-    A rational two-cycle of x^2 + c is {-1/2 + sigma, -1/2 - sigma} for some
-    nonzero rational sigma; its root product pins c = -3/4 - sigma^2.  The
-    returned a = 1/2 - sigma enters the cycle in one step, and the partner
-    1 - a is the other preperiodic point of the same map.
-    """
-    sigma = Fraction(sigma)
-    if sigma in (0, Fraction(1, 2), Fraction(-1, 2)):
-        raise DegenerateBasePoint(f"parameter {sigma} yields a degenerate base point")
-    a = Fraction(1, 2) - sigma
-    c = Fraction(-3, 4) - sigma * sigma
-    partner = 1 - a
-    assert c == -1 + a - a * a
-    return ParamPoint(a=a, c=c, partner=partner)

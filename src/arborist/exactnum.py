@@ -4,8 +4,8 @@ Rational values throughout the package are stdlib ``fractions.Fraction``
 instances, which already maintain the invariants everything here relies on:
 numerator and denominator coprime after every operation, denominator
 positive, zero stored as 0/1.  This module adds the predicates built on top
-of them: p-adic valuations, exact square and perfect-power detection, the
-Jacobi symbol, deterministic small-range primality, and gcd-based factor
+of them: p-adic valuations of integers, exact square detection, the Jacobi
+symbol, deterministic small-range primality, and gcd-based factor
 refinement into a pairwise-coprime base.
 
 There is deliberately no general-purpose integer factorization anywhere:
@@ -20,9 +20,7 @@ import re
 from fractions import Fraction
 from typing import Iterable
 
-Rational = Fraction
-
-#: Marker returned by :func:`v_p` for the valuation of zero.
+#: Marker returned by :func:`v_int` for the valuation of zero.
 INFINITY = math.inf
 
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(?:/\d+)?$")
@@ -35,10 +33,6 @@ _LOG10_2 = math.log10(2)
 # Below this bound, Miller-Rabin with the first 13 prime bases is a proof.
 _MR_DETERMINISTIC_LIMIT = 3_317_044_064_679_887_385_961_981
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-
-# v_p checks primality itself up to here; larger moduli are the caller's
-# responsibility.
-_VP_PRIMALITY_BOUND = 1 << 64
 
 
 def parse_rational(text: str) -> Fraction:
@@ -86,22 +80,6 @@ def v_int(n: int, p: int) -> int | float:
     return count
 
 
-def v_p(x: Fraction | int, p: int) -> int | float:
-    """p-adic valuation of a rational, ``INFINITY`` for zero.
-
-    ``p`` must be prime.  Primality is verified deterministically for
-    p < 2**64 and trusted above that.
-    """
-    if p < 2:
-        raise ValueError(f"not a prime: {p}")
-    if p < _VP_PRIMALITY_BOUND and not is_prime(p):
-        raise ValueError(f"not a prime: {p}")
-    x = Fraction(x)
-    if x == 0:
-        return INFINITY
-    return v_int(x.numerator, p) - v_int(x.denominator, p)
-
-
 def is_perfect_square(n: int) -> bool:
     """True iff n = m*m for some integer m, verified by exact squaring."""
     if n < 0:
@@ -142,33 +120,6 @@ def jacobi(a: int, n: int) -> int:
             result = -result
         a %= n
     return result if n == 1 else 0
-
-
-def integer_nth_root(n: int, k: int) -> int:
-    """floor(n ** (1/k)) for n >= 0, k >= 1, by bisection on bit length."""
-    if n < 0 or k < 1:
-        raise ValueError("integer_nth_root needs n >= 0, k >= 1")
-    if n < 2 or k == 1:
-        return n
-    lo, hi = 1, 1 << (n.bit_length() // k + 1)
-    while lo < hi:
-        mid = (lo + hi + 1) // 2
-        if mid**k <= n:
-            lo = mid
-        else:
-            hi = mid - 1
-    return lo
-
-
-def perfect_power_decompose(n: int) -> tuple[int, int]:
-    """Write n = m**k with k maximal; (n, 1) when n is not a perfect power."""
-    if n < 2:
-        raise ValueError(f"perfect_power_decompose needs n >= 2, got {n}")
-    for k in range(n.bit_length() - 1, 1, -1):
-        m = integer_nth_root(n, k)
-        if m**k == n:
-            return (m, k)
-    return (n, 1)
 
 
 def is_prime(n: int) -> bool:

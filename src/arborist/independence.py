@@ -28,10 +28,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
-from .critorbit import AdjustedOrbit, decompose1
-from .dynamics import Family
 from .errors import InvariantViolation
-from .exactnum import factor_refine, is_perfect_square, rational_is_square, v_int
+from .exactnum import factor_refine, is_perfect_square, rational_is_square
 
 BRUTE_FORCE_LIMIT = 20
 
@@ -73,14 +71,6 @@ class IndependenceResult:
     independent: bool
     #: sorted indices into the input sequence whose product is a square
     witness: tuple[int, ...] | None = None
-
-
-@dataclass(frozen=True)
-class StructuredResult:
-    """Outcome of the sound-but-incomplete fast path: never 'dependent'."""
-
-    independent: bool
-    reason: str | None = None
 
 
 def square_classes(
@@ -183,41 +173,3 @@ def brute_force_independent(values: Sequence[Fraction]) -> IndependenceResult:
         return IndependenceResult(True)
     return IndependenceResult(False, witness)
 
-
-def structured_independent_family1(orbit: AdjustedOrbit) -> StructuredResult:
-    """Fast sufficient check for the fixed-point-tail family.
-
-    Splitting every numerator as sign * 2**e * |r| * t_n, the sequence is
-    2-independent as soon as the first term is not a square, each t_n
-    (n >= 2) is a nonsquare integer, and the guaranteed coprimality
-    structure (t_n odd, coprime to 2r and to each other, t_1 included)
-    verifies.  When any of that fails the answer is NotDecided, never
-    'dependent': this path is sound but incomplete.
-    """
-    if orbit.family is not Family.CYCLE1:
-        raise ValueError("fast path applies to the fixed-point-tail family only")
-    if rational_is_square(orbit.D(1)):
-        return StructuredResult(False, "first term is a rational square")
-    r = orbit.a.numerator
-    r_abs = abs(r)
-    r1 = orbit.r(1)
-    if r1 == 0:
-        return StructuredResult(False, "zero term in the adjusted orbit")
-    quotient, rem = divmod(abs(r1), r_abs)
-    if rem != 0:
-        raise InvariantViolation(f"|r_1| = {abs(r1)} is not divisible by |r| = {r_abs}")
-    e1 = int(v_int(quotient, 2))
-    odd_parts = {1: quotient >> e1}
-    for n in range(2, orbit.depth + 1):
-        dec = decompose1(orbit, n)
-        if is_perfect_square(dec.t):
-            return StructuredResult(False, f"odd cofactor t_{n} = {dec.t} is a square")
-        if dec.t % 2 == 0 or math.gcd(dec.t, 2 * r_abs) != 1:
-            return StructuredResult(
-                False, f"t_{n} is not odd and coprime to twice the numerator"
-            )
-        for m, t_m in odd_parts.items():
-            if math.gcd(dec.t, t_m) != 1:
-                return StructuredResult(False, f"t_{m} and t_{n} share a factor")
-        odd_parts[n] = dec.t
-    return StructuredResult(True)

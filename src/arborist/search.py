@@ -3,13 +3,16 @@
 Rows are independent (one per admissible base point and family), so the
 sweep is an order-preserving map over the enumeration: worker count never
 changes row content, and an existing output file is extended rather than
-recomputed.
+recomputed.  The header line records the depth, and a file is only
+extended at that depth.  Every row is flushed as it is written; a row cut
+short by a crash is dropped on resume and computed again.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -17,6 +20,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Iterator
 
+from .critorbit import DEFAULT_DEPTH
 from .verdict import certify
 
 SCHEMA = "arborist-v1"
@@ -27,7 +31,7 @@ class SearchConfig:
     height: int
     out_path: str | Path
     families: tuple[int, ...] = (1, 2)
-    depth: int = 12
+    depth: int = DEFAULT_DEPTH
     workers: int = 1
 
     def __post_init__(self) -> None:
@@ -95,16 +99,25 @@ def certify_row(task: tuple[int, int, int, int]) -> dict:
     }
 
 
+def _read_header(path: str | Path, fh) -> dict:
+    line = fh.readline()
+    if not line:
+        raise ValueError(f"{path}: empty results file")
+    head = json.loads(line)
+    if head.get("schema") != SCHEMA:
+        raise ValueError(f"{path}: unexpected schema {head.get('schema')!r}")
+    return head
+
+
 def load_rows(path: str | Path) -> list[dict]:
-    """Read a JSONL results file, validating the schema header."""
+    """Read a JSONL results file, validating the schema header.
+
+    The header's depth is optional here, so files written without one
+    still load.
+    """
     rows = []
     with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline()
-        if not header:
-            raise ValueError(f"{path}: empty results file")
-        head = json.loads(header)
-        if head.get("schema") != SCHEMA:
-            raise ValueError(f"{path}: unexpected schema {head.get('schema')!r}")
+        _read_header(path, fh)
         for line in fh:
             line = line.strip()
             if line:
@@ -112,12 +125,39 @@ def load_rows(path: str | Path) -> list[dict]:
     return rows
 
 
+def _check_depth(path: Path, depth: int) -> None:
+    with open(path, "r", encoding="utf-8") as fh:
+        recorded = _read_header(path, fh).get("depth")
+    if recorded != depth:
+        found = "no depth" if recorded is None else f"depth {recorded}"
+        raise ValueError(
+            f"{path}: header records {found}, this run asks for depth {depth}; "
+            "resume at the recorded depth or write a new file"
+        )
+
+
+def _drop_partial_row(path: Path) -> None:
+    # Only the last line can lack its newline: rows are flushed one by one.
+    with open(path, "rb+") as fh:
+        fh.seek(-1, os.SEEK_END)
+        if fh.read(1) == b"\n":
+            return
+        fh.seek(0)
+        fh.truncate(fh.read().rfind(b"\n") + 1)
+
+
 def search(cfg: SearchConfig) -> SearchSummary:
-    """Run the sweep, appending to (and resuming from) cfg.out_path."""
+    """Run the sweep, appending to (and resuming from) cfg.out_path.
+
+    An existing file must carry cfg.depth in its header; otherwise it is
+    left unchanged and ValueError is raised.
+    """
     out = Path(cfg.out_path)
     summary = SearchSummary()
     done: set[tuple[str, int]] = set()
     if out.exists() and out.stat().st_size > 0:
+        _check_depth(out, cfg.depth)
+        _drop_partial_row(out)
         for row in load_rows(out):
             done.add((row["a"], row["family"]))
         mode = "a"
@@ -136,7 +176,8 @@ def search(cfg: SearchConfig) -> SearchSummary:
 
     with open(out, mode, encoding="utf-8", newline="\n") as fh:
         if mode == "w":
-            fh.write(json.dumps({"schema": SCHEMA}) + "\n")
+            fh.write(json.dumps({"schema": SCHEMA, "depth": cfg.depth}) + "\n")
+            fh.flush()
         if cfg.workers == 1:
             results = map(certify_row, tasks)
         else:
@@ -145,6 +186,7 @@ def search(cfg: SearchConfig) -> SearchSummary:
         try:
             for row in results:
                 fh.write(json.dumps(row, sort_keys=True) + "\n")
+                fh.flush()
                 summary.record(row)
         finally:
             if cfg.workers > 1:

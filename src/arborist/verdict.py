@@ -34,13 +34,12 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping
 
-from .critorbit import d_sequence
+from .critorbit import DEFAULT_DEPTH, d_sequence
 from .dynamics import Family, QuadMap, family1, family2
 from .errors import InvariantViolation
 from .exactnum import jacobi, proven_prime, rational_is_square
 from .independence import two_independent
 
-DEFAULT_DEPTH = 12
 TRIAL_DIVISION_CUTOFF = 10**6
 
 
@@ -179,7 +178,7 @@ def _prime_3_mod_4_in(s: int, cutoff: int = TRIAL_DIVISION_CUTOFF):
 def _audit_independence(qmap: QuadMap, depth: int) -> None:
     """Require the first `depth` adjusted-orbit terms to be 2-independent."""
     if depth <= 0:
-        return
+        raise ValueError("audit depth must be positive")
     orbit = d_sequence(qmap, depth)
     if 0 in orbit.numerators:
         raise InvariantViolation(
@@ -325,18 +324,16 @@ def certify(a: Fraction, family: Family | int, depth: int = DEFAULT_DEPTH) -> Ve
     the verdict reports IndependentToDepth (evidence, not proof) or
     DependentAtLevel (with the witness levels, 1-based).
     """
-    fam = Family(family) if not isinstance(family, Family) else family
+    fam = Family(family)
     a = Fraction(a)
     if depth < 1:
         raise ValueError("depth must be positive")
     if fam is Family.CYCLE1:
         qmap = family1(a)
         verdict = _certify1(qmap, depth)
-    elif fam is Family.CYCLE2:
+    else:
         qmap = family2(a)
         verdict = _certify2(qmap, depth)
-    else:
-        raise ValueError("certification requires one of the two known families")
     if verdict.status is not VerdictStatus.INAPPLICABLE:
         return verdict
 

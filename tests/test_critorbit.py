@@ -10,14 +10,13 @@ from arborist.critorbit import (
     congruence_check,
     d_sequence,
     decompose1,
-    decompose2,
     numerator_recursion,
     orbit_report,
     sign_predict,
 )
 from arborist.dynamics import Family, family1, family2
 from arborist.errors import InvariantViolation
-from arborist.exactnum import primes_up_to
+from arborist.exactnum import primes_up_to, v_int
 
 
 def oracle_offsets(c, a, depth):
@@ -93,10 +92,12 @@ class TestDSequence:
             assert orbit.D(2) == offsets[1]
 
     def test_rejects_custom_maps_and_bad_depth(self):
-        from arborist.dynamics import custom
+        from arborist.dynamics import QuadMap
 
-        with pytest.raises(ValueError):
-            d_sequence(custom(Fraction(-3, 4), Fraction(1, 2)), 3)
+        # A map outside the two families cannot be built, so it never
+        # reaches d_sequence.
+        with pytest.raises(TypeError):
+            QuadMap(c=Fraction(-3, 4), a=Fraction(1, 2))
         with pytest.raises(ValueError):
             d_sequence(family1(Fraction(1, 2)), 0)
 
@@ -178,40 +179,6 @@ class TestDecompose1:
             decompose1(orbit1, 1)
         with pytest.raises(ValueError):
             decompose1(orbit1, 4)
-
-
-class TestDecompose2:
-    def test_two_thirds(self):
-        orbit = build(Family.CYCLE2, Fraction(2, 3), 4)
-        # numerators alternate: odd at odd n, exactly 2^2 at even n
-        for n in range(1, 5):
-            dec = decompose2(orbit, n)
-            assert dec.two_part == (2 if n % 2 == 0 else 0)
-            assert -(2**dec.two_part) * dec.t == orbit.r(n)
-            assert dec.t % 2 == 1
-
-    def test_one_over_even(self):
-        orbit = build(Family.CYCLE2, Fraction(1, 4), 4)
-        for n in range(1, 5):
-            dec = decompose2(orbit, n)
-            assert dec.two_part == 0
-            assert -dec.t == orbit.r(n)
-
-    def test_pairwise_coprime_odd_parts(self):
-        points = [Fraction(1, s) for s in (4, 6, 8, 10)]
-        points += [Fraction(2, s) for s in (3, 5, 7, 9, 13)]
-        for a in points:
-            orbit = build(Family.CYCLE2, a, 6)
-            parts = [decompose2(orbit, n).t for n in range(1, 7)]
-            for i in range(len(parts)):
-                for j in range(i + 1, len(parts)):
-                    assert math.gcd(parts[i], parts[j]) == 1, (a, i, j)
-
-    def test_rejects_out_of_scope_base_points(self):
-        for a in (Fraction(3, 4), Fraction(2, 1), Fraction(1, 3)):
-            orbit = build(Family.CYCLE2, a, 3)
-            with pytest.raises(ValueError):
-                decompose2(orbit, 2)
 
 
 class TestCheckValuations:
@@ -346,6 +313,19 @@ class TestPairwiseCoprimality:
                 continue
             orbit = build(family, a, 6)
             parts = [decompose1(orbit, n).t for n in range(2, 7)]
+            for i in range(len(parts)):
+                for j in range(i + 1, len(parts)):
+                    assert math.gcd(parts[i], parts[j]) == 1, (a, i, j)
+
+    def test_family2_odd_parts(self):
+        # base points 1/s (s even) and 2/s (s odd): every r_n is negative and
+        # its odd parts are pairwise coprime
+        points = [Fraction(1, s) for s in (4, 6, 8, 10)]
+        points += [Fraction(2, s) for s in (3, 5, 7, 9, 13)]
+        for a in points:
+            orbit = build(Family.CYCLE2, a, 6)
+            assert all(rn < 0 for rn in orbit.numerators), a
+            parts = [abs(rn) >> int(v_int(rn, 2)) for rn in orbit.numerators]
             for i in range(len(parts)):
                 for j in range(i + 1, len(parts)):
                     assert math.gcd(parts[i], parts[j]) == 1, (a, i, j)

@@ -1,19 +1,10 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
-from arborist.dynamics import (
-    Family,
-    custom,
-    detect_orbit,
-    family1,
-    family2,
-    iterate,
-    poonen_fixed,
-    poonen_period2,
-)
+from arborist.dynamics import family1, family2, iterate
 from arborist.errors import DegenerateBasePoint
 
 nonzero_rationals = st.fractions(
@@ -90,102 +81,7 @@ class TestIterate:
             iterate(family1(1), 0, -1)
 
 
-class TestDetectOrbit:
-    def test_family1_shape(self):
-        f = family1(Fraction(1, 2))
-        info = detect_orbit(f, Fraction(1, 2))
-        assert (info.tail_length, info.cycle_length) == (1, 1)
-        assert info.points == (Fraction(1, 2), Fraction(-1, 2))
-
-    def test_family2_shape(self):
-        f = family2(Fraction(2, 3))
-        info = detect_orbit(f, Fraction(2, 3))
-        assert (info.tail_length, info.cycle_length) == (1, 2)
-        assert info.points == (Fraction(2, 3), Fraction(-1, 3), Fraction(-2, 3))
-
-    def test_fixed_point(self):
-        info = detect_orbit(custom(0), 0)
-        assert (info.tail_length, info.cycle_length) == (0, 1)
-
-    def test_escaping_orbit_is_not_detected(self):
-        assert detect_orbit(custom(1), 1) is None
-        assert detect_orbit(custom(0), Fraction(1, 2)) is None
-        assert detect_orbit(family1(Fraction(1, 2)), Fraction(5, 2)) is None
-
-    def test_rejects_bad_step_count(self):
-        with pytest.raises(ValueError):
-            detect_orbit(custom(0), 0, max_steps=0)
-
-    @given(a=nonzero_rationals.filter(lambda f: f not in (-1, Fraction(1, 2))))
-    @settings(max_examples=60)
-    def test_agrees_with_iterate(self, a):
-        for f in (family1(a), family2(a)):
-            info = detect_orbit(f, a)
-            assert info is not None
-            for k, point in enumerate(info.points):
-                assert point == iterate(f, a, k)
-            wrap = iterate(f, a, info.tail_length + info.cycle_length)
-            assert wrap == info.points[info.tail_length]
-            assert len(set(info.points)) == len(info.points)
-
-
-class TestPoonenParametrizations:
-    def test_fixed_point_examples(self):
-        assert poonen_fixed(0) == (Fraction(-1, 2), Fraction(1, 4), Fraction(-1, 2))
-        assert poonen_fixed(Fraction(3, 2)) == (Fraction(-2), Fraction(-2), Fraction(1))
-        with pytest.raises(DegenerateBasePoint):
-            poonen_fixed(Fraction(1, 2))
-        with pytest.raises(DegenerateBasePoint):
-            poonen_fixed(Fraction(-1, 2))
-
-    def test_period2_examples(self):
-        assert poonen_period2(Fraction(1, 4)) == (
-            Fraction(1, 4),
-            Fraction(-13, 16),
-            Fraction(3, 4),
-        )
-        assert poonen_period2(Fraction(-1, 6)) == (
-            Fraction(2, 3),
-            Fraction(-7, 9),
-            Fraction(1, 3),
-        )
-        with pytest.raises(DegenerateBasePoint):
-            poonen_period2(Fraction(1, 2))
-        with pytest.raises(DegenerateBasePoint):
-            poonen_period2(0)
-
-    @given(
-        rho=st.fractions(min_value=-20, max_value=20, max_denominator=20).filter(
-            lambda f: f not in (Fraction(1, 2), Fraction(-1, 2))
-        )
-    )
-    def test_fixed_point_round_trip(self, rho):
-        a, c, partner = poonen_fixed(rho)
-        f = family1(a)
-        assert f.c == c
-        assert family1(partner).c == c
-        # a lands on a fixed point of the map in one step
-        assert f.apply(f.apply(a)) == f.apply(a)
-
-    @given(
-        sigma=st.fractions(min_value=-20, max_value=20, max_denominator=20).filter(
-            lambda f: f not in (0, Fraction(1, 2), Fraction(-1, 2))
-        )
-    )
-    def test_period2_round_trip(self, sigma):
-        a, c, partner = poonen_period2(sigma)
-        f = family2(a)
-        assert f.c == c
-        assert family2(partner).c == c
-        assert iterate(f, a, 3) == iterate(f, a, 1)
-
-
 class TestQuadMapBasics:
-    def test_custom_has_no_family(self):
-        f = custom(Fraction(-3, 4), Fraction(1, 2))
-        assert f.family is Family.CUSTOM
-        assert f.a == Fraction(1, 2)
-
     def test_values_hashable_and_frozen(self):
         f = family1(Fraction(1, 2))
         assert hash(f) == hash(family1(Fraction(1, 2)))

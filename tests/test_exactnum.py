@@ -9,16 +9,14 @@ from hypothesis import strategies as st
 from arborist.exactnum import (
     factor_refine,
     format_rational,
-    integer_nth_root,
     is_perfect_square,
     is_prime,
     jacobi,
     parse_rational,
-    perfect_power_decompose,
     primes_up_to,
     proven_prime,
     rational_is_square,
-    v_p,
+    v_int,
 )
 
 INF = math.inf
@@ -40,32 +38,23 @@ def trial_division(n):
 
 class TestValuation:
     def test_examples(self):
-        assert v_p(Fraction(-6, 7), 2) == 1
-        assert v_p(Fraction(1, 5), 5) == -1
-        assert v_p(Fraction(0), 3) == INF
+        assert v_int(-6, 2) == 1
+        assert v_int(-6, 7) == 0
+        assert v_int(0, 3) == INF
 
     def test_integer_inputs(self):
-        assert v_p(24, 2) == 3
-        assert v_p(24, 3) == 1
-        assert v_p(24, 5) == 0
-
-    def test_rejects_composite_modulus(self):
-        with pytest.raises(ValueError):
-            v_p(Fraction(1, 2), 6)
-        with pytest.raises(ValueError):
-            v_p(Fraction(1, 2), 1)
+        assert v_int(24, 2) == 3
+        assert v_int(24, 3) == 1
+        assert v_int(24, 5) == 0
 
     @given(
-        num=st.integers(min_value=-(10**6), max_value=10**6).filter(lambda n: n != 0),
-        den=st.integers(min_value=1, max_value=10**6),
+        n=st.integers(min_value=-(10**6), max_value=10**6).filter(lambda n: n != 0),
         p=st.sampled_from([2, 3, 5, 7, 11, 13]),
     )
-    def test_matches_exponent_arithmetic(self, num, den, p):
-        x = Fraction(num, den)
-        v = int(v_p(x, p))
-        unit = x / Fraction(p) ** v
-        assert unit.numerator % p != 0 and unit.denominator % p != 0
-        assert unit * Fraction(p) ** v == x
+    def test_matches_exponent_arithmetic(self, n, p):
+        v = int(v_int(n, p))
+        unit, rem = divmod(n, p**v)
+        assert rem == 0 and unit % p != 0
 
 
 class TestPerfectSquare:
@@ -136,31 +125,6 @@ class TestJacobi:
             if p == 2:
                 continue
             assert jacobi(-1, p) == (1 if p % 4 == 1 else -1)
-
-
-class TestPerfectPower:
-    def test_examples(self):
-        assert perfect_power_decompose(8) == (2, 3)
-        assert perfect_power_decompose(12) == (12, 1)
-        assert perfect_power_decompose(36) == (6, 2)
-
-    def test_rejects_small_input(self):
-        with pytest.raises(ValueError):
-            perfect_power_decompose(1)
-
-    @given(m=st.integers(min_value=2, max_value=50), k=st.integers(min_value=1, max_value=9))
-    def test_reconstruction_and_maximality(self, m, k):
-        base, exp = perfect_power_decompose(m**k)
-        assert base**exp == m**k
-        assert exp >= k  # k is achievable, the decomposition is maximal
-        b2, e2 = perfect_power_decompose(base)
-        assert e2 == 1
-
-    def test_nth_root_floor(self):
-        for n in (0, 1, 7, 63, 64, 65, 10**30):
-            for k in (1, 2, 3, 5):
-                r = integer_nth_root(n, k)
-                assert r**k <= n < (r + 1) ** k
 
 
 class TestPrimality:

@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -13,7 +12,6 @@ from arborist.independence import (
     CoprimeBasis,
     brute_force_independent,
     square_classes,
-    structured_independent_family1,
     two_independent,
 )
 from arborist.verdict import VerdictStatus, certify
@@ -145,49 +143,6 @@ class TestBruteForce:
     def test_rejects_zero(self):
         with pytest.raises(ValueError):
             brute_force_independent([Fraction(0)])
-
-
-class TestStructuredFastPath:
-    def test_known_independent_orbits(self):
-        for a, depth in [(Fraction(1, 2), 3), (Fraction(1, 5), 2), (Fraction(-6, 7), 5)]:
-            orbit = d_sequence(family1(a), depth)
-            assert structured_independent_family1(orbit).independent
-
-    def test_rejects_other_family(self):
-        orbit = d_sequence(family2(Fraction(1, 4)), 2)
-        with pytest.raises(ValueError):
-            structured_independent_family1(orbit)
-
-    def test_square_first_term_is_not_decided(self):
-        orbit = d_sequence(family1(Fraction(1, 4)), 2)  # a - c = 9/16
-        result = structured_independent_family1(orbit)
-        assert not result.independent
-        assert "square" in result.reason
-
-    def test_square_odd_cofactor_is_not_decided(self):
-        orbit = d_sequence(family1(Fraction(1, 2)), 3)
-        doctored = replace(orbit, numerators=(-5, -9, -311))
-        result = structured_independent_family1(doctored)
-        assert not result.independent
-        assert "t_2" in result.reason
-
-    def test_soundness_against_generic_checker(self):
-        count = 0
-        for s in range(1, 9):
-            for r in range(-8, 9):
-                if r == 0 or math.gcd(abs(r), s) != 1:
-                    continue
-                a = Fraction(r, s)
-                if a in (0, -1):
-                    continue
-                orbit = d_sequence(family1(a), 5)
-                if any(d == 0 for d in orbit.d_values):
-                    continue
-                result = structured_independent_family1(orbit)
-                if result.independent:
-                    count += 1
-                    assert two_independent(orbit.d_values).independent, a
-        assert count > 10  # the fast path must actually decide most points
 
 
 class TestDSequenceOracleAgreement:

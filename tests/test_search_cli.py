@@ -1,5 +1,6 @@
 import json
 import math
+import sys
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,7 @@ from arborist.cli import main
 from arborist.search import (
     SCHEMA,
     SearchConfig,
+    certify_row,
     enumerate_rationals,
     load_rows,
     search,
@@ -69,7 +71,7 @@ class TestSearch:
         out = tmp_path / "rows.jsonl"
         summary = search(SearchConfig(height=2, out_path=out, depth=5))
         lines = out.read_text().splitlines()
-        assert json.loads(lines[0]) == {"schema": SCHEMA}
+        assert json.loads(lines[0]) == {"schema": SCHEMA, "depth": 5}
         rows = [json.loads(line) for line in lines[1:]]
         assert summary.rows_written == len(rows)
         # family-1 drops a = -1, family-2 drops a = 1/2
@@ -112,6 +114,59 @@ class TestSearch:
             if a != Fraction(1, 2):
                 expected.add((str(a), 2))
         assert set(keys) == expected
+
+    def test_resume_after_truncated_row(self, tmp_path):
+        cut = tmp_path / "cut.jsonl"
+        fresh = tmp_path / "fresh.jsonl"
+        search(SearchConfig(height=3, out_path=cut, depth=4))
+        data = cut.read_bytes()
+        last_row_start = data.rstrip(b"\n").rfind(b"\n") + 1
+        cut.write_bytes(data[: last_row_start + 20])  # a crash 20 bytes into the row
+        summary = search(SearchConfig(height=4, out_path=cut, depth=4))
+        search(SearchConfig(height=4, out_path=fresh, depth=4))
+
+        def rows(path):
+            return sorted(map(strip_timing, load_rows(path)), key=lambda r: (r["a"], r["family"]))
+
+        assert rows(cut) == rows(fresh)
+        # every complete row is kept: all but the header and the cut row
+        assert summary.rows_skipped == len(data.splitlines()) - 2
+
+    def test_corrupt_inner_row_still_raises(self, tmp_path):
+        out = tmp_path / "rows.jsonl"
+        search(SearchConfig(height=2, out_path=out, depth=4))
+        lines = out.read_text().splitlines(keepends=True)
+        lines[2] = lines[2][:20] + "\n"
+        out.write_text("".join(lines))
+        with pytest.raises(ValueError):
+            search(SearchConfig(height=3, out_path=out, depth=4))
+
+    def test_rows_reach_the_file_as_written(self, tmp_path, monkeypatch):
+        # arborist.search is the function; the module is reached through sys.modules
+        search_module = sys.modules["arborist.search"]
+        out = tmp_path / "rows.jsonl"
+        lines_seen = []
+
+        def watched(task):
+            lines_seen.append(len(out.read_text().splitlines()))
+            return certify_row(task)
+
+        monkeypatch.setattr(search_module, "certify_row", watched)
+        search(SearchConfig(height=2, out_path=out, depth=4))
+        # before row k is computed, the header and k - 1 rows are on disk
+        assert lines_seen == list(range(1, len(lines_seen) + 1))
+
+    def test_header_without_depth_is_refused_but_loads(self, tmp_path):
+        out = tmp_path / "rows.jsonl"
+        search(SearchConfig(height=2, out_path=out, depth=4))
+        lines = out.read_text().splitlines(keepends=True)
+        lines[0] = json.dumps({"schema": SCHEMA}) + "\n"
+        out.write_text("".join(lines))
+        assert len(load_rows(out)) == len(lines) - 1
+        before = out.read_bytes()
+        with pytest.raises(ValueError, match="no depth"):
+            search(SearchConfig(height=3, out_path=out, depth=4))
+        assert out.read_bytes() == before
 
     def test_worker_count_does_not_change_rows(self, tmp_path):
         serial = tmp_path / "serial.jsonl"
@@ -237,6 +292,16 @@ class TestCliSearchAndReport:
             )
             assert code == 0
             assert json.loads(capsys.readouterr().out) == row["verdict"]
+
+    def test_resume_at_other_depth_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "rows.jsonl"
+        assert main(["search", "--height", "2", "--depth", "6", "--out", str(out)]) == 0
+        capsys.readouterr()
+        before = out.read_bytes()
+        assert main(["search", "--height", "3", "--depth", "3", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "depth 6" in err and "depth 3" in err
+        assert out.read_bytes() == before
 
     def test_unwritable_output_path(self, tmp_path, capsys):
         target = tmp_path / "missing" / "rows.jsonl"

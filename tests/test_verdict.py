@@ -123,6 +123,12 @@ class TestCertifyFamily1:
         with pytest.raises(InvariantViolation):
             certify_family1(Fraction(1, 5), depth_check=4)
 
+    def test_unaudited_proof_is_refused(self):
+        # 1/5 fires T1.1-1; a proof without its independence audit is an error
+        for depth_check in (0, -1):
+            with pytest.raises(ValueError):
+                certify_family1(Fraction(1, 5), depth_check=depth_check)
+
 
 class TestCertifyFamily2:
     def test_example_one_quarter(self):
@@ -147,6 +153,10 @@ class TestCertifyFamily2:
         v = certify_family2(Fraction(3, 4))
         assert v.status is VerdictStatus.NOT_SURJECTIVE
         assert v.detail["a_minus_c"] == "25/16"
+
+    def test_unaudited_proof_is_refused(self):
+        with pytest.raises(ValueError):
+            certify_family2(Fraction(1, 4), depth_check=0)
 
     def test_conditions_require_unit_or_two_numerator(self):
         v = certify_family2(Fraction(3, 5), depth_check=0)
