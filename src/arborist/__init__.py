@@ -23,7 +23,7 @@ from .dynamics import (
     family2,
     iterate,
 )
-from .errors import DegenerateBasePoint, InvariantViolation
+from .errors import DegenerateBasePoint, InvariantViolation, UsageError
 from .exactnum import (
     factor_refine,
     format_rational,
@@ -37,10 +37,11 @@ from .independence import (
     IndependenceResult,
     SquareClassVector,
     brute_force_independent,
+    orbit_independent,
     square_classes,
     two_independent,
 )
-from .search import SearchConfig, SearchSummary, enumerate_rationals, search
+from .search import SearchConfig, SearchSummary, enumerate_rationals
 from .verdict import (
     DeltaE,
     Verdict,
@@ -69,6 +70,7 @@ __all__ = [
     "SearchSummary",
     "SignPrediction",
     "SquareClassVector",
+    "UsageError",
     "ValuationCheck",
     "Verdict",
     "VerdictStatus",
@@ -90,13 +92,13 @@ __all__ = [
     "iterate",
     "jacobi",
     "numerator_recursion",
+    "orbit_independent",
     "orbit_report",
     "parse_rational",
     "points_csv",
     "rational_is_square",
     "render",
     "sample_backward",
-    "search",
     "sign_predict",
     "square_classes",
     "two_independent",

@@ -12,6 +12,8 @@ import cmath
 import random
 from dataclasses import dataclass
 
+from .errors import UsageError
+
 DEFAULT_POINTS = 200_000
 DEFAULT_BURN_IN = 50
 
@@ -29,13 +31,13 @@ class RenderConfig:
     def __post_init__(self) -> None:
         re_min, re_max, im_min, im_max = self.bounds
         if self.width < 1 or self.height < 1:
-            raise ValueError("image dimensions must be positive")
+            raise UsageError("image dimensions must be positive")
         if not (re_max > re_min and im_max > im_min):
-            raise ValueError("bounds must have positive area")
+            raise UsageError("bounds must have positive area")
         if self.n_points < 1:
-            raise ValueError("need at least one point")
+            raise UsageError("need at least one point")
         if self.burn_in < 0:
-            raise ValueError("burn-in must be nonnegative")
+            raise UsageError("burn-in must be nonnegative")
 
 
 def sample_backward(c: complex, a: complex, cfg: RenderConfig) -> list[complex]:

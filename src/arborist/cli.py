@@ -1,8 +1,9 @@
 """Command-line surface.
 
 Subcommands: verify, orbit, independence, search, julia, report.
-Exit status 0 on success, 2 on usage errors, 1 on internal invariant
-violations.
+Exit status 0 on success, 2 on user errors (argparse errors and
+:class:`~arborist.errors.UsageError`), 1 on everything else: invariant
+violations, I/O errors and any other exception, which signals a bug.
 """
 
 from __future__ import annotations
@@ -10,27 +11,41 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import traceback
 
 from .backorbit import RenderConfig, points_csv, render, sample_backward
 from .critorbit import DEFAULT_DEPTH, d_sequence, orbit_report
 from .dynamics import family1, family2
-from .errors import DegenerateBasePoint, InvariantViolation
+from .errors import InvariantViolation, UsageError
 from .exactnum import parse_rational
 from .independence import brute_force_independent, two_independent
 from .search import SearchConfig, load_rows, search, tally
 from .verdict import certify
 
 USAGE_ERROR = 2
-INVARIANT_ERROR = 1
+INTERNAL_ERROR = 1
+
+
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def _parse_complex(text: str) -> complex:
     parts = text.split(",")
-    if len(parts) == 1:
-        return complex(float(parts[0]), 0.0)
-    if len(parts) == 2:
-        return complex(float(parts[0]), float(parts[1]))
-    raise ValueError(f"expected RE or RE,IM, got {text!r}")
+    try:
+        if len(parts) == 1:
+            return complex(float(parts[0]), 0.0)
+        if len(parts) == 2:
+            return complex(float(parts[0]), float(parts[1]))
+    except ValueError:
+        pass
+    raise UsageError(f"expected RE or RE,IM, got {text!r}")
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
@@ -126,13 +141,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="certify a single base point")
     p.add_argument("--family", type=int, choices=(1, 2), required=True)
     p.add_argument("--a", required=True, metavar="R/S")
-    p.add_argument("--depth", type=int, default=DEFAULT_DEPTH)
+    p.add_argument("--depth", type=_positive_int, default=DEFAULT_DEPTH)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("orbit", help="adjusted critical orbit report")
     p.add_argument("--family", type=int, choices=(1, 2), required=True)
     p.add_argument("--a", required=True, metavar="R/S")
-    p.add_argument("--depth", type=int, default=DEFAULT_DEPTH)
+    p.add_argument("--depth", type=_positive_int, default=DEFAULT_DEPTH)
     p.set_defaults(func=cmd_orbit)
 
     p = sub.add_parser("independence", help="2-independence of a value list")
@@ -141,11 +156,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_independence)
 
     p = sub.add_parser("search", help="height-bounded certification sweep")
-    p.add_argument("--height", type=int, required=True)
+    p.add_argument("--height", type=_positive_int, required=True)
     p.add_argument("--family", type=int, choices=(1, 2), action="append")
-    p.add_argument("--depth", type=int, default=DEFAULT_DEPTH)
+    p.add_argument("--depth", type=_positive_int, default=DEFAULT_DEPTH)
     p.add_argument("--out", required=True)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=_positive_int, default=1)
     p.set_defaults(func=cmd_search)
 
     p = sub.add_parser("julia", help="render a Julia set by backward orbit")
@@ -179,15 +194,19 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except InvariantViolation as exc:
-        print(f"invariant violation: {exc}", file=sys.stderr)
-        return INVARIANT_ERROR
-    except (DegenerateBasePoint, ValueError) as exc:
+    except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
+    except InvariantViolation as exc:
+        print(f"invariant violation: {exc}", file=sys.stderr)
+        return INTERNAL_ERROR
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
-        return 1
+        return INTERNAL_ERROR
+    except Exception:
+        print("internal error:", file=sys.stderr)
+        traceback.print_exc()
+        return INTERNAL_ERROR
 
 
 if __name__ == "__main__":

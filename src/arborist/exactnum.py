@@ -20,6 +20,8 @@ import re
 from fractions import Fraction
 from typing import Iterable
 
+from .errors import UsageError
+
 #: Marker returned by :func:`v_int` for the valuation of zero.
 INFINITY = math.inf
 
@@ -34,15 +36,21 @@ _LOG10_2 = math.log10(2)
 _MR_DETERMINISTIC_LIMIT = 3_317_044_064_679_887_385_961_981
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
+# Every square is a quadratic residue modulo each of these moduli; together
+# they reject all but about 1 in 120 non-squares before the exact root.
+_QR_MODULI = (64, 63, 65, 11)
+_QR_PRODUCT = math.prod(_QR_MODULI)
+_QR_RESIDUES = tuple(frozenset(k * k % m for k in range(m)) for m in _QR_MODULI)
+
 
 def parse_rational(text: str) -> Fraction:
     """Parse the exact wire format ``r/s`` (or a bare integer ``r``)."""
     if not _RATIONAL_RE.match(text.strip()):
-        raise ValueError(f"not a rational in r/s form: {text!r}")
+        raise UsageError(f"not a rational in r/s form: {text!r}")
     try:
         return Fraction(text.strip())
     except ZeroDivisionError:
-        raise ValueError(f"zero denominator: {text!r}") from None
+        raise UsageError(f"zero denominator: {text!r}") from None
 
 
 def format_rational(x: Fraction) -> str:
@@ -81,9 +89,17 @@ def v_int(n: int, p: int) -> int | float:
 
 
 def is_perfect_square(n: int) -> bool:
-    """True iff n = m*m for some integer m, verified by exact squaring."""
+    """True iff n = m*m for some integer m, verified by exact squaring.
+
+    A residue test modulo the small moduli above screens out most
+    non-squares without taking the integer square root.
+    """
     if n < 0:
         return False
+    residue = n % _QR_PRODUCT
+    for m, squares in zip(_QR_MODULI, _QR_RESIDUES):
+        if residue % m not in squares:
+            return False
     root = math.isqrt(n)
     return root * root == n
 

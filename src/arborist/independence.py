@@ -15,10 +15,18 @@ exponent, so composite basis elements are perfectly good coordinates and
 perfect-square ones drop out entirely.
 
 Values may be given as integers: an integer is a rational with denominator
-1.  Callers that know a value's square class through an integer, such as
-the adjusted orbit's :attr:`~arborist.critorbit.AdjustedOrbit.square_class_reps`
-whose denominators are all even powers of s, should pass that integer and
-keep square denominators out of the refinement.
+1.  :func:`two_independent` is the generic decider, used by the CLI's
+``independence`` command.
+
+The adjusted orbit needs no coprime base built from scratch, because the
+paper's repeated-prime law supplies one: for a = r/s, a prime dividing two
+of the numerators r_m, r_n divides 2r.  :func:`orbit_independent` splits
+each representative (see
+:attr:`~arborist.critorbit.AdjustedOrbit.square_class_reps`) into a part
+built from the primes of 2r and a cofactor prime to 2r, checks that the
+cofactors are pairwise coprime (the law), and hands only the small parts
+of the levels whose cofactor is a square to :func:`two_independent`.  The
+certifier decides every orbit this way.
 """
 
 from __future__ import annotations
@@ -28,7 +36,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import InvariantViolation
+from .errors import InvariantViolation, UsageError
 from .exactnum import factor_refine, is_perfect_square, rational_is_square
 
 BRUTE_FORCE_LIMIT = 20
@@ -84,7 +92,7 @@ def square_classes(
     """
     vals = [Fraction(v) for v in values]
     if any(v == 0 for v in vals):
-        raise ValueError("square classes are undefined for zero")
+        raise UsageError("square classes are undefined for zero")
     magnitudes: list[int] = []
     for v in vals:
         if abs(v.numerator) >= 2:
@@ -145,6 +153,61 @@ def two_independent(values: Sequence[Fraction | int]) -> IndependenceResult:
     return IndependenceResult(True)
 
 
+def orbit_independent(reps: Sequence[int], r: int) -> IndependenceResult:
+    """Decide 2-independence of an adjusted orbit by the repeated-prime law.
+
+    Same result as ``two_independent(reps)``, witness included.  ``reps`` are nonzero integers in the square classes of D_1..D_N and
+    ``r`` is the numerator of the base point.  Each |v_n| splits as
+    u_n * t_n, where every prime of u_n divides 2r and t_n is prime to 2r.
+    The law makes the t_n pairwise coprime; that is checked, and a failure
+    raises InvariantViolation.  A t_n that is not a square then holds a
+    prime to an odd power that divides no other value, so level n lies in
+    no square subset product.  The remaining levels are decided on the
+    small values sign(v_n) * u_n, and a witness is re-verified on the
+    original values.  When levels 1..i-1 are independent and 1..i are not,
+    the square subset is unique, so the witness is the generic one.
+    """
+    if any(v == 0 for v in reps):
+        raise ValueError("independence is undefined for zero")
+    g = 2 * abs(r)
+    small: list[int] = []
+    cofactors: list[int] = []
+    for v in reps:
+        u, t = _split_off(abs(v), g)
+        small.append(u if v > 0 else -u)
+        cofactors.append(t)
+    product = 1
+    for n, t in enumerate(cofactors, start=1):
+        if math.gcd(t, product) != 1:
+            raise InvariantViolation(
+                f"level {n} shares a prime outside 2r = {g} with an earlier "
+                "level, against the repeated-prime law"
+            )
+        product *= t
+    levels = [n for n, t in enumerate(cofactors) if is_perfect_square(t)]
+    result = two_independent([small[n] for n in levels])
+    if result.independent:
+        return result
+    witness = tuple(levels[j] for j in result.witness)
+    if not rational_is_square(math.prod(reps[n] for n in witness)):
+        raise InvariantViolation(
+            f"witness {witness} failed the exact square re-verification"
+        )
+    return IndependenceResult(False, witness)
+
+
+def _split_off(n: int, g: int) -> tuple[int, int]:
+    # (u, t) with n = u * t, every prime of u dividing g, gcd(t, g) = 1.
+    # Each gcd has one small argument, so the cost is linear in n.
+    u = 1
+    d = math.gcd(n, g)
+    while d > 1:
+        n //= d
+        u *= d
+        d = math.gcd(n, d)
+    return u, n
+
+
 def brute_force_independent(values: Sequence[Fraction]) -> IndependenceResult:
     """Ground-truth 2-independence by enumerating all subset products.
 
@@ -153,9 +216,9 @@ def brute_force_independent(values: Sequence[Fraction]) -> IndependenceResult:
     """
     vals = [Fraction(v) for v in values]
     if len(vals) > BRUTE_FORCE_LIMIT:
-        raise ValueError(f"brute force capped at {BRUTE_FORCE_LIMIT} values")
+        raise UsageError(f"brute force capped at {BRUTE_FORCE_LIMIT} values")
     if any(v == 0 for v in vals):
-        raise ValueError("independence is undefined for zero")
+        raise UsageError("independence is undefined for zero")
 
     def explore(start: int, prefix: tuple[int, ...], product: Fraction):
         for j in range(start, len(vals)):

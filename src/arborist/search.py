@@ -13,14 +13,15 @@ from __future__ import annotations
 import json
 import math
 import os
+import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
 from typing import Iterator
 
 from .critorbit import DEFAULT_DEPTH
+from .errors import UsageError
 from .verdict import certify
 
 SCHEMA = "arborist-v1"
@@ -36,13 +37,13 @@ class SearchConfig:
 
     def __post_init__(self) -> None:
         if self.height < 1:
-            raise ValueError("height must be positive")
+            raise UsageError("height must be positive")
         if self.depth < 1:
-            raise ValueError("depth must be positive")
+            raise UsageError("depth must be positive")
         if self.workers < 1:
-            raise ValueError("worker count must be positive")
+            raise UsageError("worker count must be positive")
         if not self.families or any(f not in (1, 2) for f in self.families):
-            raise ValueError("families must be a nonempty subset of {1, 2}")
+            raise UsageError("families must be a nonempty subset of {1, 2}")
 
 
 @dataclass
@@ -102,26 +103,40 @@ def certify_row(task: tuple[int, int, int, int]) -> dict:
 def _read_header(path: str | Path, fh) -> dict:
     line = fh.readline()
     if not line:
-        raise ValueError(f"{path}: empty results file")
-    head = json.loads(line)
-    if head.get("schema") != SCHEMA:
-        raise ValueError(f"{path}: unexpected schema {head.get('schema')!r}")
+        raise UsageError(f"{path}: empty results file")
+    head = _parse_line(path, 1, line)
+    schema = head.get("schema") if isinstance(head, dict) else None
+    if schema != SCHEMA:
+        raise UsageError(f"{path}: unexpected schema {schema!r}")
     return head
+
+
+def _parse_line(path: str | Path, lineno: int, line: str):
+    try:
+        return json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise UsageError(f"{path}:{lineno}: corrupt line: {exc}") from None
 
 
 def load_rows(path: str | Path) -> list[dict]:
     """Read a JSONL results file, validating the schema header.
 
     The header's depth is optional here, so files written without one
-    still load.
+    still load.  An unterminated last line is a row cut short by a crash:
+    it is skipped with a note on stderr, as ``search`` drops it before
+    resuming.  Any other line that is not JSON raises UsageError naming
+    ``path:line``.
     """
     rows = []
     with open(path, "r", encoding="utf-8") as fh:
         _read_header(path, fh)
-        for line in fh:
-            line = line.strip()
-            if line:
-                rows.append(json.loads(line))
+        for lineno, line in enumerate(fh, start=2):
+            if not line.strip():
+                continue
+            if not line.endswith("\n"):
+                print(f"{path}:{lineno}: skipped an unterminated last line", file=sys.stderr)
+                break
+            rows.append(_parse_line(path, lineno, line))
     return rows
 
 
@@ -130,7 +145,7 @@ def _check_depth(path: Path, depth: int) -> None:
         recorded = _read_header(path, fh).get("depth")
     if recorded != depth:
         found = "no depth" if recorded is None else f"depth {recorded}"
-        raise ValueError(
+        raise UsageError(
             f"{path}: header records {found}, this run asks for depth {depth}; "
             "resume at the recorded depth or write a new file"
         )
@@ -150,7 +165,7 @@ def search(cfg: SearchConfig) -> SearchSummary:
     """Run the sweep, appending to (and resuming from) cfg.out_path.
 
     An existing file must carry cfg.depth in its header; otherwise it is
-    left unchanged and ValueError is raised.
+    left unchanged and UsageError is raised.
     """
     out = Path(cfg.out_path)
     summary = SearchSummary()
@@ -181,6 +196,9 @@ def search(cfg: SearchConfig) -> SearchSummary:
         if cfg.workers == 1:
             results = map(certify_row, tasks)
         else:
+            # imported here, so the serial path never loads multiprocessing
+            from concurrent.futures import ProcessPoolExecutor
+
             pool = ProcessPoolExecutor(max_workers=cfg.workers)
             results = pool.map(certify_row, tasks, chunksize=16)
         try:

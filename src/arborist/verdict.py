@@ -2,11 +2,14 @@
 
 Two decision procedures, one per preperiodic family, each turning simple
 congruence and residue conditions on the base point a = r/s into a proof of
-surjectivity (condition tags T1.1-1..3 and T1.2-1..3 below).  The generic
-2-independence checker doubles as a consistency audit on every positive
-certificate and as a finite-depth fallback when neither procedure applies:
-a fallback "independent to depth N" is evidence about the depth-N tree
-quotient, not a proof for the full tree, and the verdict says so.
+surjectivity (condition tags T1.1-1..3 and T1.2-1..3 below).  The
+2-independence of the adjusted orbit, decided by
+:func:`~arborist.independence.orbit_independent` from the repeated-prime
+law (checked on every orbit, with every witness re-verified), doubles as a
+consistency audit on every positive certificate and as a finite-depth
+fallback when neither procedure applies: a fallback "independent to depth
+N" is evidence about the depth-N tree quotient, not a proof for the full
+tree, and the verdict says so.
 
 Fixed-point-tail family (c = -a - a^2), certificate number
 m = (-1)**delta * 2**e * |r| where delta encodes the eventual sign of
@@ -38,7 +41,7 @@ from .critorbit import DEFAULT_DEPTH, d_sequence
 from .dynamics import Family, QuadMap, family1, family2
 from .errors import InvariantViolation
 from .exactnum import jacobi, proven_prime, rational_is_square
-from .independence import two_independent
+from .independence import orbit_independent
 
 TRIAL_DIVISION_CUTOFF = 10**6
 
@@ -184,7 +187,7 @@ def _audit_independence(qmap: QuadMap, depth: int) -> None:
         raise InvariantViolation(
             f"zero adjusted-orbit term for certified base point {qmap.a}"
         )
-    result = two_independent(orbit.square_class_reps)
+    result = orbit_independent(orbit.square_class_reps, qmap.a.numerator)
     if not result.independent:
         raise InvariantViolation(
             f"certified base point {qmap.a} fails the independence audit "
@@ -351,7 +354,7 @@ def certify(a: Fraction, family: Family | int, depth: int = DEFAULT_DEPTH) -> Ve
             e=verdict.e,
             detail=detail,
         )
-    result = two_independent(orbit.square_class_reps)
+    result = orbit_independent(orbit.square_class_reps, qmap.a.numerator)
     if result.independent:
         detail["note"] = "finite-depth evidence only, not a proof"
         return Verdict(

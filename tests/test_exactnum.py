@@ -78,6 +78,24 @@ class TestPerfectSquare:
             assert is_perfect_square(root * root)
             assert not is_perfect_square(root * root + 1) or root == 0
 
+    def test_squares_times_small_factors(self):
+        # the residue screen must neither reject a square nor pass a
+        # non-square that slips through it: compare with isqrt throughout
+        rng = random.Random(7)
+        roots = [rng.getrandbits(bits) for bits in (10, 64, 500, 3000) for _ in range(5)]
+        for k in roots:
+            for m in range(1, 400):
+                n = k * k * m
+                assert is_perfect_square(n) == (math.isqrt(n) ** 2 == n), (k, m)
+            for n in (k * k - 1, k * k + 1, (k * k) << 6, 63 * 65 * 11 * k * k):
+                assert is_perfect_square(n) == (n >= 0 and math.isqrt(n) ** 2 == n)
+
+    @given(n=st.integers(min_value=-(10**80), max_value=10**80))
+    @settings(max_examples=300)
+    def test_matches_isqrt(self, n):
+        assert is_perfect_square(n) == (n >= 0 and math.isqrt(n) ** 2 == n)
+        assert is_perfect_square(n * n)
+
 
 class TestRationalSquare:
     def test_examples(self):

@@ -32,3 +32,10 @@ def test_every_export_is_reached_or_allowed():
     unreached = [n for n in arborist.__all__ if n not in used | set(ALLOWED_UNREACHED)]
     assert unreached == []
     assert set(ALLOWED_UNREACHED) <= set(arborist.__all__)
+
+
+def test_no_export_shadows_a_module():
+    # `import arborist.<module>` must bind the module, which an exported
+    # function of the same name would replace on the package
+    modules = {path.stem for path in Path(arborist.__file__).parent.glob("*.py")}
+    assert modules & set(arborist.__all__) == set()

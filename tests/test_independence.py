@@ -2,15 +2,18 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from arborist.critorbit import d_sequence
 from arborist.dynamics import Family, family1, family2
+from arborist.errors import InvariantViolation
 from arborist.exactnum import rational_is_square
 from arborist.independence import (
     CoprimeBasis,
+    IndependenceResult,
     brute_force_independent,
+    orbit_independent,
     square_classes,
     two_independent,
 )
@@ -194,18 +197,137 @@ class TestIntegerRepresentatives:
         assert dependent_at_level >= 5
 
     def test_denominators_stay_out_of_factor_refine(self, monkeypatch):
+        # certify decides on the integer orbit: no power of s = 29 may reach
+        # any gcd of the independence module, factor_refine included
         import arborist.independence as independence
 
-        seen = []
+        refined, gcd_args = [], []
         honest = independence.factor_refine
 
         def recording(inputs):
             inputs = list(inputs)
-            seen.extend(inputs)
+            refined.extend(inputs)
             return honest(inputs)
 
+        class RecordingMath:
+            def __getattr__(self, name):
+                return getattr(math, name)
+
+            def gcd(self, *args):
+                gcd_args.extend(args)
+                return math.gcd(*args)
+
         monkeypatch.setattr(independence, "factor_refine", recording)
+        monkeypatch.setattr(independence, "math", RecordingMath())
         verdict = certify(Fraction(13, 29), 1, depth=10)
         assert verdict.status is VerdictStatus.PROVEN_SURJECTIVE
-        assert seen
-        assert all(n % 29 for n in seen)
+        assert len(gcd_args) >= 2 * 10
+        assert all(n % 29 for n in refined + gcd_args if n)
+
+
+def orbits(height, depth):
+    """Every admissible orbit of both families up to height, without zeros."""
+    for s in range(1, height + 1):
+        for r in range(-height, height + 1):
+            if r == 0 or math.gcd(abs(r), s) != 1:
+                continue
+            a = Fraction(r, s)
+            for ctor, excluded in ((family1, (-1,)), (family2, (Fraction(1, 2),))):
+                if a in excluded:
+                    continue
+                orbit = d_sequence(ctor(a), depth)
+                if 0 not in orbit.numerators:
+                    yield orbit
+
+
+class TestOrbitIndependent:
+    def test_agrees_with_generic_decider_at_height_30(self):
+        checked = dependent = 0
+        for orbit in orbits(30, 10):
+            reps = orbit.square_class_reps
+            by_law = orbit_independent(reps, orbit.a.numerator)
+            assert by_law == two_independent(reps), orbit.a
+            checked += 1
+            dependent += not by_law.independent
+        assert checked == 2217
+        assert dependent == 48
+
+    def test_shared_cofactor_prime_is_a_law_failure(self):
+        reps = list(d_sequence(family1(Fraction(1, 5)), 6).square_class_reps)
+        assert orbit_independent(reps, 1).independent
+        reps[1] *= 1009
+        reps[4] *= 1009
+        with pytest.raises(InvariantViolation, match="repeated-prime law"):
+            orbit_independent(reps, 1)
+        # a prime of 2r may repeat: 3 divides r = 3
+        assert orbit_independent([3, 3 * 5, 3 * 7], 3).independent
+        with pytest.raises(InvariantViolation):
+            orbit_independent([3, 3 * 5, 3 * 7], 1)
+
+    def test_forged_witness_is_caught(self, monkeypatch):
+        import arborist.independence as independence
+
+        # cofactors 1, 1, 5: levels 0 and 1 reach F_2 elimination as 2, 3
+        reps = [2, 3, 5]
+        assert orbit_independent(reps, 3).independent
+        monkeypatch.setattr(
+            independence, "two_independent", lambda values: IndependenceResult(False, (0,))
+        )
+        with pytest.raises(InvariantViolation, match="re-verification"):
+            orbit_independent(reps, 3)
+
+    def test_witness_maps_back_to_original_levels(self):
+        # levels 1 and 3 have non-square cofactors 7 and 11 and drop out
+        reps = [2 * 9, 7, -3, 11, -6 * 25]
+        result = orbit_independent(reps, 3)
+        assert result == two_independent(reps)
+        assert result.witness == (0, 2, 4)
+
+    def test_rejects_zero(self):
+        with pytest.raises(ValueError):
+            orbit_independent([3, 0], 1)
+
+    @given(
+        r=st.integers(min_value=-(10**6), max_value=10**6).filter(bool),
+        s=st.integers(min_value=1, max_value=10**6),
+        family=st.sampled_from([family1, family2]),
+        depth=st.integers(min_value=1, max_value=9),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_agrees_with_generic_decider_for_large_s(self, r, s, family, depth):
+        a = Fraction(r, s)
+        assume(math.gcd(r, s) == 1 and a not in (-1, Fraction(1, 2)))
+        orbit = d_sequence(family(a), depth)
+        assume(0 not in orbit.numerators)
+        reps = orbit.square_class_reps
+        assert orbit_independent(reps, r) == two_independent(reps)
+
+    def test_square_classes_against_factorint(self):
+        # an independent oracle: square-free kernels from sympy's factorint
+        sympy = pytest.importorskip("sympy")
+
+        def kernel(v):
+            odd = frozenset(p for p, e in sympy.factorint(abs(v)).items() if e % 2)
+            return (v < 0, odd)
+
+        def square(subset, kernels):
+            sign, primes = False, frozenset()
+            for i in subset:
+                sign ^= kernels[i][0]
+                primes ^= kernels[i][1]
+            return not sign and not primes
+
+        checked = 0
+        for orbit in orbits(7, 4):
+            reps = orbit.square_class_reps
+            kernels = [kernel(v) for v in reps]
+            result = orbit_independent(reps, orbit.a.numerator)
+            subsets = [
+                [i for i in range(len(reps)) if mask >> i & 1]
+                for mask in range(1, 1 << len(reps))
+            ]
+            assert result.independent == (not any(square(x, kernels) for x in subsets))
+            if not result.independent:
+                assert square(result.witness, kernels)
+            checked += 1
+        assert checked > 100

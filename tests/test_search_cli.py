@@ -1,6 +1,5 @@
 import json
 import math
-import sys
 from fractions import Fraction
 
 import pytest
@@ -142,8 +141,6 @@ class TestSearch:
             search(SearchConfig(height=3, out_path=out, depth=4))
 
     def test_rows_reach_the_file_as_written(self, tmp_path, monkeypatch):
-        # arborist.search is the function; the module is reached through sys.modules
-        search_module = sys.modules["arborist.search"]
         out = tmp_path / "rows.jsonl"
         lines_seen = []
 
@@ -151,7 +148,7 @@ class TestSearch:
             lines_seen.append(len(out.read_text().splitlines()))
             return certify_row(task)
 
-        monkeypatch.setattr(search_module, "certify_row", watched)
+        monkeypatch.setattr("arborist.search.certify_row", watched)
         search(SearchConfig(height=2, out_path=out, depth=4))
         # before row k is computed, the header and k - 1 rows are on disk
         assert lines_seen == list(range(1, len(lines_seen) + 1))
@@ -232,6 +229,62 @@ class TestCliVerify:
         assert main(["verify", "--family", "1", "--a", "1/5"]) == 1
         assert "invariant violation" in capsys.readouterr().err
 
+    def test_internal_value_error_exits_1(self, capsys, monkeypatch):
+        import arborist.cli as cli_module
+
+        def broken(*args, **kwargs):
+            raise ValueError("synthetic internal fault")
+
+        monkeypatch.setattr(cli_module, "certify", broken)
+        assert main(["verify", "--family", "1", "--a", "1/5"]) == 1
+        err = capsys.readouterr().err
+        assert "internal error" in err and "synthetic internal fault" in err
+
+
+class TestCliUsageErrors:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "--family", "1", "--a", "1/0"],
+            ["verify", "--family", "2", "--a", "1/2"],
+            ["orbit", "--family", "1", "--a", "x"],
+            ["independence", "--values", "2,0,3"],
+            ["independence", "--values", ",".join(["2"] * 21), "--oracle"],
+            ["julia", "--c", "abc", "--a", "0.5"],
+            ["julia", "--c=-0.75", "--a", "0.5", "--burn-in", "-1"],
+            ["julia", "--c=-0.75", "--a", "0.5", "--height", "0"],
+            ["julia", "--c=-0.75", "--a", "0.5", "--bounds", "1", "0", "0", "1"],
+        ],
+    )
+    def test_bad_input_exits_2(self, argv, capsys):
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "--family", "1", "--a", "1/5", "--depth", "0"],
+            ["orbit", "--family", "1", "--a", "1/5", "--depth", "-3"],
+            ["search", "--height", "0", "--out", "unused.jsonl"],
+            ["search", "--height", "2", "--depth", "0", "--out", "unused.jsonl"],
+            ["search", "--height", "2", "--workers", "0", "--out", "unused.jsonl"],
+            ["search", "--height", "two", "--out", "unused.jsonl"],
+        ],
+    )
+    def test_nonpositive_counts_are_refused_by_the_parser(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "must be at least 1" in err or "not an integer" in err
+
+    def test_foreign_results_file_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "rows.jsonl"
+        out.write_text('{"schema": "other-v9"}\n')
+        assert main(["report", "--in", str(out)]) == 2
+        assert main(["search", "--height", "1", "--out", str(out)]) == 2
+        assert out.read_text() == '{"schema": "other-v9"}\n'
+
 
 class TestCliOrbit:
     def test_orbit_report(self, capsys):
@@ -302,6 +355,29 @@ class TestCliSearchAndReport:
         err = capsys.readouterr().err
         assert "depth 6" in err and "depth 3" in err
         assert out.read_bytes() == before
+
+    def test_report_skips_a_row_cut_by_a_crash(self, tmp_path, capsys):
+        out = tmp_path / "rows.jsonl"
+        assert main(["search", "--height", "3", "--depth", "4", "--out", str(out)]) == 0
+        capsys.readouterr()
+        data = out.read_bytes()
+        out.write_bytes(data[:-37])
+        rows_left = len(data.splitlines()) - 2  # minus the header and the cut row
+        assert main(["report", "--in", str(out)]) == 0
+        captured = capsys.readouterr()
+        assert f"total rows: {rows_left}" in captured.out
+        assert f"{out}:{rows_left + 2}: skipped an unterminated last line" in captured.err
+        assert len(load_rows(out)) == rows_left
+
+    def test_report_names_a_corrupt_line(self, tmp_path, capsys):
+        out = tmp_path / "rows.jsonl"
+        assert main(["search", "--height", "2", "--depth", "4", "--out", str(out)]) == 0
+        capsys.readouterr()
+        lines = out.read_text().splitlines(keepends=True)
+        lines[3] = lines[3][:20] + "\n"
+        out.write_text("".join(lines))
+        assert main(["report", "--in", str(out)]) == 2
+        assert f"{out}:4: corrupt line" in capsys.readouterr().err
 
     def test_unwritable_output_path(self, tmp_path, capsys):
         target = tmp_path / "missing" / "rows.jsonl"

@@ -117,8 +117,8 @@ class TestCertifyFamily1:
 
         monkeypatch.setattr(
             verdict_module,
-            "two_independent",
-            lambda values: IndependenceResult(False, (0,)),
+            "orbit_independent",
+            lambda reps, r: IndependenceResult(False, (0,)),
         )
         with pytest.raises(InvariantViolation):
             certify_family1(Fraction(1, 5), depth_check=4)
