@@ -306,25 +306,32 @@ def check_valuations(orbit: AdjustedOrbit, p: int) -> list[ValuationCheck]:
     return checks
 
 
+def family1_sign(a: Fraction) -> SignPrediction:
+    """The fixed-point-tail sign law: signs of f^n(0) - a for c = -a - a^2.
+
+    The excluded points a in {-2, -1, 1} are reported as boundary.
+    """
+    if a in (-2, -1, 1):
+        return SignPrediction(kind="boundary")
+    if -2 < a < 0:
+        return SignPrediction(kind="all_positive", start=1)
+    if a < -2 or a > 1:
+        return SignPrediction(kind="all_positive", start=2)
+    if a > 0 and a**4 + 2 * a**3 - 2 * a < 0:
+        return SignPrediction(kind="all_negative", start=1)
+    return SignPrediction(kind="mixed")
+
+
 def sign_predict(qmap: QuadMap) -> SignPrediction:
     """Classify the signs of f^n(0) - a by exact interval membership.
 
     The irrational interval endpoints are never approximated: membership is
     decided by the sign of the defining polynomial at a, which has no
-    rational roots other than 0.  The excluded points a in {-2, -1, 1} of
-    the fixed-point-tail family are reported as boundary.
+    rational roots other than 0.
     """
     a = qmap.a
     if qmap.family is Family.CYCLE1:
-        if a in (-2, -1, 1):
-            return SignPrediction(kind="boundary")
-        if -2 < a < 0:
-            return SignPrediction(kind="all_positive", start=1)
-        if a < -2 or a > 1:
-            return SignPrediction(kind="all_positive", start=2)
-        if a > 0 and a**4 + 2 * a**3 - 2 * a < 0:
-            return SignPrediction(kind="all_negative", start=1)
-        return SignPrediction(kind="mixed")
+        return family1_sign(a)
     if a * a - a - 1 > 0:
         return SignPrediction(kind="all_positive", start=2)
     if a > 0 and a**4 - 2 * a**3 + 2 * a * a - 2 * a < 0:

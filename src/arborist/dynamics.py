@@ -33,6 +33,21 @@ class QuadMap:
         return x * x + self.c
 
 
+#: Base points at which a family's intended orbit collapses; the
+#: constructors reject them and the sweep skips them.
+DEGENERATE = {
+    Family.CYCLE1: frozenset({Fraction(0), Fraction(-1)}),
+    Family.CYCLE2: frozenset({Fraction(0), Fraction(1, 2)}),
+}
+
+
+def _checked(a: Fraction, family: Family) -> Fraction:
+    a = Fraction(a)
+    if a in DEGENERATE[family]:
+        raise DegenerateBasePoint(f"base point {a} is degenerate for this family")
+    return a
+
+
 def family1(a: Fraction | int) -> QuadMap:
     """Map with c = -a - a^2, for which a falls onto the fixed point -a.
 
@@ -40,13 +55,8 @@ def family1(a: Fraction | int) -> QuadMap:
     backward orbit of the base point is not a regular binary tree; both are
     rejected.
     """
-    a = Fraction(a)
-    if a == 0 or a == -1:
-        raise DegenerateBasePoint(f"base point {a} is degenerate for this family")
-    c = -a - a * a
-    f = QuadMap(c=c, family=Family.CYCLE1, a=a)
-    assert f.apply(a) == -a and f.apply(-a) == -a
-    return f
+    a = _checked(a, Family.CYCLE1)
+    return QuadMap(c=-a - a * a, family=Family.CYCLE1, a=a)
 
 
 def family2(a: Fraction | int) -> QuadMap:
@@ -55,14 +65,8 @@ def family2(a: Fraction | int) -> QuadMap:
     a = 0 makes a equal -a and a = 1/2 makes -a equal a - 1, collapsing the
     intended orbit; both are rejected.
     """
-    a = Fraction(a)
-    if a == 0 or a == Fraction(1, 2):
-        raise DegenerateBasePoint(f"base point {a} is degenerate for this family")
-    c = -1 + a - a * a
-    f = QuadMap(c=c, family=Family.CYCLE2, a=a)
-    fa = f.apply(a)
-    assert fa == a - 1 and f.apply(fa) == -a and f.apply(f.apply(fa)) == a - 1
-    return f
+    a = _checked(a, Family.CYCLE2)
+    return QuadMap(c=-1 + a - a * a, family=Family.CYCLE2, a=a)
 
 
 def iterate(f: QuadMap, x: Fraction | int, n: int) -> Fraction:

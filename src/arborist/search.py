@@ -21,6 +21,7 @@ from pathlib import Path
 from typing import Iterator
 
 from .critorbit import DEFAULT_DEPTH
+from .dynamics import DEGENERATE, Family
 from .errors import UsageError
 from .verdict import certify
 
@@ -75,12 +76,6 @@ def enumerate_rationals(height: int) -> Iterator[Fraction]:
         for r in range(-height, height + 1):
             if r != 0 and math.gcd(abs(r), s) == 1:
                 yield Fraction(r, s)
-
-
-def _degenerate(a: Fraction, family: int) -> bool:
-    if family == 1:
-        return a in (0, -1)
-    return a in (0, Fraction(1, 2))
 
 
 def certify_row(task: tuple[int, int, int, int]) -> dict:
@@ -182,7 +177,7 @@ def search(cfg: SearchConfig) -> SearchSummary:
     tasks = []
     for a in enumerate_rationals(cfg.height):
         for fam in cfg.families:
-            if _degenerate(a, fam):
+            if a in DEGENERATE[Family(fam)]:
                 continue
             if (str(a), fam) in done:
                 summary.rows_skipped += 1

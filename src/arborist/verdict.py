@@ -1,19 +1,20 @@
 """Certification of surjective arboreal Galois representations.
 
-Two decision procedures, one per preperiodic family, each turning simple
+One decision procedure for both preperiodic families, turning simple
 congruence and residue conditions on the base point a = r/s into a proof of
-surjectivity (condition tags T1.1-1..3 and T1.2-1..3 below).  The
-2-independence of the adjusted orbit, decided by
-:func:`~arborist.independence.orbit_independent` from the repeated-prime
-law (checked on every orbit, with every witness re-verified), doubles as a
-consistency audit on every positive certificate and as a finite-depth
-fallback when neither procedure applies: a fallback "independent to depth
-N" is evidence about the depth-N tree quotient, not a proof for the full
-tree, and the verdict says so.
+surjectivity (condition tags T1.1-1..3 and T1.2-1..3 below); only the list
+of conditions that fire is family-specific.  The 2-independence of the
+adjusted orbit, decided by :func:`~arborist.independence.orbit_independent`
+from the repeated-prime law (checked on every orbit, with every witness
+re-verified), doubles as a consistency audit on every positive certificate
+and as a finite-depth fallback when no condition applies: a fallback
+"independent to depth N" is evidence about the depth-N tree quotient, not a
+proof for the full tree, and the verdict says so.
 
 Fixed-point-tail family (c = -a - a^2), certificate number
-m = (-1)**delta * 2**e * |r| where delta encodes the eventual sign of
-f^n(0) - a and e its 2-part:
+m = (-1)**delta * 2**e * |r| where delta is read off the sign law of
+:func:`~arborist.critorbit.family1_sign` (the eventual sign of f^n(0) - a)
+and e is 1 iff r is even:
 
     T1.1-1   m = 2 (mod 3)
     T1.1-2   m = 3 (mod 4)
@@ -25,19 +26,22 @@ Two-cycle-tail family (c = -1 + a - a^2):
     T1.2-2   r = 2, s > 3, s = 1 (mod 3)
     T1.2-3   r = 2 and some prime q = 3 (mod 4) divides s
 
-Both procedures also require a - c to not be a rational square; when it is,
-the tree has deeper preperiodic structure and the representation is
-provably not surjective.
+For odd q, q = 3 (mod 4) iff (-1|q) = -1, so T1.2-3 is the m = -1 case of
+the T1.1-3 non-residue search, and one search serves both.  Both families
+also require a - c to not be a rational square; when it is, the tree has
+deeper preperiodic structure and the representation is provably not
+surjective (a - c = 0, where f(0) is the base point itself, is reported as
+inapplicable instead).
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Mapping
 
-from .critorbit import DEFAULT_DEPTH, d_sequence
+from .critorbit import DEFAULT_DEPTH, d_sequence, family1_sign
 from .dynamics import Family, QuadMap, family1, family2
 from .errors import InvariantViolation
 from .exactnum import jacobi, proven_prime, rational_is_square
@@ -88,30 +92,25 @@ class Verdict:
         }
 
 
+#: delta of the certificate number for each sign class without mixed signs
+_DELTA_OF_SIGN = {"all_positive": 0, "all_negative": 1}
+
+
 def compute_delta_e(a: Fraction) -> DeltaE:
     """Sign and 2-part exponents of the certificate number for a base point.
 
-    delta is 0 on (-inf,-2) u (-2,-1) u (-1,0) u (1,inf) and 1 on the
-    interval (0, beta) where beta is the positive real root of
-    x^4 + 2x^3 - 2x; it is undefined at -2, -1, 1 and on [beta, 1].  The
-    irrational endpoint is handled exactly: a rational a lies below beta iff
-    a**4 + 2a**3 - 2a < 0, the defining quartic having no rational root
-    other than 0.  e is 1 iff the numerator of a is even.
+    delta is read off the fixed-point-tail sign law
+    (:func:`~arborist.critorbit.family1_sign`): 0 where every f^n(0) - a is
+    positive, 1 where every one is negative (the interval (0, beta), beta
+    the positive real root of x^4 + 2x^3 - 2x), and undefined at -2, -1, 1
+    and on the mixed interval [beta, 1].  e is 1 iff the numerator of a is
+    even.
     """
     a = Fraction(a)
     if a == 0:
         raise ValueError("delta/e are undefined for a = 0")
-    e = 1 if a.numerator % 2 == 0 else 0
-    delta: int | None
-    if a in (-2, -1, 1):
-        delta = None
-    elif a < 0 or a > 1:
-        delta = 0
-    elif a**4 + 2 * a**3 - 2 * a < 0:
-        delta = 1
-    else:
-        delta = None
-    return DeltaE(delta=delta, e=e)
+    delta = _DELTA_OF_SIGN.get(family1_sign(a).kind)
+    return DeltaE(delta=delta, e=1 if a.numerator % 2 == 0 else 0)
 
 
 def _odd_part(n: int) -> int:
@@ -155,27 +154,9 @@ def _nonresidue_prime_in(m: int, s: int, cutoff: int = TRIAL_DIVISION_CUTOFF):
 def _prime_3_mod_4_in(s: int, cutoff: int = TRIAL_DIVISION_CUTOFF):
     """Search s for a prime q = 3 (mod 4); same return shape as above.
 
-    A divisor = 3 (mod 4) certifies such a prime factor exists even without
-    naming it, because a product of primes = 1 (mod 4) stays = 1 (mod 4).
+    For odd q, q = 3 (mod 4) iff (-1|q) = -1, so this is the m = -1 search.
     """
-    remaining = _odd_part(s)
-    d = 3
-    while d <= cutoff and d * d <= remaining:
-        if remaining % d == 0:
-            if d % 4 == 3:
-                return d, None, False
-            while remaining % d == 0:
-                remaining //= d
-        d += 2
-    if remaining == 1:
-        return None, None, False
-    if d * d > remaining or proven_prime(remaining):
-        if remaining % 4 == 3:
-            return remaining, None, False
-        return None, None, False
-    if remaining % 4 == 3:
-        return None, remaining, False
-    return None, None, True
+    return _nonresidue_prime_in(-1, s, cutoff)
 
 
 def _audit_independence(qmap: QuadMap, depth: int) -> None:
@@ -195,128 +176,96 @@ def _audit_independence(qmap: QuadMap, depth: int) -> None:
         )
 
 
-def certify_family1(a: Fraction, depth_check: int = DEFAULT_DEPTH) -> Verdict:
-    """Decision procedure for the fixed-point-tail family (c = -a - a^2).
+def _witness_search(tag: str, m: int, s: int, fired: list, detail: dict) -> bool:
+    """Fire `tag` on a prime q | s with (m|q) = -1; True when undecided."""
+    q, divisor, undecided = _nonresidue_prime_in(m, s)
+    if q is not None:
+        fired.append(tag)
+        detail["q"] = str(q)
+    elif divisor is not None:
+        fired.append(tag)
+        detail["divisor"] = str(divisor)
+    return undecided
 
-    Returns NotSurjective when a - c is a rational square, Inapplicable when
-    delta is undefined or no condition fires, and ProvenSurjective with the
-    first firing condition otherwise (every firing condition is listed in
-    the detail).  Positive certificates are audited with the generic
-    independence checker to depth_check; an audit failure is a bug and
-    raises InvariantViolation.
-    """
-    return _certify1(family1(Fraction(a)), depth_check)
 
-
-def _certify1(qmap: QuadMap, depth_check: int) -> Verdict:
-    a = qmap.a
-    de = compute_delta_e(a)
-    common = dict(a=a, family=Family.CYCLE1, delta=de.delta, e=de.e)
-    if a == -2:
-        return Verdict(
-            status=VerdictStatus.INAPPLICABLE,
-            detail={"reason": "f(0) equals the base point; the backward orbit is not a regular tree"},
-            **common,
-        )
-    a_minus_c = a - qmap.c
-    if rational_is_square(a_minus_c):
-        return Verdict(
-            status=VerdictStatus.NOT_SURJECTIVE,
-            detail={
-                "reason": "a - c is a rational square",
-                "a_minus_c": str(a_minus_c),
-            },
-            **common,
-        )
-    r, s = a.numerator, a.denominator
+def _conditions1(verdict: Verdict) -> tuple[list[str], dict, str | None]:
+    """T1.1-1..3 on the certificate number m: (fired, detail, undecided note)."""
+    if verdict.delta is None:
+        return [], {"reason": "delta is undefined for this base point"}, None
+    m = (-1) ** verdict.delta * (1 << verdict.e) * abs(verdict.a.numerator)
     fired: list[str] = []
+    if m % 3 == 2:
+        fired.append("T1.1-1")
+    if m % 4 == 3:
+        fired.append("T1.1-2")
+    detail = {"m": str(m)}
+    if _witness_search("T1.1-3", m, verdict.a.denominator, fired, detail):
+        return fired, detail, "non-residue search undecided: s did not fully factor"
+    return fired, detail, None
+
+
+def _conditions2(verdict: Verdict) -> tuple[list[str], dict, str | None]:
+    """T1.2-1..3 on r and s: (fired, detail, undecided note)."""
+    r, s = verdict.a.numerator, verdict.a.denominator
+    fired = ["T1.2-1"] if r == 1 and s > 2 and s % 2 == 0 else []
     detail: dict = {}
-    undecided_residue = False
-    if de.delta is not None:
-        m = (-1) ** de.delta * (1 << de.e) * abs(r)
-        detail["m"] = str(m)
-        if m % 3 == 2:
-            fired.append("T1.1-1")
-        if m % 4 == 3:
-            fired.append("T1.1-2")
-        q, divisor, undecided_residue = _nonresidue_prime_in(m, s)
-        if q is not None or divisor is not None:
-            fired.append("T1.1-3")
-            if q is not None:
-                detail["q"] = str(q)
-            else:
-                detail["divisor"] = str(divisor)
-    if fired:
-        detail["fired"] = fired
-        _audit_independence(qmap, depth_check)
-        return Verdict(
-            status=VerdictStatus.PROVEN_SURJECTIVE,
-            condition=fired[0],
-            depth=depth_check,
-            detail=detail,
-            **common,
-        )
-    if de.delta is None:
-        detail["reason"] = "delta is undefined for this base point"
-    else:
-        detail["reason"] = "no certificate condition fires"
-        if undecided_residue:
-            detail["note"] = "non-residue search undecided: s did not fully factor"
-    return Verdict(status=VerdictStatus.INAPPLICABLE, detail=detail, **common)
-
-
-def certify_family2(a: Fraction, depth_check: int = DEFAULT_DEPTH) -> Verdict:
-    """Decision procedure for the two-cycle-tail family (c = -1 + a - a^2).
-
-    Same contract as the fixed-point-tail procedure, with the r/s conditions
-    T1.2-1..3 and no delta/e bookkeeping.
-    """
-    return _certify2(family2(Fraction(a)), depth_check)
-
-
-def _certify2(qmap: QuadMap, depth_check: int) -> Verdict:
-    a = qmap.a
-    common = dict(a=a, family=Family.CYCLE2)
-    a_minus_c = a - qmap.c
-    if rational_is_square(a_minus_c):
-        return Verdict(
-            status=VerdictStatus.NOT_SURJECTIVE,
-            detail={
-                "reason": "a - c is a rational square",
-                "a_minus_c": str(a_minus_c),
-            },
-            **common,
-        )
-    r, s = a.numerator, a.denominator
-    fired: list[str] = []
-    detail: dict = {}
-    undecided = False
-    if r == 1 and s > 2 and s % 2 == 0:
-        fired.append("T1.2-1")
     if r == 2:
         if s > 3 and s % 3 == 1:
             fired.append("T1.2-2")
-        q, divisor, undecided = _prime_3_mod_4_in(s)
-        if q is not None or divisor is not None:
-            fired.append("T1.2-3")
-            if q is not None:
-                detail["q"] = str(q)
-            else:
-                detail["divisor"] = str(divisor)
+        if _witness_search("T1.2-3", -1, s, fired, detail):
+            note = "prime-witness search undecided: s did not fully factor"
+            return fired, detail, note
+    return fired, detail, None
+
+
+def _certify(qmap: QuadMap, depth_check: int) -> Verdict:
+    """The decision procedure of either family; only the conditions differ.
+
+    Returns Inapplicable when f(0) = a (a - c = 0, so the backward orbit is
+    not a regular tree), NotSurjective when a - c is a nonzero rational
+    square, ProvenSurjective with the first firing condition (every firing
+    condition is listed in the detail), and Inapplicable otherwise.
+    Positive certificates are audited with the generic independence checker
+    to depth_check; an audit failure is a bug and raises InvariantViolation.
+    """
+    verdict = Verdict(qmap.a, qmap.family, VerdictStatus.INAPPLICABLE)
+    conditions = _conditions2
+    if qmap.family is Family.CYCLE1:
+        de = compute_delta_e(qmap.a)
+        verdict = replace(verdict, delta=de.delta, e=de.e)
+        conditions = _conditions1
+    a_minus_c = qmap.a - qmap.c
+    if a_minus_c == 0:
+        reason = "f(0) equals the base point; the backward orbit is not a regular tree"
+        return replace(verdict, detail={"reason": reason})
+    if rational_is_square(a_minus_c):
+        detail = {"reason": "a - c is a rational square", "a_minus_c": str(a_minus_c)}
+        return replace(verdict, status=VerdictStatus.NOT_SURJECTIVE, detail=detail)
+    fired, detail, note = conditions(verdict)
     if fired:
         detail["fired"] = fired
         _audit_independence(qmap, depth_check)
-        return Verdict(
+        return replace(
+            verdict,
             status=VerdictStatus.PROVEN_SURJECTIVE,
             condition=fired[0],
             depth=depth_check,
             detail=detail,
-            **common,
         )
-    detail["reason"] = "no certificate condition fires"
-    if undecided:
-        detail["note"] = "prime-witness search undecided: s did not fully factor"
-    return Verdict(status=VerdictStatus.INAPPLICABLE, detail=detail, **common)
+    detail.setdefault("reason", "no certificate condition fires")
+    if note is not None:
+        detail["note"] = note
+    return replace(verdict, detail=detail)
+
+
+def certify_family1(a: Fraction, depth_check: int = DEFAULT_DEPTH) -> Verdict:
+    """Decision procedure for the fixed-point-tail family (c = -a - a^2)."""
+    return _certify(family1(a), depth_check)
+
+
+def certify_family2(a: Fraction, depth_check: int = DEFAULT_DEPTH) -> Verdict:
+    """Decision procedure for the two-cycle-tail family (c = -1 + a - a^2)."""
+    return _certify(family2(a), depth_check)
 
 
 def certify(a: Fraction, family: Family | int, depth: int = DEFAULT_DEPTH) -> Verdict:
@@ -327,16 +276,10 @@ def certify(a: Fraction, family: Family | int, depth: int = DEFAULT_DEPTH) -> Ve
     the verdict reports IndependentToDepth (evidence, not proof) or
     DependentAtLevel (with the witness levels, 1-based).
     """
-    fam = Family(family)
-    a = Fraction(a)
     if depth < 1:
         raise ValueError("depth must be positive")
-    if fam is Family.CYCLE1:
-        qmap = family1(a)
-        verdict = _certify1(qmap, depth)
-    else:
-        qmap = family2(a)
-        verdict = _certify2(qmap, depth)
+    qmap = family1(a) if Family(family) is Family.CYCLE1 else family2(a)
+    verdict = _certify(qmap, depth)
     if verdict.status is not VerdictStatus.INAPPLICABLE:
         return verdict
 
@@ -345,36 +288,19 @@ def certify(a: Fraction, family: Family | int, depth: int = DEFAULT_DEPTH) -> Ve
     zero_levels = [i + 1 for i, rn in enumerate(orbit.numerators) if rn == 0]
     if zero_levels:
         detail["zero_levels"] = zero_levels
-        return Verdict(
-            a=a,
-            family=fam,
-            status=VerdictStatus.INAPPLICABLE,
-            depth=depth,
-            delta=verdict.delta,
-            e=verdict.e,
-            detail=detail,
-        )
+        return replace(verdict, depth=depth, detail=detail)
     result = orbit_independent(orbit.square_class_reps, qmap.a.numerator)
     if result.independent:
         detail["note"] = "finite-depth evidence only, not a proof"
-        return Verdict(
-            a=a,
-            family=fam,
-            status=VerdictStatus.INDEPENDENT_TO_DEPTH,
-            depth=depth,
-            delta=verdict.delta,
-            e=verdict.e,
-            detail=detail,
+        return replace(
+            verdict, status=VerdictStatus.INDEPENDENT_TO_DEPTH, depth=depth, detail=detail
         )
     levels = tuple(i + 1 for i in result.witness)
     detail["level"] = max(levels)
-    return Verdict(
-        a=a,
-        family=fam,
+    return replace(
+        verdict,
         status=VerdictStatus.DEPENDENT_AT_LEVEL,
         depth=depth,
         witness=levels,
-        delta=verdict.delta,
-        e=verdict.e,
         detail=detail,
     )

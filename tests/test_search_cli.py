@@ -5,6 +5,8 @@ from fractions import Fraction
 import pytest
 
 from arborist.cli import main
+from arborist.dynamics import family1, family2
+from arborist.errors import DegenerateBasePoint
 from arborist.search import (
     SCHEMA,
     SearchConfig,
@@ -77,6 +79,21 @@ class TestSearch:
         assert len(rows) == 5 + 5
         keys = {(row["a"], row["family"]) for row in rows}
         assert ("-1", 1) not in keys and ("1/2", 2) not in keys
+
+    def test_skips_exactly_the_degenerate_base_points(self, tmp_path):
+        out = tmp_path / "rows.jsonl"
+        search(SearchConfig(height=6, out_path=out, depth=2))
+        written = {(row["a"], row["family"]) for row in load_rows(out)}
+        expected = set()
+        for a in enumerate_rationals(6):
+            for fam, ctor in ((1, family1), (2, family2)):
+                try:
+                    ctor(a)
+                except DegenerateBasePoint:
+                    continue
+                expected.add((str(a), fam))
+        assert written == expected
+        assert ("-1", 1) not in written and ("1/2", 2) not in written
 
     def test_known_row_content(self, tmp_path):
         out = tmp_path / "rows.jsonl"

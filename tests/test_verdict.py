@@ -12,6 +12,8 @@ from arborist.exactnum import rational_is_square
 from arborist.independence import two_independent
 from arborist.verdict import (
     VerdictStatus,
+    _nonresidue_prime_in,
+    _prime_3_mod_4_in,
     certify,
     certify_family1,
     certify_family2,
@@ -246,3 +248,55 @@ class TestConsistencyProperties:
                     continue
                 orbit = d_sequence(ctor(a), 6)
                 assert two_independent(orbit.d_values).independent, (a, fam)
+
+
+def smallest_prime_witness(s, is_witness):
+    """Trial-division reference: the least odd prime q | s with is_witness(q)."""
+    q = 3
+    while s > 1:
+        if s % 2 == 0:
+            s //= 2
+            continue
+        if s % q == 0:
+            if is_witness(q):
+                return q
+            s //= q
+            continue
+        q += 2
+    return None
+
+
+def legendre_is_minus_one(m, q):
+    return pow(m % q, (q - 1) // 2, q) == q - 1
+
+
+class TestWitnessPrimeSearch:
+    @pytest.mark.parametrize("m", [-3, -2, -1, 2, 3, 5, -10])
+    def test_nonresidue_search_matches_trial_division(self, m):
+        for s in range(1, 3001):
+            q = smallest_prime_witness(s, lambda p: legendre_is_minus_one(m, p))
+            assert _nonresidue_prime_in(m, s) == (q, None, False), s
+
+    def test_prime_3_mod_4_search_matches_trial_division(self):
+        for s in range(1, 3001):
+            q = smallest_prime_witness(s, lambda p: p % 4 == 3)
+            assert _prime_3_mod_4_in(s) == (q, None, False), s
+
+    def test_prime_3_mod_4_is_the_minus_one_nonresidue_search(self):
+        # for odd q, q = 3 (mod 4) iff (-1|q) = -1, including below a cutoff
+        for cutoff in (3, 5, 7, 11):
+            for s in range(1, 3001):
+                assert _prime_3_mod_4_in(s, cutoff) == _nonresidue_prime_in(
+                    -1, s, cutoff
+                ), (s, cutoff)
+
+    def test_composite_cofactor_certifies_a_divisor(self):
+        # 91 = 7 * 13 with 7 = 3 (mod 4); 77 = 7 * 11 with (2|7) = 1, (2|11) = -1
+        assert _prime_3_mod_4_in(91, cutoff=5) == (None, 91, False)
+        assert _nonresidue_prime_in(2, 77, cutoff=5) == (None, 77, False)
+
+    def test_composite_cofactor_can_leave_the_search_undecided(self):
+        # 77 = 7 * 11 and 143 = 11 * 13 each hold two witnesses, whose
+        # symbols cancel, so nothing below the cutoff settles the question
+        assert _prime_3_mod_4_in(77, cutoff=5) == (None, None, True)
+        assert _nonresidue_prime_in(2, 143, cutoff=5) == (None, None, True)
