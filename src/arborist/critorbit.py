@@ -6,16 +6,26 @@ For f(x) = x^2 + c with base point a = r/s (reduced, s > 0) the sequence
 
 controls, through its square classes, whether the arboreal representation
 attached to (f, a) is surjective.  Writing f^n(0) - a = r_n / s_n reduced,
-both families satisfy s_n = s**(2**n) exactly, and the numerators obey a
-closed recursion:
+both families satisfy s_n = s**(2**n) exactly.  The numerators are built
+in the factored form that proves the paper's repeated-prime law, from
+f(x) - f(y) = (x - y)(x + y):
 
-    tail-into-fixed-point family (c = -a - a^2):
-        r_1 = -r^2 - 2rs,
-        r_{n+1} = r_n^2 + 2 r_n r s**(2**n - 1) - 2 r s**(2**(n+1) - 1)
+    tail-into-fixed-point family (c = -a - a^2, f(a) = f(-a) = -a):
+        Y_n, the numerator of f^n(0) + a, is Y_1 = -r^2 and
+        Y_n = r_{n-1} Y_{n-1};  r_n = Y_n - 2 r s**(2**n - 1)
 
-    tail-into-two-cycle family (c = -1 + a - a^2):
-        r_1 = -r^2 - s^2,
-        r_{n+1} = r_n^2 + 2 r_n r s**(2**n - 1) - s**(2**(n+1))
+    tail-into-two-cycle family (c = -1 + a - a^2, cycle {a - 1, -a}):
+        U_n, V_n, the numerators of f^n(0) - (a - 1) and f^n(0) + a, are
+        U_1 = -r^2, V_1 = -(r - s)^2, U_n = r_{n-1} V_{n-1} and
+        V_n = U_{n-1} W_{n-1} with W_{n-1} = V_{n-1} - s**(2**(n-1));
+        r_n = U_n - s**(2**n) = V_n - 2 r s**(2**n - 1)
+
+So r_m divides every later Y_n (first family) and every later U_n or V_n
+(second family), and a prime dividing r_m and r_n also divides
+2 r s**(2**n - 1) or s**(2**n).  Given gcd(r_m, s) = 1, such a prime
+divides 2r.  The second family's two expressions for r_n are compared at
+every level, so both divisibility routes hold for the integers actually
+computed.
 
 The integers r_n over the known denominator s**(2**n) are the only stored
 form of the orbit; every D_n is derived from them on demand.  As a
@@ -26,6 +36,9 @@ f^n(0) = X_n / s**(2**n) where
 
 so r_n = X_n - r s**(2**n - 1).  The two computations share nothing but
 the inputs, and they must agree together with the law gcd(r_n, s) = 1.
+That makes the factored numbers the orbit, so the repeated-prime law holds
+for the numerators of every :class:`AdjustedOrbit` that :func:`d_sequence`
+returns, without a gcd between levels.
 
 The module also hosts the valuation, sign and congruence analyzers that
 :func:`orbit_report` collects, and the first family's numerator
@@ -140,34 +153,50 @@ class CongruenceReport:
 
 
 def numerator_recursion(family: Family, r: int, s: int, depth: int) -> list[int]:
-    """Numerators r_1..r_depth of f^n(0) - a for a = r/s by the closed recursion."""
+    """Numerators r_1..r_depth of f^n(0) - a for a = r/s, in factored form.
+
+    In the first family r_n = Y_n - 2 r s**(2**n - 1), and every earlier
+    r_m divides Y_n.  In the second family r_m divides U_n when n - m is
+    odd and V_n when it is even, so r_n is computed as U_n - s**(2**n) and
+    must also equal V_n - 2 r s**(2**n - 1); a mismatch raises
+    InvariantViolation.  Either way the repeated-prime law holds for the
+    returned integers (module docstring).
+    """
     if s < 1 or math.gcd(r, s) != 1:
         raise ValueError("base point must be given as a reduced fraction with s >= 1")
     if depth < 1:
         raise ValueError("depth must be positive")
-    if family is Family.CYCLE1:
-        rn = -r * r - 2 * r * s
-    elif family is Family.CYCLE2:
-        rn = -r * r - s * s
-    else:
+    if family not in (Family.CYCLE1, Family.CYCLE2):
         raise ValueError("numerator recursion requires a known family")
-    out = [rn]
+    out: list[int] = []
     power = s * s  # s**(2**n) for the current n
-    for _ in range(1, depth):
-        next_power = power * power
-        if family is Family.CYCLE1:
-            rn = rn * rn + 2 * rn * r * (power // s) - 2 * r * (next_power // s)
-        else:
-            rn = rn * rn + 2 * rn * r * (power // s) - next_power
+    if family is Family.CYCLE1:
+        y = -r * r  # Y_n
+        for n in range(1, depth + 1):
+            if n > 1:
+                y *= out[-1]
+                power *= power
+            out.append(y - 2 * r * (power // s))
+        return out
+    u, v = -r * r, -(r - s) ** 2  # U_n, V_n
+    for n in range(1, depth + 1):
+        if n > 1:
+            u, v = out[-1] * v, u * (v - power)
+            power *= power
+        rn = u - power
+        if v - 2 * r * (power // s) != rn:
+            raise InvariantViolation(
+                f"r_{n} = U_{n} - s^(2^{n}) differs from V_{n} - 2r s^(2^{n} - 1) "
+                f"for a = {r}/{s}"
+            )
         out.append(rn)
-        power = next_power
     return out
 
 
 def d_sequence(qmap: QuadMap, depth: int = DEFAULT_DEPTH) -> AdjustedOrbit:
     """Build the adjusted orbit, cross-checking recursion against iteration.
 
-    The numerators come from the closed family recursion and, independently,
+    The numerators come from the factored family recursion and, independently,
     from integer iteration of the map over the denominators s**(2**n); any
     disagreement, or a numerator sharing a factor with s (the denominator
     law), raises InvariantViolation.

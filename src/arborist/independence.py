@@ -20,13 +20,17 @@ Values may be given as integers: an integer is a rational with denominator
 
 The adjusted orbit needs no coprime base built from scratch, because the
 paper's repeated-prime law supplies one: for a = r/s, a prime dividing two
-of the numerators r_m, r_n divides 2r.  :func:`orbit_independent` splits
-each representative (see
-:attr:`~arborist.critorbit.AdjustedOrbit.square_class_reps`) into a part
-built from the primes of 2r and a cofactor prime to 2r, checks that the
-cofactors are pairwise coprime (the law), and hands only the small parts
-of the levels whose cofactor is a square to :func:`two_independent`.  The
-certifier decides every orbit this way.
+of the numerators r_m, r_n divides 2r.  Each representative (see
+:attr:`~arborist.critorbit.AdjustedOrbit.square_class_reps`) splits into a
+part built from the primes of 2r and a cofactor prime to 2r; the law makes
+the cofactors pairwise coprime, so only the small parts of the levels
+whose cofactor is a square go to :func:`two_independent`.  The certifier
+decides every orbit with :func:`factored_orbit_independent`, which takes
+no gcd between levels: ``d_sequence`` builds the numerators in the
+factored form that proves the law and cross-checks them against
+iteration.  :func:`orbit_independent` takes raw values, checks the law on
+them with one running-product gcd per level, and is the oracle for the
+certifier's path.
 """
 
 from __future__ import annotations
@@ -154,19 +158,53 @@ def two_independent(values: Sequence[Fraction | int]) -> IndependenceResult:
 
 
 def orbit_independent(reps: Sequence[int], r: int) -> IndependenceResult:
-    """Decide 2-independence of an adjusted orbit by the repeated-prime law.
+    """Decide 2-independence of raw orbit values, checking the law first.
 
-    Same result as ``two_independent(reps)``, witness included.  ``reps`` are nonzero integers in the square classes of D_1..D_N and
-    ``r`` is the numerator of the base point.  Each |v_n| splits as
-    u_n * t_n, where every prime of u_n divides 2r and t_n is prime to 2r.
-    The law makes the t_n pairwise coprime; that is checked, and a failure
-    raises InvariantViolation.  A t_n that is not a square then holds a
-    prime to an odd power that divides no other value, so level n lies in
-    no square subset product.  The remaining levels are decided on the
-    small values sign(v_n) * u_n, and a witness is re-verified on the
-    original values.  When levels 1..i-1 are independent and 1..i are not,
-    the square subset is unique, so the witness is the generic one.
+    Same result as ``two_independent(reps)``, witness included.  ``reps``
+    are nonzero integers in the square classes of D_1..D_N and ``r`` is the
+    numerator of the base point.  Nothing is assumed about where the values
+    came from: one running-product gcd per level requires their cofactors
+    prime to 2r to be pairwise coprime (the repeated-prime law), and a
+    failure raises InvariantViolation.  The rest of the decision is that of
+    :func:`factored_orbit_independent`.
     """
+    small, cofactors = _split_2r(reps, r)
+    product = 1
+    for n, t in enumerate(cofactors, start=1):
+        if math.gcd(t, product) != 1:
+            raise InvariantViolation(
+                f"level {n} shares a prime outside 2r = {2 * abs(r)} with an "
+                "earlier level, against the repeated-prime law"
+            )
+        product *= t
+    return _decide(reps, small, cofactors)
+
+
+def factored_orbit_independent(reps: Sequence[int], r: int) -> IndependenceResult:
+    """Decide 2-independence of an adjusted orbit built by ``d_sequence``.
+
+    ``reps`` must be :attr:`~arborist.critorbit.AdjustedOrbit.square_class_reps`
+    of an orbit returned by :func:`~arborist.critorbit.d_sequence`, and
+    ``r`` the numerator of its base point.  Those numerators come from the
+    factored recursion, are cross-checked against iteration and are prime
+    to s, so the repeated-prime law holds for them by construction and no
+    gcd between levels is taken.  Any other values go through
+    :func:`orbit_independent`, which checks the law.
+
+    Each |v_n| splits as u_n * t_n, where every prime of u_n divides 2r and
+    t_n is prime to 2r; by the law the t_n are pairwise coprime.  A t_n
+    that is not a square then holds a prime to an odd power that divides no
+    other value, so level n lies in no square subset product.  The
+    remaining levels are decided on the small values sign(v_n) * u_n, and a
+    witness is re-verified on the original values.  When levels 1..i-1 are
+    independent and 1..i are not, the square subset is unique, so the
+    witness is the one ``two_independent(reps)`` returns.
+    """
+    return _decide(reps, *_split_2r(reps, r))
+
+
+def _split_2r(reps: Sequence[int], r: int) -> tuple[list[int], list[int]]:
+    # (sign(v_n) * u_n, t_n) per level: u_n from the primes of 2r, t_n prime to 2r
     if any(v == 0 for v in reps):
         raise ValueError("independence is undefined for zero")
     g = 2 * abs(r)
@@ -176,14 +214,14 @@ def orbit_independent(reps: Sequence[int], r: int) -> IndependenceResult:
         u, t = _split_off(abs(v), g)
         small.append(u if v > 0 else -u)
         cofactors.append(t)
-    product = 1
-    for n, t in enumerate(cofactors, start=1):
-        if math.gcd(t, product) != 1:
-            raise InvariantViolation(
-                f"level {n} shares a prime outside 2r = {g} with an earlier "
-                "level, against the repeated-prime law"
-            )
-        product *= t
+    return small, cofactors
+
+
+def _decide(
+    reps: Sequence[int], small: list[int], cofactors: list[int]
+) -> IndependenceResult:
+    # cofactors pairwise coprime: only levels with a square cofactor can
+    # join a square product, and they are decided on their small parts
     levels = [n for n, t in enumerate(cofactors) if is_perfect_square(t)]
     result = two_independent([small[n] for n in levels])
     if result.independent:

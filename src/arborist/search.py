@@ -106,9 +106,9 @@ def _read_header(path: str | Path, fh) -> dict:
     return head
 
 
-def _parse_line(path: str | Path, lineno: int, line: str):
+def _parse_line(path: str | Path, lineno: int, line: str, decode=json.loads):
     try:
-        return json.loads(line)
+        return decode(line)
     except json.JSONDecodeError as exc:
         raise UsageError(f"{path}:{lineno}: corrupt line: {exc}") from None
 
@@ -120,8 +120,13 @@ def load_rows(path: str | Path) -> list[dict]:
     still load.  An unterminated last line is a row cut short by a crash:
     it is skipped with a note on stderr, as ``search`` drops it before
     resuming.  Any other line that is not JSON raises UsageError naming
-    ``path:line``.
+    ``path:line``.  Equal float texts (``timing_ms`` repeats often) load as
+    one shared float object.
     """
+    floats: dict[str, float] = {}
+    decode = json.JSONDecoder(
+        parse_float=lambda text: floats.setdefault(text, float(text))
+    ).decode
     rows = []
     with open(path, "r", encoding="utf-8") as fh:
         _read_header(path, fh)
@@ -131,7 +136,7 @@ def load_rows(path: str | Path) -> list[dict]:
             if not line.endswith("\n"):
                 print(f"{path}:{lineno}: skipped an unterminated last line", file=sys.stderr)
                 break
-            rows.append(_parse_line(path, lineno, line))
+            rows.append(_parse_line(path, lineno, line, decode))
     return rows
 
 

@@ -4,12 +4,15 @@ One decision procedure for both preperiodic families, turning simple
 congruence and residue conditions on the base point a = r/s into a proof of
 surjectivity (condition tags T1.1-1..3 and T1.2-1..3 below); only the list
 of conditions that fire is family-specific.  The 2-independence of the
-adjusted orbit, decided by :func:`~arborist.independence.orbit_independent`
-from the repeated-prime law (checked on every orbit, with every witness
-re-verified), doubles as a consistency audit on every positive certificate
-and as a finite-depth fallback when no condition applies: a fallback
-"independent to depth N" is evidence about the depth-N tree quotient, not a
-proof for the full tree, and the verdict says so.
+adjusted orbit, decided by
+:func:`~arborist.independence.factored_orbit_independent` from the
+repeated-prime law (which ``d_sequence``'s factored recursion and its
+iteration cross-check establish for the numerators used, so no gcd between
+levels is taken; every witness is re-verified), doubles as a consistency
+audit on every positive certificate and as a finite-depth fallback when no
+condition applies: a fallback "independent to depth N" is evidence about
+the depth-N tree quotient, not a proof for the full tree, and the verdict
+says so.
 
 Fixed-point-tail family (c = -a - a^2), certificate number
 m = (-1)**delta * 2**e * |r| where delta is read off the sign law of
@@ -45,7 +48,7 @@ from .critorbit import DEFAULT_DEPTH, d_sequence, family1_sign
 from .dynamics import Family, QuadMap, family1, family2
 from .errors import InvariantViolation
 from .exactnum import jacobi, proven_prime, rational_is_square
-from .independence import orbit_independent
+from .independence import factored_orbit_independent
 
 TRIAL_DIVISION_CUTOFF = 10**6
 
@@ -168,7 +171,7 @@ def _audit_independence(qmap: QuadMap, depth: int) -> None:
         raise InvariantViolation(
             f"zero adjusted-orbit term for certified base point {qmap.a}"
         )
-    result = orbit_independent(orbit.square_class_reps, qmap.a.numerator)
+    result = factored_orbit_independent(orbit.square_class_reps, qmap.a.numerator)
     if not result.independent:
         raise InvariantViolation(
             f"certified base point {qmap.a} fails the independence audit "
@@ -225,7 +228,7 @@ def _certify(qmap: QuadMap, depth_check: int) -> Verdict:
     not a regular tree), NotSurjective when a - c is a nonzero rational
     square, ProvenSurjective with the first firing condition (every firing
     condition is listed in the detail), and Inapplicable otherwise.
-    Positive certificates are audited with the generic independence checker
+    Positive certificates are audited with the orbit independence decider
     to depth_check; an audit failure is a bug and raises InvariantViolation.
     """
     verdict = Verdict(qmap.a, qmap.family, VerdictStatus.INAPPLICABLE)
@@ -289,7 +292,7 @@ def certify(a: Fraction, family: Family | int, depth: int = DEFAULT_DEPTH) -> Ve
     if zero_levels:
         detail["zero_levels"] = zero_levels
         return replace(verdict, depth=depth, detail=detail)
-    result = orbit_independent(orbit.square_class_reps, qmap.a.numerator)
+    result = factored_orbit_independent(orbit.square_class_reps, qmap.a.numerator)
     if result.independent:
         detail["note"] = "finite-depth evidence only, not a proof"
         return replace(

@@ -60,6 +60,21 @@ def int_str_limit(digits):
             sys.set_int_max_str_digits(saved)
 
 
+def shift_level(level):
+    """A forgery of the recursion: r_level off by one."""
+
+    def perturb(nums):
+        nums[level - 1] += 1
+
+    return perturb
+
+
+def share_prime_1009(nums):
+    """A forgery of the recursion: r_2 and r_5 share the prime 1009."""
+    nums[1] *= 1009
+    nums[4] *= 1009
+
+
 def build(family, a, depth):
     qmap = family1(a) if family is Family.CYCLE1 else family2(a)
     return d_sequence(qmap, depth)
@@ -101,21 +116,34 @@ class TestDSequence:
         with pytest.raises(ValueError):
             d_sequence(family1(Fraction(1, 2)), 0)
 
-    @pytest.mark.parametrize("level", [1, 2, 5])
-    def test_perturbed_recursion_is_caught(self, monkeypatch, level):
+    @pytest.mark.parametrize(
+        "perturb",
+        [
+            *(pytest.param(shift_level(level), id=str(level)) for level in (1, 2, 5)),
+            pytest.param(share_prime_1009, id="shared-prime-1009"),
+        ],
+    )
+    def test_perturbed_recursion_is_caught(self, monkeypatch, perturb):
         import arborist.critorbit as critorbit
+        from arborist.verdict import certify
 
         honest = critorbit.numerator_recursion
 
         def perturbed(*args):
             nums = honest(*args)
-            nums[level - 1] += 1
+            perturb(nums)
             return nums
 
         monkeypatch.setattr(critorbit, "numerator_recursion", perturbed)
         for family, a in [(Family.CYCLE1, Fraction(13, 29)), (Family.CYCLE2, Fraction(2, 3))]:
             with pytest.raises(InvariantViolation):
                 build(family, a, 5)
+        # certify takes no gcd between levels, so the cross-check must stop a
+        # forgery on its audit path (13/29 in family 1, 2/3 in family 2) and
+        # on its fallback path (13/29 in family 2)
+        for a, family in [(Fraction(13, 29), 1), (Fraction(2, 3), 2), (Fraction(13, 29), 2)]:
+            with pytest.raises(InvariantViolation):
+                certify(a, family, depth=5)
 
 
 class TestNumeratorRecursion:

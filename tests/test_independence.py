@@ -13,6 +13,7 @@ from arborist.independence import (
     CoprimeBasis,
     IndependenceResult,
     brute_force_independent,
+    factored_orbit_independent,
     orbit_independent,
     square_classes,
     two_independent,
@@ -247,6 +248,8 @@ class TestOrbitIndependent:
             reps = orbit.square_class_reps
             by_law = orbit_independent(reps, orbit.a.numerator)
             assert by_law == two_independent(reps), orbit.a
+            # the certifier's path, which takes no gcd between levels
+            assert factored_orbit_independent(reps, orbit.a.numerator) == by_law, orbit.a
             checked += 1
             dependent += not by_law.independent
         assert checked == 2217
@@ -300,7 +303,9 @@ class TestOrbitIndependent:
         orbit = d_sequence(family(a), depth)
         assume(0 not in orbit.numerators)
         reps = orbit.square_class_reps
-        assert orbit_independent(reps, r) == two_independent(reps)
+        by_law = orbit_independent(reps, r)
+        assert by_law == two_independent(reps)
+        assert factored_orbit_independent(reps, r) == by_law
 
     def test_square_classes_against_factorint(self):
         # an independent oracle: square-free kernels from sympy's factorint

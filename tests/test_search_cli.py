@@ -182,6 +182,19 @@ class TestSearch:
             search(SearchConfig(height=3, out_path=out, depth=4))
         assert out.read_bytes() == before
 
+    def test_equal_timings_load_as_one_float(self, tmp_path):
+        out = tmp_path / "rows.jsonl"
+        search(SearchConfig(height=2, out_path=out, depth=4))
+        lines = out.read_text().splitlines(keepends=True)
+        rows = [json.loads(line) for line in lines[1:3]]
+        for row in rows:
+            row["timing_ms"] = 0.125
+        lines[1:3] = [json.dumps(row, sort_keys=True) + "\n" for row in rows]
+        out.write_text("".join(lines))
+        first, second = load_rows(out)[:2]
+        assert first["timing_ms"] == 0.125
+        assert first["timing_ms"] is second["timing_ms"]
+
     def test_worker_count_does_not_change_rows(self, tmp_path):
         serial = tmp_path / "serial.jsonl"
         parallel = tmp_path / "parallel.jsonl"

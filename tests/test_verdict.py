@@ -119,7 +119,7 @@ class TestCertifyFamily1:
 
         monkeypatch.setattr(
             verdict_module,
-            "orbit_independent",
+            "factored_orbit_independent",
             lambda reps, r: IndependenceResult(False, (0,)),
         )
         with pytest.raises(InvariantViolation):
