@@ -35,7 +35,6 @@ from .exactnum import (
 from .independence import (
     CoprimeBasis,
     IndependenceResult,
-    SquareClassVector,
     brute_force_independent,
     orbit_independent,
     square_classes,
@@ -69,7 +68,6 @@ __all__ = [
     "SearchConfig",
     "SearchSummary",
     "SignPrediction",
-    "SquareClassVector",
     "UsageError",
     "ValuationCheck",
     "Verdict",

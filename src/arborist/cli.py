@@ -2,14 +2,16 @@
 
 Subcommands: verify, orbit, independence, search, julia, report.
 Exit status 0 on success, 2 on user errors (argparse errors and
-:class:`~arborist.errors.UsageError`), 1 on everything else: invariant
-violations, I/O errors and any other exception, which signals a bug.
+:class:`~arborist.errors.UsageError`), 141 (128 + SIGPIPE) when the reader
+of standard output closes it early, 1 on everything else: invariant
+violations, other I/O errors and any other exception, which signals a bug.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import traceback
 
@@ -24,6 +26,7 @@ from .verdict import certify
 
 USAGE_ERROR = 2
 INTERNAL_ERROR = 1
+BROKEN_PIPE = 141  # 128 + SIGPIPE, as a shell reports a writer killed by it
 
 
 def _positive_int(text: str) -> int:
@@ -200,6 +203,11 @@ def main(argv: list[str] | None = None) -> int:
     except InvariantViolation as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
         return INTERNAL_ERROR
+    except BrokenPipeError:
+        # the reader is gone; point stdout at devnull so the flush at
+        # interpreter shutdown has nowhere to fail
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return BROKEN_PIPE
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return INTERNAL_ERROR

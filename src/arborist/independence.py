@@ -8,14 +8,18 @@ value is a square in the multiquadratic field generated by the square roots
 of earlier values iff some subset product involving it is a rational
 square.
 
-The reduction to F_2 linear algebra works over a pairwise-coprime basis
-built by gcd refinement, never by factoring: a product of coprime basis
-powers is a square iff each non-square basis element carries an even total
-exponent, so composite basis elements are perfectly good coordinates and
-perfect-square ones drop out entirely.
+Each value works as one integer key: a reduced p/q lies in the square class
+of p*q, because p/q = p*q/q^2, so numerators and denominators never become
+separate rows.  The reduction to F_2 linear algebra works over a
+pairwise-coprime basis built by one gcd refinement of the keys, never by
+factoring: a product of coprime basis powers is a square iff each
+non-square basis element carries an even total exponent, so composite basis
+elements are perfectly good coordinates and perfect-square ones drop out
+entirely.  A square class is an integer bitmask (sign bit, then one parity
+bit per basis element), and elimination runs on those masks.
 
-Values may be given as integers: an integer is a rational with denominator
-1.  :func:`two_independent` is the generic decider, used by the CLI's
+Values may be given as integers or Fractions; p*q reads the same from both.
+:func:`two_independent` is the generic decider, used by the CLI's
 ``independence`` command.
 
 The adjusted orbit needs no coprime base built from scratch, because the
@@ -36,7 +40,7 @@ certifier's path.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
@@ -62,23 +66,6 @@ class CoprimeBasis:
 
 
 @dataclass(frozen=True)
-class SquareClassVector:
-    """Image of a nonzero rational in Q*/(Q*)^2 over a shared basis.
-
-    ``parities`` is sparse: it maps basis indices to 1 and omits zeros.
-    """
-
-    sign_bit: int
-    parities: dict[int, int] = field(default_factory=dict)
-
-    def bitmask(self) -> int:
-        mask = self.sign_bit
-        for idx in self.parities:
-            mask |= 1 << (idx + 1)
-        return mask
-
-
-@dataclass(frozen=True)
 class IndependenceResult:
     independent: bool
     #: sorted indices into the input sequence whose product is a square
@@ -87,56 +74,42 @@ class IndependenceResult:
 
 def square_classes(
     values: Sequence[Fraction | int],
-) -> tuple[CoprimeBasis, list[SquareClassVector]]:
-    """Express nonzero rationals as sign bits plus parity vectors.
+) -> tuple[CoprimeBasis, list[int]]:
+    """Express nonzero rationals as square-class bitmasks over one basis.
 
-    All numerator magnitudes and denominators >= 2 are refined into one
-    shared coprime basis; perfect-square basis elements contribute nothing
-    modulo squares and are dropped.
+    A reduced p/q lies in the square class of the integer key p*q, since
+    p/q = p*q/q^2.  The keys of magnitude >= 2 are refined into one shared
+    coprime basis, one input per value; perfect-square basis elements
+    contribute nothing modulo squares and are dropped.  Bit 0 of a mask is
+    the sign and bit j + 1 the parity of basis element j.
     """
-    vals = [Fraction(v) for v in values]
-    if any(v == 0 for v in vals):
+    keys = [v.numerator * v.denominator for v in values]
+    if 0 in keys:
         raise UsageError("square classes are undefined for zero")
-    magnitudes: list[int] = []
-    for v in vals:
-        if abs(v.numerator) >= 2:
-            magnitudes.append(abs(v.numerator))
-        if v.denominator >= 2:
-            magnitudes.append(v.denominator)
-    if magnitudes:
-        basis_all, rows_all = factor_refine(magnitudes)
-    else:
-        basis_all, rows_all = [], []
+    basis_all, rows = factor_refine(abs(k) for k in keys if abs(k) >= 2)
     keep = [i for i, b in enumerate(basis_all) if not is_perfect_square(b)]
-    basis = CoprimeBasis(tuple(basis_all[i] for i in keep))
-
-    vectors: list[SquareClassVector] = []
-    rows = iter(rows_all)
-    for v in vals:
-        total = [0] * len(basis_all)
-        if abs(v.numerator) >= 2:
-            for i, e in enumerate(next(rows)):
-                total[i] += e
-        if v.denominator >= 2:
-            for i, e in enumerate(next(rows)):
-                total[i] += e  # parity only; numerator vs denominator is irrelevant
-        parities = {slot: 1 for slot, i in enumerate(keep) if total[i] % 2}
-        vectors.append(SquareClassVector(sign_bit=1 if v < 0 else 0, parities=parities))
-    return basis, vectors
+    masks: list[int] = []
+    rows_iter = iter(rows)
+    for k in keys:
+        mask = int(k < 0)
+        if abs(k) >= 2:
+            row = next(rows_iter)
+            for bit, i in enumerate(keep, start=1):
+                mask |= (row[i] & 1) << bit
+        masks.append(mask)
+    return CoprimeBasis(tuple(basis_all[i] for i in keep)), masks
 
 
 def two_independent(values: Sequence[Fraction | int]) -> IndependenceResult:
     """Decide 2-independence by F_2 elimination over the square classes.
 
     A dependency witness (subset with square product) is re-verified with
-    rational_is_square before being returned, so a linear-algebra bug can
-    never produce a silently wrong witness.
+    rational_is_square on the given values before being returned, so a
+    linear-algebra bug can never produce a silently wrong witness.
     """
-    vals = [Fraction(v) for v in values]
-    _, vectors = square_classes(vals)
+    _, masks = square_classes(values)
     pivots: dict[int, tuple[int, int]] = {}
-    for i, vec in enumerate(vectors):
-        row = vec.bitmask()
+    for i, row in enumerate(masks):
         combo = 1 << i
         while row:
             low = row & -row
@@ -148,8 +121,7 @@ def two_independent(values: Sequence[Fraction | int]) -> IndependenceResult:
             combo ^= pcombo
         if row == 0:
             subset = tuple(j for j in range(i + 1) if combo >> j & 1)
-            product = math.prod((vals[j] for j in subset), start=Fraction(1))
-            if not rational_is_square(product):
+            if not rational_is_square(math.prod(values[j] for j in subset)):
                 raise InvariantViolation(
                     f"witness {subset} failed the exact square re-verification"
                 )

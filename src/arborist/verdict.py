@@ -42,6 +42,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from functools import partial
 from typing import Mapping
 
 from .critorbit import DEFAULT_DEPTH, d_sequence, family1_sign
@@ -191,25 +192,27 @@ def _witness_search(tag: str, m: int, s: int, fired: list, detail: dict) -> bool
     return undecided
 
 
-def _conditions1(verdict: Verdict) -> tuple[list[str], dict, str | None]:
+def _conditions1(
+    a: Fraction, delta: int | None, e: int
+) -> tuple[list[str], dict, str | None]:
     """T1.1-1..3 on the certificate number m: (fired, detail, undecided note)."""
-    if verdict.delta is None:
+    if delta is None:
         return [], {"reason": "delta is undefined for this base point"}, None
-    m = (-1) ** verdict.delta * (1 << verdict.e) * abs(verdict.a.numerator)
+    m = (-1) ** delta * (1 << e) * abs(a.numerator)
     fired: list[str] = []
     if m % 3 == 2:
         fired.append("T1.1-1")
     if m % 4 == 3:
         fired.append("T1.1-2")
     detail = {"m": str(m)}
-    if _witness_search("T1.1-3", m, verdict.a.denominator, fired, detail):
+    if _witness_search("T1.1-3", m, a.denominator, fired, detail):
         return fired, detail, "non-residue search undecided: s did not fully factor"
     return fired, detail, None
 
 
-def _conditions2(verdict: Verdict) -> tuple[list[str], dict, str | None]:
+def _conditions2(a: Fraction) -> tuple[list[str], dict, str | None]:
     """T1.2-1..3 on r and s: (fired, detail, undecided note)."""
-    r, s = verdict.a.numerator, verdict.a.denominator
+    r, s = a.numerator, a.denominator
     fired = ["T1.2-1"] if r == 1 and s > 2 and s % 2 == 0 else []
     detail: dict = {}
     if r == 2:
@@ -231,26 +234,28 @@ def _certify(qmap: QuadMap, depth_check: int) -> Verdict:
     Positive certificates are audited with the orbit independence decider
     to depth_check; an audit failure is a bug and raises InvariantViolation.
     """
-    verdict = Verdict(qmap.a, qmap.family, VerdictStatus.INAPPLICABLE)
-    conditions = _conditions2
-    if qmap.family is Family.CYCLE1:
-        de = compute_delta_e(qmap.a)
-        verdict = replace(verdict, delta=de.delta, e=de.e)
-        conditions = _conditions1
-    a_minus_c = qmap.a - qmap.c
+    a, family = qmap.a, qmap.family
+    delta = e = None
+    if family is Family.CYCLE1:
+        de = compute_delta_e(a)
+        delta, e = de.delta, de.e
+    make_verdict = partial(Verdict, a, family, delta=delta, e=e)
+    a_minus_c = a - qmap.c
     if a_minus_c == 0:
         reason = "f(0) equals the base point; the backward orbit is not a regular tree"
-        return replace(verdict, detail={"reason": reason})
+        return make_verdict(VerdictStatus.INAPPLICABLE, detail={"reason": reason})
     if rational_is_square(a_minus_c):
         detail = {"reason": "a - c is a rational square", "a_minus_c": str(a_minus_c)}
-        return replace(verdict, status=VerdictStatus.NOT_SURJECTIVE, detail=detail)
-    fired, detail, note = conditions(verdict)
+        return make_verdict(VerdictStatus.NOT_SURJECTIVE, detail=detail)
+    if family is Family.CYCLE1:
+        fired, detail, note = _conditions1(a, delta, e)
+    else:
+        fired, detail, note = _conditions2(a)
     if fired:
         detail["fired"] = fired
         _audit_independence(qmap, depth_check)
-        return replace(
-            verdict,
-            status=VerdictStatus.PROVEN_SURJECTIVE,
+        return make_verdict(
+            VerdictStatus.PROVEN_SURJECTIVE,
             condition=fired[0],
             depth=depth_check,
             detail=detail,
@@ -258,7 +263,7 @@ def _certify(qmap: QuadMap, depth_check: int) -> Verdict:
     detail.setdefault("reason", "no certificate condition fires")
     if note is not None:
         detail["note"] = note
-    return replace(verdict, detail=detail)
+    return make_verdict(VerdictStatus.INAPPLICABLE, detail=detail)
 
 
 def certify_family1(a: Fraction, depth_check: int = DEFAULT_DEPTH) -> Verdict:
@@ -288,22 +293,17 @@ def certify(a: Fraction, family: Family | int, depth: int = DEFAULT_DEPTH) -> Ve
 
     orbit = d_sequence(qmap, depth)
     detail = dict(verdict.detail)
+    status, witness = VerdictStatus.INAPPLICABLE, None
     zero_levels = [i + 1 for i, rn in enumerate(orbit.numerators) if rn == 0]
     if zero_levels:
         detail["zero_levels"] = zero_levels
-        return replace(verdict, depth=depth, detail=detail)
-    result = factored_orbit_independent(orbit.square_class_reps, qmap.a.numerator)
-    if result.independent:
-        detail["note"] = "finite-depth evidence only, not a proof"
-        return replace(
-            verdict, status=VerdictStatus.INDEPENDENT_TO_DEPTH, depth=depth, detail=detail
-        )
-    levels = tuple(i + 1 for i in result.witness)
-    detail["level"] = max(levels)
-    return replace(
-        verdict,
-        status=VerdictStatus.DEPENDENT_AT_LEVEL,
-        depth=depth,
-        witness=levels,
-        detail=detail,
-    )
+    else:
+        result = factored_orbit_independent(orbit.square_class_reps, qmap.a.numerator)
+        if result.independent:
+            status = VerdictStatus.INDEPENDENT_TO_DEPTH
+            detail["note"] = "finite-depth evidence only, not a proof"
+        else:
+            status = VerdictStatus.DEPENDENT_AT_LEVEL
+            witness = tuple(i + 1 for i in result.witness)
+            detail["level"] = max(witness)
+    return replace(verdict, status=status, depth=depth, witness=witness, detail=detail)

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from arborist.critorbit import d_sequence
 from arborist.dynamics import Family, family1, family2
 from arborist.errors import InvariantViolation
-from arborist.exactnum import rational_is_square
+from arborist.exactnum import factor_refine, rational_is_square
 from arborist.independence import (
     CoprimeBasis,
     IndependenceResult,
@@ -33,22 +33,26 @@ def product_of(values, indices):
     return out
 
 
+def parities(mask, basis):
+    return [mask >> (j + 1) & 1 for j in range(len(basis.elements))]
+
+
 class TestSquareClasses:
     def test_square_denominators_drop_out(self):
-        basis, vectors = square_classes([Fraction(5, 4), Fraction(-11, 16)])
+        basis, masks = square_classes([Fraction(5, 4), Fraction(-11, 16)])
         assert basis.elements == (5, 11)
-        assert vectors[0].sign_bit == 0 and vectors[0].parities == {0: 1}
-        assert vectors[1].sign_bit == 1 and vectors[1].parities == {1: 1}
+        assert masks[0] & 1 == 0 and parities(masks[0], basis) == [1, 0]
+        assert masks[1] & 1 == 1 and parities(masks[1], basis) == [0, 1]
 
     def test_all_square_class(self):
-        basis, vectors = square_classes([Fraction(9, 4)])
+        basis, masks = square_classes([Fraction(9, 4)])
         assert basis.elements == ()
-        assert vectors[0].sign_bit == 0 and vectors[0].parities == {}
+        assert masks == [0]
 
     def test_minus_one(self):
-        basis, vectors = square_classes([Fraction(-1)])
+        basis, masks = square_classes([Fraction(-1)])
         assert basis.elements == ()
-        assert vectors[0].sign_bit == 1 and vectors[0].parities == {}
+        assert masks == [1]
 
     def test_rejects_zero(self):
         with pytest.raises(ValueError):
@@ -63,15 +67,37 @@ class TestSquareClasses:
     @given(values=value_lists)
     @settings(max_examples=80)
     def test_vectors_represent_values(self, values):
-        basis, vectors = square_classes(values)
-        for v, vec in zip(values, vectors):
+        basis, masks = square_classes(values)
+        assert len(masks) == len(values)
+        for v, mask in zip(values, masks):
+            assert mask >> (len(basis.elements) + 1) == 0
             rebuilt = Fraction(1)
-            for idx in vec.parities:
-                rebuilt *= basis.elements[idx]
-            if vec.sign_bit:
+            for b, bit in zip(basis.elements, parities(mask, basis)):
+                if bit:
+                    rebuilt *= b
+            if mask & 1:
                 rebuilt = -rebuilt
             # v and its rebuilt class must differ by a rational square
             assert rational_is_square(v / rebuilt)
+
+    def test_rational_keyed_like_its_integer(self):
+        values = [Fraction(2, 3), 6, Fraction(-7, 12), -84, Fraction(1, 5), 5]
+        _, masks = square_classes(values)
+        assert masks[0] == masks[1] and masks[2] == masks[3] and masks[4] == masks[5]
+        assert len(set(masks)) == 3
+
+    def test_one_refinement_with_one_input_per_value(self, monkeypatch):
+        calls = []
+
+        def recording(inputs):
+            inputs = list(inputs)
+            calls.append(inputs)
+            return factor_refine(inputs)
+
+        monkeypatch.setattr("arborist.independence.factor_refine", recording)
+        square_classes([Fraction(2, 3), 5, -1, Fraction(9, 4), Fraction(-7, 12), 1])
+        # keys 6, 5, -1, 36, -84, 1: one input per key of magnitude >= 2
+        assert calls == [[6, 5, 36, 84]]
 
 
 class TestTwoIndependent:

@@ -1,9 +1,14 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import arborist
 from arborist.cli import main
 from arborist.dynamics import family1, family2
 from arborist.errors import DegenerateBasePoint
@@ -341,6 +346,66 @@ class TestCliIndependence:
         payload = json.loads(capsys.readouterr().out)
         assert payload["status"] == "Independent"
         assert payload["witness_indices"] is None
+
+    @pytest.mark.parametrize(
+        "argv, expected",
+        [
+            (
+                ["--values", "2/3,6"],
+                '{"status": "Dependent", "witness_indices": [0, 1], '
+                '"witness_values": ["2/3", "6"]}',
+            ),
+            (
+                ["--values", "7/12,3/28,-5,15/2,1/9"],
+                '{"status": "Dependent", "witness_indices": [0, 1], '
+                '"witness_values": ["7/12", "3/28"]}',
+            ),
+            (
+                ["--values", "6/35,10/21,15/14"],
+                '{"status": "Dependent", "witness_indices": [0, 1], '
+                '"witness_values": ["6/35", "10/21"]}',
+            ),
+            (
+                ["--values", "5/4,-11/16,-311/256"],
+                '{"status": "Independent", "witness_indices": null, '
+                '"witness_values": null}',
+            ),
+            (
+                ["--values=-1,1/4"],
+                '{"status": "Dependent", "witness_indices": [1], '
+                '"witness_values": ["1/4"]}',
+            ),
+            (
+                ["--values", "7/12,3/28,-5,15/2,1/9", "--oracle"],
+                '{"status": "Dependent", "witness_indices": [0, 1], '
+                '"witness_values": ["7/12", "3/28"]}',
+            ),
+        ],
+    )
+    def test_output_is_pinned(self, argv, expected, capsys):
+        # recorded before square classes were keyed by p*q per value
+        assert main(["independence", *argv]) == 0
+        assert capsys.readouterr().out == expected + "\n"
+
+
+class TestCliBrokenPipe:
+    def test_reader_closing_early_exits_141_quietly(self):
+        # the report is 385,150 bytes, far more than a pipe buffers
+        src = Path(arborist.__file__).resolve().parent.parent
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        argv = ["orbit", "--family", "1", "--a", "13/29", "--depth", "16"]
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "arborist", *argv],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=env,
+        )
+        assert len(proc.stdout.read(10)) == 10
+        proc.stdout.close()
+        code = proc.wait(timeout=60)
+        with proc.stderr:
+            assert proc.stderr.read() == b""
+        assert code == 141
 
 
 class TestCliSearchAndReport:
