@@ -193,22 +193,33 @@ def numerator_recursion(family: Family, r: int, s: int, depth: int) -> list[int]
     return out
 
 
+def scaled_c(qmap: QuadMap) -> int:
+    """C = c * s^2, the integer numerator of c over the base point's s^2.
+
+    Both family constructors build c over s^2; a c whose reduced
+    denominator does not divide s^2 raises InvariantViolation.
+    """
+    c, s = qmap.c, qmap.a.denominator
+    cofactor, rem = divmod(s * s, c.denominator)
+    if rem:
+        raise InvariantViolation(f"c = {c} is not an integer over s^2 for a = {qmap.a}")
+    return c.numerator * cofactor
+
+
 def d_sequence(qmap: QuadMap, depth: int = DEFAULT_DEPTH) -> AdjustedOrbit:
     """Build the adjusted orbit, cross-checking recursion against iteration.
 
     The numerators come from the factored family recursion and, independently,
-    from integer iteration of the map over the denominators s**(2**n); any
-    disagreement, or a numerator sharing a factor with s (the denominator
-    law), raises InvariantViolation.
+    from integer iteration of the map over the denominators s**(2**n),
+    started from the integer C = c s^2 of :func:`scaled_c`; no Fraction is
+    computed with.  Any disagreement, or a numerator sharing a factor with
+    s (the denominator law), raises InvariantViolation.
     """
     if depth < 1:
         raise ValueError("depth must be positive")
     a = qmap.a
     r, s = a.numerator, a.denominator
-    scaled_c = qmap.c * s * s
-    if scaled_c.denominator != 1:
-        raise InvariantViolation(f"c = {qmap.c} is not an integer over s^2 for a = {a}")
-    C = scaled_c.numerator
+    C = scaled_c(qmap)
 
     nums = numerator_recursion(qmap.family, r, s, depth)
     x = C  # X_n, the numerator of f^n(0) over s**(2**n)
@@ -335,18 +346,22 @@ def check_valuations(orbit: AdjustedOrbit, p: int) -> list[ValuationCheck]:
     return checks
 
 
-def family1_sign(a: Fraction) -> SignPrediction:
+def family1_sign(r: int, s: int) -> SignPrediction:
     """The fixed-point-tail sign law: signs of f^n(0) - a for c = -a - a^2.
 
-    The excluded points a in {-2, -1, 1} are reported as boundary.
+    Decided on a = r/s (s >= 1) by integer polynomials in r and s: -2 < a < 0
+    is -2s < r < 0, a < -2 or a > 1 is r < -2s or r > s, and for a > 0,
+    a^4 + 2a^3 - 2a < 0 is r^3 + 2r^2 s - 2s^3 < 0 (both sides times
+    s^4 / r > 0).  The excluded points a in {-2, -1, 1} (s = 1) are
+    reported as boundary.
     """
-    if a in (-2, -1, 1):
+    if s == 1 and r in (-2, -1, 1):
         return SignPrediction(kind="boundary")
-    if -2 < a < 0:
+    if -2 * s < r < 0:
         return SignPrediction(kind="all_positive", start=1)
-    if a < -2 or a > 1:
+    if r < -2 * s or r > s:
         return SignPrediction(kind="all_positive", start=2)
-    if a > 0 and a**4 + 2 * a**3 - 2 * a < 0:
+    if r > 0 and r**3 + 2 * r * r * s - 2 * s**3 < 0:
         return SignPrediction(kind="all_negative", start=1)
     return SignPrediction(kind="mixed")
 
@@ -356,14 +371,17 @@ def sign_predict(qmap: QuadMap) -> SignPrediction:
 
     The irrational interval endpoints are never approximated: membership is
     decided by the sign of the defining polynomial at a, which has no
-    rational roots other than 0.
+    rational roots other than 0, cleared of denominators so that it is an
+    integer polynomial in r and s.  In the two-cycle family a^2 - a - 1 > 0
+    is r^2 - rs - s^2 > 0, and for a > 0, a^4 - 2a^3 + 2a^2 - 2a < 0 is
+    r^3 - 2r^2 s + 2rs^2 - 2s^3 < 0.
     """
-    a = qmap.a
+    r, s = qmap.a.numerator, qmap.a.denominator
     if qmap.family is Family.CYCLE1:
-        return family1_sign(a)
-    if a * a - a - 1 > 0:
+        return family1_sign(r, s)
+    if r * r - r * s - s * s > 0:
         return SignPrediction(kind="all_positive", start=2)
-    if a > 0 and a**4 - 2 * a**3 + 2 * a * a - 2 * a < 0:
+    if r > 0 and r**3 - 2 * r * r * s + 2 * r * s * s - 2 * s**3 < 0:
         return SignPrediction(kind="all_negative", start=1)
     return SignPrediction(kind="mixed")
 

@@ -1,6 +1,10 @@
 """Quadratic maps x -> x^2 + c over Q, exact orbits, and the two
 constructors producing strictly preperiodic base points (tail length 1 into
 a fixed point, and tail length 1 into a two-cycle).
+
+For a = r/s reduced, both constructors build c from integers as one
+reduced fraction over s^2: c = -r(r + s)/s^2 and c = -(r^2 - rs + s^2)/s^2.
+Neither numerator shares a prime with s, because gcd(r, s) = 1.
 """
 
 from __future__ import annotations
@@ -33,17 +37,18 @@ class QuadMap:
         return x * x + self.c
 
 
-#: Base points at which a family's intended orbit collapses; the
-#: constructors reject them and the sweep skips them.
+#: Base points a = r/s, as (r, s) pairs, at which a family's intended orbit
+#: collapses; the constructors reject them and the sweep skips them.
 DEGENERATE = {
-    Family.CYCLE1: frozenset({Fraction(0), Fraction(-1)}),
-    Family.CYCLE2: frozenset({Fraction(0), Fraction(1, 2)}),
+    Family.CYCLE1: frozenset({(0, 1), (-1, 1)}),
+    Family.CYCLE2: frozenset({(0, 1), (1, 2)}),
 }
 
 
-def _checked(a: Fraction, family: Family) -> Fraction:
-    a = Fraction(a)
-    if a in DEGENERATE[family]:
+def _checked(a: Fraction | int, family: Family) -> Fraction:
+    if not isinstance(a, Fraction):
+        a = Fraction(a)
+    if (a.numerator, a.denominator) in DEGENERATE[family]:
         raise DegenerateBasePoint(f"base point {a} is degenerate for this family")
     return a
 
@@ -56,7 +61,9 @@ def family1(a: Fraction | int) -> QuadMap:
     rejected.
     """
     a = _checked(a, Family.CYCLE1)
-    return QuadMap(c=-a - a * a, family=Family.CYCLE1, a=a)
+    r, s = a.numerator, a.denominator
+    c = Fraction(-r * (r + s), s * s)
+    return QuadMap(c=c, family=Family.CYCLE1, a=a)
 
 
 def family2(a: Fraction | int) -> QuadMap:
@@ -66,7 +73,9 @@ def family2(a: Fraction | int) -> QuadMap:
     intended orbit; both are rejected.
     """
     a = _checked(a, Family.CYCLE2)
-    return QuadMap(c=-1 + a - a * a, family=Family.CYCLE2, a=a)
+    r, s = a.numerator, a.denominator
+    c = Fraction(-(r * r - r * s + s * s), s * s)
+    return QuadMap(c=c, family=Family.CYCLE2, a=a)
 
 
 def iterate(f: QuadMap, x: Fraction | int, n: int) -> Fraction:

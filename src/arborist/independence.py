@@ -195,6 +195,8 @@ def _decide(
     # cofactors pairwise coprime: only levels with a square cofactor can
     # join a square product, and they are decided on their small parts
     levels = [n for n, t in enumerate(cofactors) if is_perfect_square(t)]
+    if not levels:
+        return IndependenceResult(True)
     result = two_independent([small[n] for n in levels])
     if result.independent:
         return result

@@ -3,9 +3,17 @@
 Rows are independent (one per admissible base point and family), so the
 sweep is an order-preserving map over the enumeration: worker count never
 changes row content, and an existing output file is extended rather than
-recomputed.  The header line records the depth, and a file is only
-extended at that depth.  Every row is flushed as it is written; a row cut
-short by a crash is dropped on resume and computed again.
+recomputed.  The header line records the schema and the depth, and a file
+is only extended when it was written with this schema and at that depth.
+Every row is flushed as it is written; a row cut short by a crash is
+dropped on resume and computed again.  The sweep carries each base point
+as its integers (r, s); a Fraction is built per row only for the worker's
+``certify`` call and the row's ``"a"`` text.
+
+Schema ``arborist-v2`` keeps an undecided witness search in the verdict's
+``detail["undecided"]``.  In ``arborist-v1`` files that note sat at
+``detail["note"]``, where the finite-depth fallback overwrote it; those
+files still load but are not extended.
 """
 
 from __future__ import annotations
@@ -25,7 +33,9 @@ from .dynamics import DEGENERATE, Family
 from .errors import UsageError
 from .verdict import certify
 
-SCHEMA = "arborist-v1"
+SCHEMA = "arborist-v2"
+#: every schema load_rows reads; search extends SCHEMA files only
+READABLE_SCHEMAS = ("arborist-v1", SCHEMA)
 
 
 @dataclass(frozen=True)
@@ -72,10 +82,16 @@ def enumerate_rationals(height: int) -> Iterator[Fraction]:
     """
     if height < 1:
         raise ValueError("height must be positive")
+    for r, s in _reduced_pairs(height):
+        yield Fraction(r, s)
+
+
+def _reduced_pairs(height: int) -> Iterator[tuple[int, int]]:
+    # (r, s) of every base point enumerate_rationals yields, in its order
     for s in range(1, height + 1):
         for r in range(-height, height + 1):
             if r != 0 and math.gcd(abs(r), s) == 1:
-                yield Fraction(r, s)
+                yield r, s
 
 
 def certify_row(task: tuple[int, int, int, int]) -> dict:
@@ -101,7 +117,7 @@ def _read_header(path: str | Path, fh) -> dict:
         raise UsageError(f"{path}: empty results file")
     head = _parse_line(path, 1, line)
     schema = head.get("schema") if isinstance(head, dict) else None
-    if schema != SCHEMA:
+    if schema not in READABLE_SCHEMAS:
         raise UsageError(f"{path}: unexpected schema {schema!r}")
     return head
 
@@ -113,15 +129,34 @@ def _parse_line(path: str | Path, lineno: int, line: str, decode=json.loads):
         raise UsageError(f"{path}:{lineno}: corrupt line: {exc}") from None
 
 
+def _is_row(row) -> bool:
+    # what search's resume and tally read: a, family, status and condition
+    if not isinstance(row, dict):
+        return False
+    family, verdict = row.get("family"), row.get("verdict")
+    return (
+        isinstance(row.get("a"), str)
+        and type(family) is int
+        and family in (1, 2)
+        and isinstance(verdict, dict)
+        and isinstance(verdict.get("status"), str)
+        and "condition" in verdict
+        and isinstance(verdict["condition"], (str, type(None)))
+    )
+
+
 def load_rows(path: str | Path) -> list[dict]:
     """Read a JSONL results file, validating the schema header.
 
     The header's depth is optional here, so files written without one
     still load.  An unterminated last line is a row cut short by a crash:
     it is skipped with a note on stderr, as ``search`` drops it before
-    resuming.  Any other line that is not JSON raises UsageError naming
-    ``path:line``.  Equal float texts (``timing_ms`` repeats often) load as
-    one shared float object.
+    resuming.  Any other line that is not JSON, or is JSON but not a row (an
+    object with a string ``a``, a ``family`` of 1 or 2 and a ``verdict``
+    object holding a string ``status`` and a ``condition`` that is a string
+    or null), raises UsageError naming ``path:line``.  Files of every schema
+    in READABLE_SCHEMAS load.  Equal float texts (``timing_ms`` repeats
+    often) load as one shared float object.
     """
     floats: dict[str, float] = {}
     decode = json.JSONDecoder(
@@ -136,13 +171,22 @@ def load_rows(path: str | Path) -> list[dict]:
             if not line.endswith("\n"):
                 print(f"{path}:{lineno}: skipped an unterminated last line", file=sys.stderr)
                 break
-            rows.append(_parse_line(path, lineno, line, decode))
+            row = _parse_line(path, lineno, line, decode)
+            if not _is_row(row):
+                raise UsageError(f"{path}:{lineno}: not a result row")
+            rows.append(row)
     return rows
 
 
-def _check_depth(path: Path, depth: int) -> None:
+def _check_extendable(path: Path, depth: int) -> None:
     with open(path, "r", encoding="utf-8") as fh:
-        recorded = _read_header(path, fh).get("depth")
+        head = _read_header(path, fh)
+    if head["schema"] != SCHEMA:
+        raise UsageError(
+            f"{path}: written with schema {head['schema']}, this run writes {SCHEMA}; "
+            "write a new file"
+        )
+    recorded = head.get("depth")
     if recorded != depth:
         found = "no depth" if recorded is None else f"depth {recorded}"
         raise UsageError(
@@ -164,14 +208,14 @@ def _drop_partial_row(path: Path) -> None:
 def search(cfg: SearchConfig) -> SearchSummary:
     """Run the sweep, appending to (and resuming from) cfg.out_path.
 
-    An existing file must carry cfg.depth in its header; otherwise it is
-    left unchanged and UsageError is raised.
+    An existing file must carry SCHEMA and cfg.depth in its header;
+    otherwise it is left unchanged and UsageError is raised.
     """
     out = Path(cfg.out_path)
     summary = SearchSummary()
     done: set[tuple[str, int]] = set()
     if out.exists() and out.stat().st_size > 0:
-        _check_depth(out, cfg.depth)
+        _check_extendable(out, cfg.depth)
         _drop_partial_row(out)
         for row in load_rows(out):
             done.add((row["a"], row["family"]))
@@ -179,15 +223,16 @@ def search(cfg: SearchConfig) -> SearchSummary:
     else:
         mode = "w"
 
+    degenerate = {fam: DEGENERATE[Family(fam)] for fam in cfg.families}
     tasks = []
-    for a in enumerate_rationals(cfg.height):
+    for r, s in _reduced_pairs(cfg.height):
         for fam in cfg.families:
-            if a in DEGENERATE[Family(fam)]:
+            if (r, s) in degenerate[fam]:
                 continue
-            if (str(a), fam) in done:
+            if done and (str(Fraction(r, s)), fam) in done:
                 summary.rows_skipped += 1
                 continue
-            tasks.append((a.numerator, a.denominator, fam, cfg.depth))
+            tasks.append((r, s, fam, cfg.depth))
 
     with open(out, mode, encoding="utf-8", newline="\n") as fh:
         if mode == "w":

@@ -34,7 +34,10 @@ the T1.1-3 non-residue search, and one search serves both.  Both families
 also require a - c to not be a rational square; when it is, the tree has
 deeper preperiodic structure and the representation is provably not
 surjective (a - c = 0, where f(0) is the base point itself, is reported as
-inapplicable instead).
+inapplicable instead).  Every condition, the sign law and the square test
+are decided on the integers r, s and C = c s^2: a - c = (rs - C)/s^2, so it
+is a nonzero rational square iff the integer rs - C is a perfect square.  A
+Fraction is built only where a verdict hands one out.
 """
 
 from __future__ import annotations
@@ -45,10 +48,10 @@ from fractions import Fraction
 from functools import partial
 from typing import Mapping
 
-from .critorbit import DEFAULT_DEPTH, d_sequence, family1_sign
+from .critorbit import DEFAULT_DEPTH, d_sequence, family1_sign, scaled_c
 from .dynamics import Family, QuadMap, family1, family2
 from .errors import InvariantViolation
-from .exactnum import jacobi, proven_prime, rational_is_square
+from .exactnum import is_perfect_square, jacobi, proven_prime
 from .independence import factored_orbit_independent
 
 TRIAL_DIVISION_CUTOFF = 10**6
@@ -100,7 +103,7 @@ class Verdict:
 _DELTA_OF_SIGN = {"all_positive": 0, "all_negative": 1}
 
 
-def compute_delta_e(a: Fraction) -> DeltaE:
+def compute_delta_e(a: Fraction | int) -> DeltaE:
     """Sign and 2-part exponents of the certificate number for a base point.
 
     delta is read off the fixed-point-tail sign law
@@ -108,13 +111,13 @@ def compute_delta_e(a: Fraction) -> DeltaE:
     positive, 1 where every one is negative (the interval (0, beta), beta
     the positive real root of x^4 + 2x^3 - 2x), and undefined at -2, -1, 1
     and on the mixed interval [beta, 1].  e is 1 iff the numerator of a is
-    even.
+    even.  Only the integers r and s of a are read.
     """
-    a = Fraction(a)
-    if a == 0:
+    r, s = a.numerator, a.denominator
+    if r == 0:
         raise ValueError("delta/e are undefined for a = 0")
-    delta = _DELTA_OF_SIGN.get(family1_sign(a).kind)
-    return DeltaE(delta=delta, e=1 if a.numerator % 2 == 0 else 0)
+    delta = _DELTA_OF_SIGN.get(family1_sign(r, s).kind)
+    return DeltaE(delta=delta, e=1 if r % 2 == 0 else 0)
 
 
 def _odd_part(n: int) -> int:
@@ -193,26 +196,25 @@ def _witness_search(tag: str, m: int, s: int, fired: list, detail: dict) -> bool
 
 
 def _conditions1(
-    a: Fraction, delta: int | None, e: int
+    r: int, s: int, delta: int | None, e: int
 ) -> tuple[list[str], dict, str | None]:
     """T1.1-1..3 on the certificate number m: (fired, detail, undecided note)."""
     if delta is None:
         return [], {"reason": "delta is undefined for this base point"}, None
-    m = (-1) ** delta * (1 << e) * abs(a.numerator)
+    m = (-1) ** delta * (1 << e) * abs(r)
     fired: list[str] = []
     if m % 3 == 2:
         fired.append("T1.1-1")
     if m % 4 == 3:
         fired.append("T1.1-2")
     detail = {"m": str(m)}
-    if _witness_search("T1.1-3", m, a.denominator, fired, detail):
+    if _witness_search("T1.1-3", m, s, fired, detail):
         return fired, detail, "non-residue search undecided: s did not fully factor"
     return fired, detail, None
 
 
-def _conditions2(a: Fraction) -> tuple[list[str], dict, str | None]:
+def _conditions2(r: int, s: int) -> tuple[list[str], dict, str | None]:
     """T1.2-1..3 on r and s: (fired, detail, undecided note)."""
-    r, s = a.numerator, a.denominator
     fired = ["T1.2-1"] if r == 1 and s > 2 and s % 2 == 0 else []
     detail: dict = {}
     if r == 2:
@@ -230,27 +232,31 @@ def _certify(qmap: QuadMap, depth_check: int) -> Verdict:
     Returns Inapplicable when f(0) = a (a - c = 0, so the backward orbit is
     not a regular tree), NotSurjective when a - c is a nonzero rational
     square, ProvenSurjective with the first firing condition (every firing
-    condition is listed in the detail), and Inapplicable otherwise.
+    condition is listed in the detail), and Inapplicable otherwise; an
+    Inapplicable verdict whose witness search could not finish says so in
+    ``detail["undecided"]``.
     Positive certificates are audited with the orbit independence decider
     to depth_check; an audit failure is a bug and raises InvariantViolation.
     """
     a, family = qmap.a, qmap.family
+    r, s = a.numerator, a.denominator
     delta = e = None
     if family is Family.CYCLE1:
         de = compute_delta_e(a)
         delta, e = de.delta, de.e
     make_verdict = partial(Verdict, a, family, delta=delta, e=e)
-    a_minus_c = a - qmap.c
-    if a_minus_c == 0:
+    gap = r * s - scaled_c(qmap)  # (a - c) * s^2
+    if gap == 0:
         reason = "f(0) equals the base point; the backward orbit is not a regular tree"
         return make_verdict(VerdictStatus.INAPPLICABLE, detail={"reason": reason})
-    if rational_is_square(a_minus_c):
-        detail = {"reason": "a - c is a rational square", "a_minus_c": str(a_minus_c)}
+    if is_perfect_square(gap):
+        a_minus_c = str(Fraction(gap, s * s))
+        detail = {"reason": "a - c is a rational square", "a_minus_c": a_minus_c}
         return make_verdict(VerdictStatus.NOT_SURJECTIVE, detail=detail)
     if family is Family.CYCLE1:
-        fired, detail, note = _conditions1(a, delta, e)
+        fired, detail, note = _conditions1(r, s, delta, e)
     else:
-        fired, detail, note = _conditions2(a)
+        fired, detail, note = _conditions2(r, s)
     if fired:
         detail["fired"] = fired
         _audit_independence(qmap, depth_check)
@@ -262,7 +268,7 @@ def _certify(qmap: QuadMap, depth_check: int) -> Verdict:
         )
     detail.setdefault("reason", "no certificate condition fires")
     if note is not None:
-        detail["note"] = note
+        detail["undecided"] = note
     return make_verdict(VerdictStatus.INAPPLICABLE, detail=detail)
 
 
@@ -281,8 +287,10 @@ def certify(a: Fraction, family: Family | int, depth: int = DEFAULT_DEPTH) -> Ve
 
     Runs the family's decision procedure; when it is inapplicable, the
     adjusted orbit is checked for 2-independence to the requested depth and
-    the verdict reports IndependentToDepth (evidence, not proof) or
-    DependentAtLevel (with the witness levels, 1-based).
+    the verdict reports IndependentToDepth (evidence, not proof, said in
+    ``detail["note"]``) or DependentAtLevel (with the witness levels,
+    1-based).  The detail keeps every key of the inapplicable verdict,
+    ``undecided`` included.
     """
     if depth < 1:
         raise ValueError("depth must be positive")

@@ -227,6 +227,39 @@ class TestSearch:
         with pytest.raises(ValueError):
             load_rows(out)
 
+    def test_v1_file_loads_but_is_not_extended(self, tmp_path):
+        out = tmp_path / "rows.jsonl"
+        search(SearchConfig(height=2, out_path=out, depth=4))
+        lines = out.read_text().splitlines(keepends=True)
+        lines[0] = json.dumps({"schema": "arborist-v1", "depth": 4}) + "\n"
+        out.write_text("".join(lines))
+        assert len(load_rows(out)) == len(lines) - 1
+        before = out.read_bytes()
+        with pytest.raises(ValueError, match="arborist-v1"):
+            search(SearchConfig(height=3, out_path=out, depth=4))
+        assert out.read_bytes() == before
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            '{"a": "5", "family": 1}',
+            "[1, 2]",
+            '{"a": 5, "family": 1, "verdict": {"status": "Inapplicable", "condition": null}}',
+            '{"a": "5", "family": 3, "verdict": {"status": "Inapplicable", "condition": null}}',
+            '{"a": "5", "family": true, "verdict": {"status": "Inapplicable", "condition": null}}',
+            '{"a": "5", "family": 1, "verdict": {"condition": null}}',
+            '{"a": "5", "family": 1, "verdict": {"status": "Inapplicable", "condition": [1]}}',
+        ],
+    )
+    def test_json_line_that_is_not_a_row_raises(self, tmp_path, line):
+        out = tmp_path / "rows.jsonl"
+        search(SearchConfig(height=1, out_path=out, depth=2))
+        with open(out, "a", encoding="utf-8") as fh:
+            fh.write(line + "\n")
+        lineno = len(out.read_text().splitlines())
+        with pytest.raises(ValueError, match=f"{out}:{lineno}: not a result row"):
+            load_rows(out)
+
     def test_tally(self, tmp_path):
         out = tmp_path / "rows.jsonl"
         search(SearchConfig(height=2, out_path=out, depth=4))
@@ -463,6 +496,38 @@ class TestCliSearchAndReport:
         assert f"total rows: {rows_left}" in captured.out
         assert f"{out}:{rows_left + 2}: skipped an unterminated last line" in captured.err
         assert len(load_rows(out)) == rows_left
+
+    @pytest.mark.parametrize("line", ['{"a": "5", "family": 1}', "[1,2]"])
+    @pytest.mark.parametrize("command", ["report", "search"])
+    def test_json_line_that_is_not_a_row_exits_2(self, tmp_path, capsys, command, line):
+        out = tmp_path / "rows.jsonl"
+        assert main(["search", "--height", "2", "--depth", "4", "--out", str(out)]) == 0
+        with open(out, "a", encoding="utf-8") as fh:
+            fh.write(line + "\n")
+        capsys.readouterr()
+        before = out.read_bytes()
+        argv = {
+            "report": ["report", "--in", str(out)],
+            "search": ["search", "--height", "3", "--depth", "4", "--out", str(out)],
+        }[command]
+        assert main(argv) == 2
+        lineno = len(before.splitlines())
+        assert f"{out}:{lineno}: not a result row" in capsys.readouterr().err
+        assert out.read_bytes() == before
+
+    def test_extending_a_v1_file_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "rows.jsonl"
+        assert main(["search", "--height", "2", "--depth", "4", "--out", str(out)]) == 0
+        lines = out.read_text().splitlines(keepends=True)
+        lines[0] = json.dumps({"schema": "arborist-v1", "depth": 4}) + "\n"
+        out.write_text("".join(lines))
+        capsys.readouterr()
+        before = out.read_bytes()
+        assert main(["search", "--height", "3", "--depth", "4", "--out", str(out)]) == 2
+        assert "arborist-v1" in capsys.readouterr().err
+        assert out.read_bytes() == before
+        assert main(["report", "--in", str(out)]) == 0
+        assert f"total rows: {len(lines) - 1}" in capsys.readouterr().out
 
     def test_report_names_a_corrupt_line(self, tmp_path, capsys):
         out = tmp_path / "rows.jsonl"

@@ -180,6 +180,20 @@ class TestCertify:
         assert v.depth == 8
         assert "not a proof" in v.detail["note"]
 
+    @pytest.mark.parametrize(
+        "a, family, undecided",
+        [
+            (Fraction(-12, 1000003 * 1000033), 1, "non-residue search undecided"),
+            (Fraction(2, 1000033 * 1000037), 2, "prime-witness search undecided"),
+        ],
+    )
+    def test_undecided_search_note_survives_the_fallback(self, a, family, undecided):
+        # s is a product of two primes above the trial-division cutoff
+        v = certify(a, family, depth=6)
+        assert v.status is VerdictStatus.INDEPENDENT_TO_DEPTH
+        assert "not a proof" in v.detail["note"]
+        assert v.detail["undecided"].startswith(undecided)
+
     def test_unit_base_point_two_cycle_dependency(self):
         v = certify(Fraction(1), 2, depth=6)
         assert v.status is VerdictStatus.DEPENDENT_AT_LEVEL
