@@ -34,11 +34,36 @@ f^n(0) = X_n / s**(2**n) where
 
     X_1 = C,   X_{n+1} = X_n^2 + C s**(2**(n+1) - 2),
 
-so r_n = X_n - r s**(2**n - 1).  The two computations share nothing but
-the inputs, and they must agree together with the law gcd(r_n, s) = 1.
-That makes the factored numbers the orbit, so the repeated-prime law holds
-for the numerators of every :class:`AdjustedOrbit` that :func:`d_sequence`
-returns, without a gcd between levels.
+so r_n = X_n - r s**(2**n - 1).  Besides the inputs, the two computations
+share one chain of odd powers Q_n = s**(2**n - 1) (Q_1 = s,
+Q_n = s Q_{n-1}^2), built once per denominator and kept for the last few
+denominators: the recursion reads Q_n and s Q_n = s**(2**n), the iteration
+reads Q_n and the exact quotient Q_n / s = s**(2**n - 2), and a nonzero
+remainder raises InvariantViolation.  Agreement at every level pins the
+chain, for r != 0 (a = 0 is degenerate in both families):
+
+    n = 1: X_1 = C reads no power.  In the first family (C = -rs - r^2)
+        -r^2 - 2r Q_1 = C - r Q_1 forces Q_1 = s.  In the second
+        (C = -s^2 + rs - r^2) U_1 - s Q_1 = C - r Q_1 forces it unless
+        r = s, and the two-route check V_1 - 2r Q_1 = U_1 - s Q_1 forces it
+        unless 2r = s; both cannot hold.
+
+    n >= 2: agreement at n - 1 gives Y_{n-1} = X_{n-1} + r Q_{n-1} (first
+        family) or V_{n-1} = X_{n-1} + r Q_{n-1} (second), so Y_n or U_n is
+        r_{n-1} (X_{n-1} + r Q_{n-1}) = X_{n-1}^2 - r^2 Q_{n-1}^2, while
+        X_n = X_{n-1}^2 + C Q_n / s.  Agreement at n is
+        Y_n - X_n = r Q_n (first family) or U_n - X_n = (s - r) Q_n
+        (second); with rs + C = -r^2, resp. s^2 - rs + C = -r^2, both read
+        r^2 Q_n / s = r^2 Q_{n-1}^2, so Q_n = s Q_{n-1}^2.
+
+This needs the quotient to be exact: with floor division the first family
+would accept Q_n = s Q_{n-1}^2 + j (s + r) for any j with 0 <= rj < s.
+(The second family's two-route check alone gives
+(2r - s)(Q_n - s Q_{n-1}^2) = 0.)  With every Q_n the true power, X_n is
+f^n(0)'s numerator, so the recursion's integers are the orbit; together
+with the law gcd(r_n, s) = 1 the repeated-prime law then holds for the
+numerators of every :class:`AdjustedOrbit` that :func:`d_sequence` returns,
+without a gcd between levels.
 
 The module also hosts the valuation, sign and congruence analyzers that
 :func:`orbit_report` collects, and the first family's numerator
@@ -52,6 +77,7 @@ that of the integer -r_1 (n = 1) or r_n (n >= 2); see
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -152,15 +178,49 @@ class CongruenceReport:
     first_failure: int | None = None
 
 
+#: s -> (Q_1, ..., Q_k) with Q_n = s**(2**n - 1), least recently used first
+_POWER_CHAINS: dict[int, tuple[int, ...]] = {}
+_POWER_CHAINS_BOUND = 8
+_POWER_CHAINS_LOCK = threading.Lock()
+
+
+def _odd_powers(s: int, depth: int) -> tuple[int, ...]:
+    """(Q_1, ..., Q_depth) with Q_n = s**(2**n - 1), so Q_1 = s, Q_n = s Q_{n-1}^2.
+
+    The chains of the last _POWER_CHAINS_BOUND denominators are kept, each
+    as one immutable tuple that a deeper request replaces by its extension;
+    the least recently used chain is dropped.  One lock guards the memo, so
+    threads that certify concurrently keep it within its bound.  Nothing
+    here is trusted:
+    :func:`d_sequence`'s cross-check pins every Q_n it reads (module
+    docstring).
+    """
+    with _POWER_CHAINS_LOCK:
+        chain = _POWER_CHAINS.pop(s, None)
+        if chain is None:
+            if len(_POWER_CHAINS) >= _POWER_CHAINS_BOUND:
+                del _POWER_CHAINS[next(iter(_POWER_CHAINS))]
+            chain = (s,)
+        if len(chain) < depth:
+            grown = list(chain)
+            while len(grown) < depth:
+                grown.append(s * grown[-1] ** 2)
+            chain = tuple(grown)
+        _POWER_CHAINS[s] = chain
+    return chain[:depth]
+
+
 def numerator_recursion(family: Family, r: int, s: int, depth: int) -> list[int]:
     """Numerators r_1..r_depth of f^n(0) - a for a = r/s, in factored form.
 
-    In the first family r_n = Y_n - 2 r s**(2**n - 1), and every earlier
-    r_m divides Y_n.  In the second family r_m divides U_n when n - m is
-    odd and V_n when it is even, so r_n is computed as U_n - s**(2**n) and
-    must also equal V_n - 2 r s**(2**n - 1); a mismatch raises
-    InvariantViolation.  Either way the repeated-prime law holds for the
-    returned integers (module docstring).
+    In the first family r_n = Y_n - 2 r Q_n, and every earlier r_m divides
+    Y_n.  In the second family r_m divides U_n when n - m is odd and V_n
+    when it is even, so r_n is computed as U_n - s Q_n and must also equal
+    V_n - 2 r Q_n; a mismatch raises InvariantViolation.  Either way the
+    repeated-prime law holds for the returned integers (module docstring).
+    Q_n = s**(2**n - 1) and s Q_n = s**(2**n) come from the s-power chain
+    that :func:`d_sequence`'s iteration reads too; that cross-check, not
+    this function, proves the chain right.
     """
     if s < 1 or math.gcd(r, s) != 1:
         raise ValueError("base point must be given as a reduced fraction with s >= 1")
@@ -168,23 +228,21 @@ def numerator_recursion(family: Family, r: int, s: int, depth: int) -> list[int]
         raise ValueError("depth must be positive")
     if family not in (Family.CYCLE1, Family.CYCLE2):
         raise ValueError("numerator recursion requires a known family")
+    powers = _odd_powers(s, depth)
     out: list[int] = []
-    power = s * s  # s**(2**n) for the current n
     if family is Family.CYCLE1:
         y = -r * r  # Y_n
-        for n in range(1, depth + 1):
-            if n > 1:
+        for q in powers:
+            if out:
                 y *= out[-1]
-                power *= power
-            out.append(y - 2 * r * (power // s))
+            out.append(y - 2 * r * q)
         return out
     u, v = -r * r, -(r - s) ** 2  # U_n, V_n
-    for n in range(1, depth + 1):
+    for n, q in enumerate(powers, start=1):
         if n > 1:
-            u, v = out[-1] * v, u * (v - power)
-            power *= power
-        rn = u - power
-        if v - 2 * r * (power // s) != rn:
+            u, v = out[-1] * v, u * (v - s * powers[n - 2])
+        rn = u - s * q
+        if v - 2 * r * q != rn:
             raise InvariantViolation(
                 f"r_{n} = U_{n} - s^(2^{n}) differs from V_{n} - 2r s^(2^{n} - 1) "
                 f"for a = {r}/{s}"
@@ -209,11 +267,14 @@ def scaled_c(qmap: QuadMap) -> int:
 def d_sequence(qmap: QuadMap, depth: int = DEFAULT_DEPTH) -> AdjustedOrbit:
     """Build the adjusted orbit, cross-checking recursion against iteration.
 
-    The numerators come from the factored family recursion and, independently,
-    from integer iteration of the map over the denominators s**(2**n),
-    started from the integer C = c s^2 of :func:`scaled_c`; no Fraction is
-    computed with.  Any disagreement, or a numerator sharing a factor with
-    s (the denominator law), raises InvariantViolation.
+    The numerators come from the factored family recursion and from integer
+    iteration of the map over the denominators s**(2**n), started from the
+    integer C = c s^2 of :func:`scaled_c`; no Fraction is computed with.
+    Both read one chain of Q_n = s**(2**n - 1); the iteration takes
+    s**(2**n - 2) as the exact quotient Q_n / s.  Any disagreement, a
+    nonzero remainder, or a numerator sharing a factor with s (the
+    denominator law) raises InvariantViolation.  Agreement at every level
+    pins the chain to the true powers (module docstring).
     """
     if depth < 1:
         raise ValueError("depth must be positive")
@@ -223,13 +284,13 @@ def d_sequence(qmap: QuadMap, depth: int = DEFAULT_DEPTH) -> AdjustedOrbit:
 
     nums = numerator_recursion(qmap.family, r, s, depth)
     x = C  # X_n, the numerator of f^n(0) over s**(2**n)
-    power = s  # s**(2**n - 1)
-    for n, rn in enumerate(nums, start=1):
+    for n, (rn, q) in enumerate(zip(nums, _odd_powers(s, depth), strict=True), start=1):
         if n > 1:
-            square = power * power
-            x = x * x + C * square
-            power = square * s
-        if x - r * power != rn:
+            even, rem = divmod(q, s)  # s**(2**n - 2), exactly
+            if rem:
+                raise InvariantViolation(f"s^(2^{n} - 1) is not a multiple of s for a = {a}")
+            x = x * x + C * even
+        if x - r * q != rn:
             raise InvariantViolation(
                 f"recursion/iteration mismatch at n = {n} for a = {a}"
             )

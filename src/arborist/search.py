@@ -253,7 +253,9 @@ def search(cfg: SearchConfig) -> SearchSummary:
                 summary.record(row)
         finally:
             if cfg.workers > 1:
-                pool.shutdown()
+                # map has submitted every chunk; a failed write must not wait
+                # for the rest of the sweep to be computed
+                pool.shutdown(cancel_futures=True)
     return summary
 
 

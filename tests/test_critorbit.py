@@ -4,7 +4,10 @@ from contextlib import contextmanager
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+import arborist.critorbit as critorbit
 from arborist.critorbit import (
     check_valuations,
     congruence_check,
@@ -14,7 +17,7 @@ from arborist.critorbit import (
     orbit_report,
     sign_predict,
 )
-from arborist.dynamics import Family, family1, family2
+from arborist.dynamics import DEGENERATE, Family, family1, family2
 from arborist.errors import InvariantViolation
 from arborist.exactnum import primes_up_to, v_int
 
@@ -73,6 +76,44 @@ def share_prime_1009(nums):
     """A forgery of the recursion: r_2 and r_5 share the prime 1009."""
     nums[1] *= 1009
     nums[4] *= 1009
+
+
+def corrupted_chain(r, s, depth, level, corrupt):
+    """Q_n = s**(2**n - 1) for n = 1..depth, Q_level corrupted, later levels rebuilt from it."""
+    chain = []
+    for n in range(1, depth + 1):
+        q = s * chain[-1] ** 2 if chain else s
+        chain.append(corrupt(r, s, q) if n == level else q)
+    return tuple(chain)
+
+
+POWER_CORRUPTIONS = {
+    # Q_n // s is unchanged when 0 < r < s, and in the first family the
+    # recursion and the iteration then still agree: only the exact quotient
+    # Q_n / s rejects it
+    "floor-blind": lambda r, s, q: q + s + r,
+    "plus-one": lambda r, s, q: q + 1,
+    "minus-one": lambda r, s, q: q - 1,
+    "plus-s": lambda r, s, q: q + s,
+    "doubled": lambda r, s, q: 2 * q,
+}
+
+
+@contextmanager
+def fresh_chains():
+    """An empty s-power memo for the block; the previous one is restored after."""
+    saved = critorbit._POWER_CHAINS
+    critorbit._POWER_CHAINS = {}
+    try:
+        yield critorbit._POWER_CHAINS
+    finally:
+        critorbit._POWER_CHAINS = saved
+
+
+@pytest.fixture
+def chains():
+    with fresh_chains() as memo:
+        yield memo
 
 
 def build(family, a, depth):
@@ -168,6 +209,111 @@ class TestNumeratorRecursion:
                 assert offset == Fraction(nums[n - 1], s ** (2**n)), (family, a, n)
                 if nums[n - 1] != 0:
                     assert offset.denominator == s ** (2**n)
+
+
+class TestSharedPowerChain:
+    @pytest.mark.parametrize("level", [1, 2, 4])
+    @pytest.mark.parametrize("corrupt", POWER_CORRUPTIONS.values(), ids=list(POWER_CORRUPTIONS))
+    def test_corrupted_power_is_caught(self, chains, level, corrupt):
+        from arborist.verdict import VerdictStatus, certify
+
+        proven, fallback = VerdictStatus.PROVEN_SURJECTIVE, VerdictStatus.INDEPENDENT_TO_DEPTH
+        # certify reaches d_sequence through its audit (ProvenSurjective) or
+        # its fallback (IndependentToDepth); both read the shared chain
+        for a, family, path in [
+            (Fraction(13, 29), Family.CYCLE1, proven),
+            (Fraction(3, 19), Family.CYCLE1, fallback),
+            (Fraction(2, 27), Family.CYCLE2, proven),
+            (Fraction(13, 29), Family.CYCLE2, fallback),
+        ]:
+            chains.clear()
+            assert certify(a, family, depth=5).status is path
+            r, s = a.numerator, a.denominator
+            for run in (lambda: build(family, a, 5), lambda: certify(a, family, depth=5)):
+                chains.clear()
+                chains[s] = corrupted_chain(r, s, 5, level, corrupt)
+                with pytest.raises(InvariantViolation):
+                    run()
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        r=st.integers(-40, 40),
+        s=st.integers(1, 40),
+        family=st.sampled_from([Family.CYCLE1, Family.CYCLE2]),
+        depth=st.integers(1, 9),
+        others=st.lists(st.tuples(st.integers(1, 40), st.integers(1, 9)), max_size=12),
+    )
+    def test_warm_chains_give_the_cold_orbit(self, r, s, family, depth, others):
+        assume(math.gcd(r, s) == 1 and (r, s) not in DEGENERATE[family])
+        a = Fraction(r, s)
+        qmap = family1(a) if family is Family.CYCLE1 else family2(a)
+        with fresh_chains():
+            cold = d_sequence(qmap, depth).numerators
+        # warm the memo with a shorter chain for s, then with other
+        # denominators at other depths, enough of them to force evictions
+        with fresh_chains() as memo:
+            d_sequence(qmap, min(depth, 3))
+            for other_s, other_depth in others:
+                d_sequence(family1(Fraction(1, other_s)), other_depth)
+                assert len(memo) <= critorbit._POWER_CHAINS_BOUND
+            assert d_sequence(qmap, depth).numerators == cold
+        for n, offset in enumerate(oracle_offsets(qmap.c, a, depth), start=1):
+            assert offset == Fraction(cold[n - 1], s ** (2**n)), n
+
+    def test_memo_holds_at_most_its_bound(self, chains):
+        bound = critorbit._POWER_CHAINS_BOUND
+        for s in range(1, 3 * bound + 1):
+            build(Family.CYCLE1, Fraction(1, s), 4)
+            assert len(chains) <= bound
+        assert list(chains) == list(range(2 * bound + 1, 3 * bound + 1))
+        # a chain in use moves to the back, so the oldest other one goes next
+        build(Family.CYCLE2, Fraction(1, 2 * bound + 1), 4)
+        build(Family.CYCLE1, Fraction(1, 3 * bound + 1), 4)
+        assert len(chains) == bound
+        assert 2 * bound + 1 in chains and 2 * bound + 2 not in chains
+
+    def test_threads_keep_the_memo_bounded_and_right(self, chains):
+        import random
+        import threading
+
+        bound = critorbit._POWER_CHAINS_BOUND
+        expected = {s: tuple(s ** (2**n - 1) for n in range(1, 7)) for s in range(1, 3 * bound)}
+        errors, sizes = [], []
+
+        def worker(seed):
+            rng = random.Random(seed)
+            try:
+                for _ in range(4000):
+                    s, depth = rng.randrange(1, 3 * bound), rng.randrange(1, 7)
+                    if critorbit._odd_powers(s, depth) != expected[s][:depth]:
+                        errors.append((s, depth))
+                    sizes.append(len(chains))
+            except Exception as exc:  # reported below, with the thread's seed
+                errors.append((seed, repr(exc)))
+
+        saved = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(seed,)) for seed in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(saved)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert max(sizes) <= bound and len(chains) <= bound
+
+    def test_deeper_request_extends_the_chain(self, chains):
+        build(Family.CYCLE1, Fraction(2, 7), 3)
+        short = chains[7]
+        build(Family.CYCLE2, Fraction(3, 7), 9)
+        assert len(chains[7]) == 9
+        assert all(old is new for old, new in zip(short, chains[7]))
+        assert chains[7] == tuple(7 ** (2**n - 1) for n in range(1, 10))
+        build(Family.CYCLE1, Fraction(2, 7), 5)
+        assert len(chains[7]) == 9
 
 
 class TestDecompose1:

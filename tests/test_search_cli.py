@@ -215,6 +215,37 @@ class TestSearch:
         )
         assert rows_a == rows_b
 
+    def test_failed_write_leaves_the_queued_rows_uncomputed(self, tmp_path, monkeypatch):
+        import concurrent.futures
+
+        from arborist.search import SearchSummary
+
+        submitted = []
+
+        class RecordingPool(concurrent.futures.ProcessPoolExecutor):
+            def submit(self, *args, **kwargs):
+                future = super().submit(*args, **kwargs)
+                submitted.append(future)
+                return future
+
+        def record(summary, row):
+            if summary.rows_written == 2:
+                raise OSError("no space left on device")
+            summary.rows_written += 1
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(SearchSummary, "record", record)
+        out = tmp_path / "rows.jsonl"
+        with pytest.raises(OSError, match="no space"):
+            search(SearchConfig(height=30, out_path=out, depth=8, workers=2))
+        # map submits one future per chunk of 16 rows up front; a chunk still
+        # queued when the write fails is cancelled, not computed
+        assert len(submitted) > 100
+        computed = [f for f in submitted if not f.cancelled()]
+        assert all(f.done() for f in submitted)
+        assert len(computed) < len(submitted) // 4
+        assert len(load_rows(out)) == 3
+
     def test_rejects_bad_config(self, tmp_path):
         with pytest.raises(ValueError):
             SearchConfig(height=0, out_path=tmp_path / "x.jsonl")
