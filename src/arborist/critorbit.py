@@ -8,24 +8,30 @@ controls, through its square classes, whether the arboreal representation
 attached to (f, a) is surjective.  Writing f^n(0) - a = r_n / s_n reduced,
 both families satisfy s_n = s**(2**n) exactly.  The numerators are built
 in the factored form that proves the paper's repeated-prime law, from
-f(x) - f(y) = (x - y)(x + y):
+f(x) - f(y) = (x - y)(x + y) at y = a.  With Q_n = s**(2**n - 1) and
+k = s (a - f(a)), one recursion serves both families:
+
+    P_1 = -r^2,   P_n = r_{n-1} T_{n-1}   (numerator of f^n(0) - f(a))
+    r_n = P_n - k Q_n
+    T_n = P_n + (2r - k) Q_n               (numerator of f^n(0) + a)
 
     tail-into-fixed-point family (c = -a - a^2, f(a) = f(-a) = -a):
-        Y_n, the numerator of f^n(0) + a, is Y_1 = -r^2 and
-        Y_n = r_{n-1} Y_{n-1};  r_n = Y_n - 2 r s**(2**n - 1)
+        k = 2r, so T_n = P_n, and r_m divides every later P_n.
 
     tail-into-two-cycle family (c = -1 + a - a^2, cycle {a - 1, -a}):
-        U_n, V_n, the numerators of f^n(0) - (a - 1) and f^n(0) + a, are
-        U_1 = -r^2, V_1 = -(r - s)^2, U_n = r_{n-1} V_{n-1} and
-        V_n = U_{n-1} W_{n-1} with W_{n-1} = V_{n-1} - s**(2**(n-1));
-        r_n = U_n - s**(2**n) = V_n - 2 r s**(2**n - 1)
+        k = s; P_n is the numerator of f^n(0) - (a - 1), and T_1 must be
+        the numerator -(r - s)^2 of c + a.  For n >= 2, with
+        T_{n-1} - P_{n-1} = (2r - s) Q_{n-1} and Q_n = s Q_{n-1}^2,
+        T_n = r_{n-1} T_{n-1} + (2r - s) s Q_{n-1}^2
+            = P_{n-1} (T_{n-1} - s Q_{n-1}),
+        the product f(x) + a = (x - (a - 1))(x + a - 1) at x = f^(n-1)(0).
+        So r_m divides P_n when n - m is odd and T_n when it is even.
 
-So r_m divides every later Y_n (first family) and every later U_n or V_n
-(second family), and a prime dividing r_m and r_n also divides
-2 r s**(2**n - 1) or s**(2**n).  Given gcd(r_m, s) = 1, such a prime
-divides 2r.  The second family's two expressions for r_n are compared at
-every level, so both divisibility routes hold for the integers actually
-computed.
+Either way, a prime dividing r_m and r_n (m < n) also divides k Q_n or
+2r Q_n, and given gcd(r_m, s) = 1 it divides 2r (k Q_n is s**(2**n) in
+the second family).  Each level costs one full-size product; T_n is a
+linear step, not a second product.  The family-2 identity holds for the
+integers computed because the cross-check below pins Q_n = s Q_{n-1}^2.
 
 The integers r_n over the known denominator s**(2**n) are the only stored
 form of the orbit; every D_n is derived from them on demand.  As a
@@ -43,27 +49,26 @@ remainder raises InvariantViolation.  Agreement at every level pins the
 chain, for r != 0 (a = 0 is degenerate in both families):
 
     n = 1: X_1 = C reads no power.  In the first family (C = -rs - r^2)
-        -r^2 - 2r Q_1 = C - r Q_1 forces Q_1 = s.  In the second
-        (C = -s^2 + rs - r^2) U_1 - s Q_1 = C - r Q_1 forces it unless
-        r = s, and the two-route check V_1 - 2r Q_1 = U_1 - s Q_1 forces it
-        unless 2r = s; both cannot hold.
+        P_1 - 2r Q_1 = C - r Q_1 forces Q_1 = s.  In the second
+        (C = -s^2 + rs - r^2) P_1 - s Q_1 = C - r Q_1 forces it unless
+        r = s, and the check T_1 = P_1 + (2r - s) Q_1 = -(r - s)^2 forces
+        it unless 2r = s; both cannot hold, so at a = 1 the T_1 check
+        alone pins Q_1.
 
-    n >= 2: agreement at n - 1 gives Y_{n-1} = X_{n-1} + r Q_{n-1} (first
-        family) or V_{n-1} = X_{n-1} + r Q_{n-1} (second), so Y_n or U_n is
+    n >= 2: T_{n-1} = r_{n-1} + 2r Q_{n-1} by construction, and agreement
+        at n - 1 gives r_{n-1} = X_{n-1} - r Q_{n-1}, so P_n is
         r_{n-1} (X_{n-1} + r Q_{n-1}) = X_{n-1}^2 - r^2 Q_{n-1}^2, while
         X_n = X_{n-1}^2 + C Q_n / s.  Agreement at n is
-        Y_n - X_n = r Q_n (first family) or U_n - X_n = (s - r) Q_n
-        (second); with rs + C = -r^2, resp. s^2 - rs + C = -r^2, both read
-        r^2 Q_n / s = r^2 Q_{n-1}^2, so Q_n = s Q_{n-1}^2.
+        P_n - X_n = (k - r) Q_n; with (k - r) s + C = -r^2 in both
+        families it reads r^2 Q_n / s = r^2 Q_{n-1}^2, so Q_n = s Q_{n-1}^2.
 
 This needs the quotient to be exact: with floor division the first family
 would accept Q_n = s Q_{n-1}^2 + j (s + r) for any j with 0 <= rj < s.
-(The second family's two-route check alone gives
-(2r - s)(Q_n - s Q_{n-1}^2) = 0.)  With every Q_n the true power, X_n is
-f^n(0)'s numerator, so the recursion's integers are the orbit; together
-with the law gcd(r_n, s) = 1 the repeated-prime law then holds for the
-numerators of every :class:`AdjustedOrbit` that :func:`d_sequence` returns,
-without a gcd between levels.
+With every Q_n the true power, X_n is f^n(0)'s numerator, so the
+recursion's integers are the orbit; together with the law gcd(r_n, s) = 1
+the repeated-prime law then holds for the numerators of every
+:class:`AdjustedOrbit` that :func:`d_sequence` returns, without a gcd
+between levels.
 
 The module also hosts the valuation, sign and congruence analyzers that
 :func:`orbit_report` collects, and the first family's numerator
@@ -125,12 +130,14 @@ class AdjustedOrbit:
         return (-self.numerators[0], *self.numerators[1:])
 
     def D(self, i: int) -> Fraction:
-        """D_i, 1-based."""
-        rn = self.numerators[i - 1]
+        """D_i, 1-based; ValueError outside 1..depth."""
+        rn = self.r(i)
         return Fraction(-rn if i == 1 else rn, self.s ** (2**i))
 
     def r(self, i: int) -> int:
-        """r_i, the reduced numerator of f^i(0) - a, 1-based."""
+        """r_i, the reduced numerator of f^i(0) - a, 1-based; ValueError outside 1..depth."""
+        if not 1 <= i <= self.depth:
+            raise ValueError(f"index {i} outside 1..{self.depth}")
         return self.numerators[i - 1]
 
 
@@ -213,14 +220,18 @@ def _odd_powers(s: int, depth: int) -> tuple[int, ...]:
 def numerator_recursion(family: Family, r: int, s: int, depth: int) -> list[int]:
     """Numerators r_1..r_depth of f^n(0) - a for a = r/s, in factored form.
 
-    In the first family r_n = Y_n - 2 r Q_n, and every earlier r_m divides
-    Y_n.  In the second family r_m divides U_n when n - m is odd and V_n
-    when it is even, so r_n is computed as U_n - s Q_n and must also equal
-    V_n - 2 r Q_n; a mismatch raises InvariantViolation.  Either way the
-    repeated-prime law holds for the returned integers (module docstring).
-    Q_n = s**(2**n - 1) and s Q_n = s**(2**n) come from the s-power chain
-    that :func:`d_sequence`'s iteration reads too; that cross-check, not
-    this function, proves the chain right.
+    One loop serves both families (module docstring): P_1 = -r^2 and
+    P_n = r_{n-1} T_{n-1} is the one full-size product per level,
+    r_n = P_n - k Q_n and T_n = P_n + (2r - k) Q_n, with k = 2r in the
+    first family (so T_n = P_n) and k = s in the second.  Every earlier
+    r_m divides P_n (first family; second family when n - m is odd) or
+    T_n (second family when n - m is even, given Q_n = s Q_{n-1}^2), so
+    the repeated-prime law holds for the returned integers.  T_1 must be
+    -(k - r)^2, the numerator of c + a; a mismatch raises
+    InvariantViolation, and at a = 1 in the second family this check alone
+    pins Q_1.  Q_n = s**(2**n - 1) comes from the s-power chain that
+    :func:`d_sequence`'s iteration reads too; that cross-check, not this
+    function, proves the chain right.
     """
     if s < 1 or math.gcd(r, s) != 1:
         raise ValueError("base point must be given as a reduced fraction with s >= 1")
@@ -229,25 +240,19 @@ def numerator_recursion(family: Family, r: int, s: int, depth: int) -> list[int]
     if family not in (Family.CYCLE1, Family.CYCLE2):
         raise ValueError("numerator recursion requires a known family")
     powers = _odd_powers(s, depth)
+    k = 2 * r if family is Family.CYCLE1 else s  # s (a - f(a))
+    p = -r * r  # P_1
+    t = p + (2 * r - k) * powers[0]  # T_1
+    if t != -((k - r) ** 2):
+        raise InvariantViolation(
+            f"T_1 = P_1 + (2r - k) Q_1 differs from the numerator of c + a for a = {r}/{s}"
+        )
     out: list[int] = []
-    if family is Family.CYCLE1:
-        y = -r * r  # Y_n
-        for q in powers:
-            if out:
-                y *= out[-1]
-            out.append(y - 2 * r * q)
-        return out
-    u, v = -r * r, -(r - s) ** 2  # U_n, V_n
-    for n, q in enumerate(powers, start=1):
-        if n > 1:
-            u, v = out[-1] * v, u * (v - s * powers[n - 2])
-        rn = u - s * q
-        if v - 2 * r * q != rn:
-            raise InvariantViolation(
-                f"r_{n} = U_{n} - s^(2^{n}) differs from V_{n} - 2r s^(2^{n} - 1) "
-                f"for a = {r}/{s}"
-            )
-        out.append(rn)
+    for q in powers:
+        if out:
+            p = out[-1] * t
+            t = p + (2 * r - k) * q
+        out.append(p - k * q)
     return out
 
 
@@ -267,14 +272,17 @@ def scaled_c(qmap: QuadMap) -> int:
 def d_sequence(qmap: QuadMap, depth: int = DEFAULT_DEPTH) -> AdjustedOrbit:
     """Build the adjusted orbit, cross-checking recursion against iteration.
 
-    The numerators come from the factored family recursion and from integer
-    iteration of the map over the denominators s**(2**n), started from the
-    integer C = c s^2 of :func:`scaled_c`; no Fraction is computed with.
-    Both read one chain of Q_n = s**(2**n - 1); the iteration takes
-    s**(2**n - 2) as the exact quotient Q_n / s.  Any disagreement, a
-    nonzero remainder, or a numerator sharing a factor with s (the
-    denominator law) raises InvariantViolation.  Agreement at every level
-    pins the chain to the true powers (module docstring).
+    The numerators come from the factored recursion (one product per level
+    in either family) and from integer iteration of the map over the
+    denominators s**(2**n), started from the integer C = c s^2 of
+    :func:`scaled_c`; no Fraction is computed with.  Both read one chain of
+    Q_n = s**(2**n - 1); the iteration takes s**(2**n - 2) as the exact
+    quotient Q_n / s.  Any disagreement, a nonzero remainder, or a
+    numerator sharing a factor with s (the denominator law) raises
+    InvariantViolation.  Agreement at every level, with the recursion's
+    T_1 check, pins the chain to the true powers, and with it the second
+    family's identity T_n = P_{n-1} (T_{n-1} - s Q_{n-1}) behind the
+    repeated-prime law (module docstring).
     """
     if depth < 1:
         raise ValueError("depth must be positive")

@@ -55,6 +55,8 @@ class SearchConfig:
             raise UsageError("worker count must be positive")
         if not self.families or any(f not in (1, 2) for f in self.families):
             raise UsageError("families must be a nonempty subset of {1, 2}")
+        if len(set(self.families)) != len(self.families):
+            raise UsageError(f"families {self.families} repeat a family")
 
 
 @dataclass

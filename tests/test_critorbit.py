@@ -1,3 +1,4 @@
+import hashlib
 import math
 import sys
 from contextlib import contextmanager
@@ -146,6 +147,16 @@ class TestDSequence:
             offsets = oracle_offsets(orbit.qmap.c, a, 2)
             assert orbit.D(1) == a - orbit.qmap.c == -offsets[0]
             assert orbit.D(2) == offsets[1]
+
+    def test_index_outside_depth_raises(self):
+        orbit = build(Family.CYCLE1, Fraction(1, 2), 3)
+        for i in (0, -1, 4):
+            with pytest.raises(ValueError):
+                orbit.r(i)
+            with pytest.raises(ValueError):
+                orbit.D(i)
+        assert [orbit.r(i) for i in (1, 2, 3)] == [-5, -11, -311]
+        assert orbit.D(3) == Fraction(-311, 256)
 
     def test_rejects_custom_maps_and_bad_depth(self):
         from arborist.dynamics import QuadMap
@@ -314,6 +325,108 @@ class TestSharedPowerChain:
         assert chains[7] == tuple(7 ** (2**n - 1) for n in range(1, 10))
         build(Family.CYCLE1, Fraction(2, 7), 5)
         assert len(chains[7]) == 9
+
+
+def divides(d, x):
+    return x == 0 if d == 0 else x % d == 0
+
+
+def numerators_digest(nums):
+    """SHA-256 of the numerators in hex, which no int/str digit limit touches."""
+    return hashlib.sha256(",".join(format(n, "x") for n in nums).encode()).hexdigest()
+
+
+# SHA-256 of d_sequence(...).numerators at depth 16, recorded when family 2
+# still built V_n as a second product U_{n-1} W_{n-1} at every level
+DEPTH16_NUMERATORS = {
+    ("13/29", 1): "d2a359ed902bfaf9e34494d8a4125c619e23cbc033439b0e2ca5f32e533a29de",
+    ("13/29", 2): "2128f14e5724c804d4409f9a9a556c7fcac3d6fb04f05a2d651c8e9dde1927ce",
+    ("-5/17", 1): "69e4177d1ec555bedb922b294ff1b8dd4d9c8e55749838fdbd9d259d35bfe803",
+    ("-5/17", 2): "48f73b6bb3c7790487d3754ab185c8c19a8e89192d73bd23a84607f0918bb5e4",
+    ("7/23", 1): "b99e7d927a0b12d8e375f77f4c5d8dee94de7a1ed9107e51a029fac04896d43e",
+    ("2/27", 2): "9b6fc5b2d988e96851b4413a56b9fa2a8835e8fe726b85bf36d5f26f2c61bc15",
+    ("3/19", 1): "5ea3922156ba677488a33dc10d240cf34d266223a6304aac4a1c8aac0a469ff0",
+    ("11/27", 2): "a609f223e1c43cf3ab082a659c4152d03918843c69e9b8cb974f85b329cd4da2",
+    ("1", 2): "61d7a2f0e3700d2dea2ef712a6c9531b3b88833788a6292986cea16a5e842667",
+}
+
+# certify(..., depth=16) as JSON, recorded with DEPTH16_NUMERATORS
+UNDECIDED = {
+    "note": "finite-depth evidence only, not a proof",
+    "reason": "no certificate condition fires",
+}
+DEPTH16_VERDICTS = {
+    ("13/29", 1): ("ProvenSurjective", "T1.1-1", 1, {"fired": ["T1.1-1", "T1.1-2"], "m": "-13"}),
+    ("13/29", 2): ("IndependentToDepth", None, None, UNDECIDED),
+    ("-5/17", 1): (
+        "ProvenSurjective", "T1.1-1", 0, {"fired": ["T1.1-1", "T1.1-3"], "m": "5", "q": "17"}
+    ),
+    ("-5/17", 2): ("IndependentToDepth", None, None, UNDECIDED),
+    ("7/23", 1): ("ProvenSurjective", "T1.1-1", 1, {"fired": ["T1.1-1"], "m": "-7"}),
+    ("2/27", 2): ("ProvenSurjective", "T1.2-3", None, {"fired": ["T1.2-3"], "q": "3"}),
+    ("3/19", 1): ("IndependentToDepth", None, 1, {"m": "-3", **UNDECIDED}),
+    ("11/27", 2): ("IndependentToDepth", None, None, UNDECIDED),
+}
+
+
+class TestOneProductRecursion:
+    @pytest.mark.parametrize("q1", [2, 5, -3, -1])
+    def test_corrupted_first_power_at_one_is_caught(self, chains, q1):
+        from arborist.verdict import certify
+
+        # at a = 1 (r = s = 1) recursion and iteration both give
+        # r_1 = -1 - Q_1 for any Q_1, and they agree at every later level on
+        # a chain rebuilt from it; only the recursion's T_1 check ties Q_1 to s
+        for run in (lambda: d_sequence(family2(1), 6), lambda: certify(1, 2, depth=6)):
+            chains.clear()
+            chains[1] = corrupted_chain(1, 1, 6, 1, lambda r, s, q: q1)
+            with pytest.raises(InvariantViolation):
+                run()
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        r=st.integers(-(10**6), 10**6),
+        s=st.integers(1, 10**6),
+        family=st.sampled_from([Family.CYCLE1, Family.CYCLE2]),
+        depth=st.integers(2, 9),
+    )
+    def test_both_divisibility_routes(self, r, s, family, depth):
+        assume(math.gcd(r, s) == 1 and (r, s) not in DEGENERATE[family])
+        a = Fraction(r, s)
+        qmap = family1(a) if family is Family.CYCLE1 else family2(a)
+        nums = d_sequence(qmap, depth).numerators
+        q = [None, *(s ** (2**n - 1) for n in range(1, depth + 1))]
+        k = 2 * r if family is Family.CYCLE1 else s
+        for n in range(2, depth + 1):
+            # r_{n-1} divides P_n
+            assert divides(nums[n - 2], nums[n - 1] + k * q[n]), n
+            if family is Family.CYCLE2:
+                # P_{n-1} divides T_n, so r_{n-2} does too
+                p_prev, t_n = nums[n - 2] + s * q[n - 1], nums[n - 1] + 2 * r * q[n]
+                assert divides(p_prev, t_n), n
+
+    @pytest.mark.parametrize("key", list(DEPTH16_NUMERATORS), ids="{0[1]}:{0[0]}".format)
+    def test_depth16_numerators_are_pinned(self, key):
+        a, family = key
+        qmap = (family1 if family == 1 else family2)(Fraction(a))
+        assert numerators_digest(d_sequence(qmap, 16).numerators) == DEPTH16_NUMERATORS[key]
+
+    def test_depth16_verdicts_are_pinned(self):
+        from arborist.verdict import certify
+
+        for (a, family), (status, condition, delta, detail) in DEPTH16_VERDICTS.items():
+            verdict = certify(Fraction(a), family, depth=16).to_json_dict()
+            assert verdict == {
+                "a": a,
+                "family": family,
+                "status": status,
+                "condition": condition,
+                "depth": 16,
+                "witness": None,
+                "delta": delta,
+                "e": None if family == 2 else 0,
+                "detail": detail,
+            }, (a, family)
 
 
 class TestDecompose1:

@@ -11,7 +11,7 @@ import pytest
 import arborist
 from arborist.cli import main
 from arborist.dynamics import family1, family2
-from arborist.errors import DegenerateBasePoint
+from arborist.errors import DegenerateBasePoint, UsageError
 from arborist.search import (
     SCHEMA,
     SearchConfig,
@@ -251,6 +251,10 @@ class TestSearch:
             SearchConfig(height=0, out_path=tmp_path / "x.jsonl")
         with pytest.raises(ValueError):
             SearchConfig(height=1, out_path="x", families=(3,))
+        # a repeated family would write each of its rows twice
+        for families in [(1, 1), (2, 1, 2)]:
+            with pytest.raises(UsageError, match="repeat"):
+                SearchConfig(height=1, out_path="x", families=families)
 
     def test_rejects_foreign_schema(self, tmp_path):
         out = tmp_path / "rows.jsonl"
