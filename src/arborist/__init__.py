@@ -21,7 +21,6 @@ from .dynamics import (
     QuadMap,
     family1,
     family2,
-    iterate,
 )
 from .errors import DegenerateBasePoint, InvariantViolation, UsageError
 from .exactnum import (
@@ -87,7 +86,6 @@ __all__ = [
     "family2",
     "format_rational",
     "is_perfect_square",
-    "iterate",
     "jacobi",
     "numerator_recursion",
     "orbit_independent",

@@ -18,7 +18,7 @@ import traceback
 from .backorbit import RenderConfig, points_csv, render, sample_backward
 from .critorbit import DEFAULT_DEPTH, d_sequence, orbit_report
 from .dynamics import family1, family2
-from .errors import InvariantViolation, UsageError
+from .errors import InvariantViolation, UsageError, open_named
 from .exactnum import parse_rational
 from .independence import brute_force_independent, two_independent
 from .search import SearchConfig, load_rows, search, tally
@@ -115,7 +115,7 @@ def cmd_julia(args: argparse.Namespace) -> int:
     else:
         payload = render(points, cfg)
     if args.out:
-        with open(args.out, "wb") as fh:
+        with open_named(args.out, "wb") as fh:
             fh.write(payload)
     else:
         sys.stdout.buffer.write(payload)

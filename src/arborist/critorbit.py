@@ -35,18 +35,19 @@ integers computed because the cross-check below pins Q_n = s Q_{n-1}^2.
 
 The integers r_n over the known denominator s**(2**n) are the only stored
 form of the orbit; every D_n is derived from them on demand.  As a
-cross-check the module also iterates the map on integers: with c = C/s^2,
-f^n(0) = X_n / s**(2**n) where
+cross-check the module also iterates the map on integers: with c = C/s^2
+(the map's own integer C), f^n(0) = X_n / s**(2**n) where
 
     X_1 = C,   X_{n+1} = X_n^2 + C s**(2**(n+1) - 2),
 
 so r_n = X_n - r s**(2**n - 1).  Besides the inputs, the two computations
 share one chain of odd powers Q_n = s**(2**n - 1) (Q_1 = s,
-Q_n = s Q_{n-1}^2), built once per denominator and kept for the last few
-denominators: the recursion reads Q_n and s Q_n = s**(2**n), the iteration
-reads Q_n and the exact quotient Q_n / s = s**(2**n - 2), and a nonzero
-remainder raises InvariantViolation.  Agreement at every level pins the
-chain, for r != 0 (a = 0 is degenerate in both families):
+Q_n = s Q_{n-1}^2), built once per denominator, kept for the last few
+denominators and read once per orbit: the recursion reads Q_n and
+s Q_n = s**(2**n), the iteration reads Q_n and the exact quotient
+Q_n / s = s**(2**n - 2), and a nonzero remainder raises
+InvariantViolation.  Agreement at every level pins the chain, for r != 0
+(a = 0 is degenerate in both families):
 
     n = 1: X_1 = C reads no power.  In the first family (C = -rs - r^2)
         P_1 - 2r Q_1 = C - r Q_1 forces Q_1 = s.  In the second
@@ -88,7 +89,7 @@ from fractions import Fraction
 
 from .dynamics import Family, QuadMap
 from .errors import InvariantViolation
-from .exactnum import format_rational, primes_up_to, v_int
+from .exactnum import format_rational, format_reduced, primes_up_to, v_int
 
 DEFAULT_DEPTH = 12
 
@@ -105,11 +106,14 @@ class AdjustedOrbit:
     qmap: QuadMap
     depth: int
     numerators: tuple[int, ...]
-    s: int
 
     @property
     def a(self) -> Fraction:
         return self.qmap.a
+
+    @property
+    def s(self) -> int:
+        return self.qmap.s
 
     @property
     def family(self) -> Family:
@@ -198,9 +202,8 @@ def _odd_powers(s: int, depth: int) -> tuple[int, ...]:
     as one immutable tuple that a deeper request replaces by its extension;
     the least recently used chain is dropped.  One lock guards the memo, so
     threads that certify concurrently keep it within its bound.  Nothing
-    here is trusted:
-    :func:`d_sequence`'s cross-check pins every Q_n it reads (module
-    docstring).
+    here is trusted: :func:`d_sequence`'s cross-check pins every Q_n it
+    reads (module docstring).
     """
     with _POWER_CHAINS_LOCK:
         chain = _POWER_CHAINS.pop(s, None)
@@ -220,18 +223,14 @@ def _odd_powers(s: int, depth: int) -> tuple[int, ...]:
 def numerator_recursion(family: Family, r: int, s: int, depth: int) -> list[int]:
     """Numerators r_1..r_depth of f^n(0) - a for a = r/s, in factored form.
 
-    One loop serves both families (module docstring): P_1 = -r^2 and
-    P_n = r_{n-1} T_{n-1} is the one full-size product per level,
-    r_n = P_n - k Q_n and T_n = P_n + (2r - k) Q_n, with k = 2r in the
-    first family (so T_n = P_n) and k = s in the second.  Every earlier
-    r_m divides P_n (first family; second family when n - m is odd) or
-    T_n (second family when n - m is even, given Q_n = s Q_{n-1}^2), so
+    One loop serves both families (module docstring): P_1 = -r^2,
+    P_n = r_{n-1} T_{n-1} (the one full-size product per level),
+    r_n = P_n - k Q_n and T_n = P_n + (2r - k) Q_n, with k = 2r or s, so
     the repeated-prime law holds for the returned integers.  T_1 must be
-    -(k - r)^2, the numerator of c + a; a mismatch raises
-    InvariantViolation, and at a = 1 in the second family this check alone
-    pins Q_1.  Q_n = s**(2**n - 1) comes from the s-power chain that
-    :func:`d_sequence`'s iteration reads too; that cross-check, not this
-    function, proves the chain right.
+    -(k - r)^2, the numerator of c + a, else InvariantViolation; at a = 1
+    in the second family this check alone pins Q_1.  Q_n comes from the
+    s-power chain that :func:`d_sequence`'s iteration reads too; that
+    cross-check, not this function, proves the chain right.
     """
     if s < 1 or math.gcd(r, s) != 1:
         raise ValueError("base point must be given as a reduced fraction with s >= 1")
@@ -239,34 +238,28 @@ def numerator_recursion(family: Family, r: int, s: int, depth: int) -> list[int]
         raise ValueError("depth must be positive")
     if family not in (Family.CYCLE1, Family.CYCLE2):
         raise ValueError("numerator recursion requires a known family")
-    powers = _odd_powers(s, depth)
+    return _numerators(family, r, s, _odd_powers(s, depth))
+
+
+def _numerators(family: Family, r: int, s: int, powers: tuple[int, ...]) -> list[int]:
+    # numerator_recursion's loop on checked inputs and the chain (Q_1, ..., Q_N)
     k = 2 * r if family is Family.CYCLE1 else s  # s (a - f(a))
+    j = 2 * r - k
+    q = powers[0]
     p = -r * r  # P_1
-    t = p + (2 * r - k) * powers[0]  # T_1
+    t = p + j * q  # T_1
     if t != -((k - r) ** 2):
         raise InvariantViolation(
             f"T_1 = P_1 + (2r - k) Q_1 differs from the numerator of c + a for a = {r}/{s}"
         )
-    out: list[int] = []
-    for q in powers:
-        if out:
-            p = out[-1] * t
-            t = p + (2 * r - k) * q
-        out.append(p - k * q)
+    rn = p - k * q
+    out = [rn]
+    for q in powers[1:]:
+        p = rn * t
+        t = p + j * q if j else p  # T_n = P_n in the first family
+        rn = p - k * q
+        out.append(rn)
     return out
-
-
-def scaled_c(qmap: QuadMap) -> int:
-    """C = c * s^2, the integer numerator of c over the base point's s^2.
-
-    Both family constructors build c over s^2; a c whose reduced
-    denominator does not divide s^2 raises InvariantViolation.
-    """
-    c, s = qmap.c, qmap.a.denominator
-    cofactor, rem = divmod(s * s, c.denominator)
-    if rem:
-        raise InvariantViolation(f"c = {c} is not an integer over s^2 for a = {qmap.a}")
-    return c.numerator * cofactor
 
 
 def d_sequence(qmap: QuadMap, depth: int = DEFAULT_DEPTH) -> AdjustedOrbit:
@@ -274,38 +267,32 @@ def d_sequence(qmap: QuadMap, depth: int = DEFAULT_DEPTH) -> AdjustedOrbit:
 
     The numerators come from the factored recursion (one product per level
     in either family) and from integer iteration of the map over the
-    denominators s**(2**n), started from the integer C = c s^2 of
-    :func:`scaled_c`; no Fraction is computed with.  Both read one chain of
-    Q_n = s**(2**n - 1); the iteration takes s**(2**n - 2) as the exact
-    quotient Q_n / s.  Any disagreement, a nonzero remainder, or a
-    numerator sharing a factor with s (the denominator law) raises
-    InvariantViolation.  Agreement at every level, with the recursion's
-    T_1 check, pins the chain to the true powers, and with it the second
-    family's identity T_n = P_{n-1} (T_{n-1} - s Q_{n-1}) behind the
-    repeated-prime law (module docstring).
+    denominators s**(2**n), started from the map's integer C = c s^2.  Both
+    read one chain of Q_n = s**(2**n - 1), fetched once; the iteration
+    takes s**(2**n - 2) as the exact quotient Q_n / s.  Any disagreement, a
+    nonzero remainder, or a numerator sharing a factor with s (the
+    denominator law) raises InvariantViolation.  Agreement at every level,
+    with the recursion's T_1 check, pins the chain to the true powers, and
+    with it the identities behind the repeated-prime law (module docstring).
     """
     if depth < 1:
         raise ValueError("depth must be positive")
-    a = qmap.a
-    r, s = a.numerator, a.denominator
-    C = scaled_c(qmap)
-
-    nums = numerator_recursion(qmap.family, r, s, depth)
+    r, s, C = qmap.r, qmap.s, qmap.C
+    powers = _odd_powers(s, depth)
+    nums = _numerators(qmap.family, r, s, powers)
     x = C  # X_n, the numerator of f^n(0) over s**(2**n)
-    for n, (rn, q) in enumerate(zip(nums, _odd_powers(s, depth), strict=True), start=1):
+    for n, (rn, q) in enumerate(zip(nums, powers, strict=True), start=1):
         if n > 1:
             even, rem = divmod(q, s)  # s**(2**n - 2), exactly
             if rem:
-                raise InvariantViolation(f"s^(2^{n} - 1) is not a multiple of s for a = {a}")
+                raise InvariantViolation(f"s^(2^{n} - 1) is not a multiple of s = {s}")
             x = x * x + C * even
         if x - r * q != rn:
-            raise InvariantViolation(
-                f"recursion/iteration mismatch at n = {n} for a = {a}"
-            )
+            raise InvariantViolation(f"recursion/iteration mismatch at n = {n}, a = {r}/{s}")
         if math.gcd(rn, s) != 1:
-            raise InvariantViolation(f"gcd(r_{n}, s) != 1 for a = {a}")
+            raise InvariantViolation(f"gcd(r_{n}, s) != 1 for a = {r}/{s}")
 
-    return AdjustedOrbit(qmap=qmap, depth=depth, numerators=tuple(nums), s=s)
+    return AdjustedOrbit(qmap, depth, tuple(nums))
 
 
 def decompose1(orbit: AdjustedOrbit, n: int) -> Decomposition1:
@@ -319,8 +306,8 @@ def decompose1(orbit: AdjustedOrbit, n: int) -> Decomposition1:
         raise ValueError("decomposition applies to the fixed-point-tail family only")
     if not 2 <= n <= orbit.depth:
         raise ValueError(f"index {n} outside 2..{orbit.depth}")
-    r_abs = abs(orbit.a.numerator)
-    e = 1 if orbit.a.numerator % 2 == 0 else 0
+    r_abs = abs(orbit.qmap.r)
+    e = 1 if orbit.qmap.r % 2 == 0 else 0
     rn = orbit.r(n)
     t, rem = divmod(abs(rn), (1 << e) * r_abs)
     if rem != 0 or t % 2 == 0 or math.gcd(t, r_abs) != 1:
@@ -338,8 +325,7 @@ def check_valuations(orbit: AdjustedOrbit, p: int) -> list[ValuationCheck]:
     are skipped inside the per-index checks; no law's hypothesis can put a
     claim on them.
     """
-    a = orbit.a
-    r, s = a.numerator, orbit.s
+    r, s = orbit.qmap.r, orbit.s
     vp_r = int(v_int(r, p)) if r != 0 else 0
     vp_s = int(v_int(s, p))
     vp_a = vp_r - vp_s
@@ -445,7 +431,7 @@ def sign_predict(qmap: QuadMap) -> SignPrediction:
     is r^2 - rs - s^2 > 0, and for a > 0, a^4 - 2a^3 + 2a^2 - 2a < 0 is
     r^3 - 2r^2 s + 2rs^2 - 2s^3 < 0.
     """
-    r, s = qmap.a.numerator, qmap.a.denominator
+    r, s = qmap.r, qmap.s
     if qmap.family is Family.CYCLE1:
         return family1_sign(r, s)
     if r * r - r * s - s * s > 0:
@@ -465,7 +451,7 @@ def congruence_check(orbit: AdjustedOrbit, modulus: int) -> CongruenceReport:
         raise ValueError("congruence laws apply to the fixed-point-tail family only")
     if modulus not in (3, 4):
         raise ValueError("modulus must be 3 or 4")
-    r = orbit.a.numerator
+    r = orbit.qmap.r
     applicable = (r % 3 != 0) if modulus == 3 else (r % 2 != 0)
     if not applicable:
         return CongruenceReport(modulus, False, None)
@@ -477,18 +463,19 @@ def congruence_check(orbit: AdjustedOrbit, modulus: int) -> CongruenceReport:
 
 def orbit_report(orbit: AdjustedOrbit, prime_bound: int = 100) -> dict:
     """JSON-ready report: the sequence plus every analyzer's verdicts."""
-    a = orbit.a
+    r, s = orbit.qmap.r, orbit.s
     relevant = [2] + [
-        p
-        for p in primes_up_to(prime_bound)
-        if p != 2 and (a.numerator % p == 0 or orbit.s % p == 0)
+        p for p in primes_up_to(prime_bound) if p != 2 and (r % p == 0 or s % p == 0)
     ]
     sign = sign_predict(orbit.qmap)
     report = {
-        "a": format_rational(a),
+        "a": format_rational(orbit.a),
         "family": orbit.family.value,
         "N": orbit.depth,
-        "D": [format_rational(d) for d in orbit.d_values],
+        "D": [  # d_sequence checked gcd(r_i, s) = 1: each D_i is in lowest terms
+            format_reduced(-x if i == 1 else x, s ** (2**i))
+            for i, x in enumerate(orbit.numerators, start=1)
+        ],
         "sign_class": {"kind": sign.kind, "from": sign.start},
         "valuation_checks": {
             str(p): [

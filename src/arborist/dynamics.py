@@ -1,15 +1,18 @@
-"""Quadratic maps x -> x^2 + c over Q, exact orbits, and the two
-constructors producing strictly preperiodic base points (tail length 1 into
-a fixed point, and tail length 1 into a two-cycle).
+"""Quadratic maps x -> x^2 + c over Q and the two constructors producing
+strictly preperiodic base points (tail length 1 into a fixed point, and
+tail length 1 into a two-cycle).
 
-For a = r/s reduced, both constructors build c from integers as one
-reduced fraction over s^2: c = -r(r + s)/s^2 and c = -(r^2 - rs + s^2)/s^2.
-Neither numerator shares a prime with s, because gcd(r, s) = 1.
+A map is carried as the integers of its base point a = r/s (reduced,
+s >= 1) and of c = C/s^2: C = -r(r + s) in the first family and
+C = -(r^2 - rs + s^2) in the second.  Neither C shares a prime with s,
+because gcd(r, s) = 1, so C/s^2 is reduced; a and c are derived from the
+integers on access.
 """
 
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -27,14 +30,31 @@ class Family(enum.Enum):
 
 @dataclass(frozen=True)
 class QuadMap:
-    """The map x -> x^2 + c with its family and distinguished base point."""
+    """x -> x^2 + C/s^2 with its family and base point a = r/s.
 
-    c: Fraction
+    Only the families' maps exist: r/s reduced with s >= 1 and C the
+    family's, else ValueError; a degenerate r/s raises DegenerateBasePoint.
+    """
+
     family: Family
-    a: Fraction
+    r: int
+    s: int
+    C: int
 
-    def apply(self, x: Fraction) -> Fraction:
-        return x * x + self.c
+    def __post_init__(self) -> None:
+        r, s = self.r, self.s
+        if s < 1 or math.gcd(r, s) != 1 or self.C != _numerator_of_c(self.family, r, s):
+            raise ValueError(f"not a map of either family: {self}")
+        if (r, s) in DEGENERATE[self.family]:
+            raise DegenerateBasePoint(f"base point {self.a} is degenerate for this family")
+
+    @property
+    def a(self) -> Fraction:
+        return Fraction(self.r, self.s)
+
+    @property
+    def c(self) -> Fraction:
+        return Fraction(self.C, self.s * self.s)
 
 
 #: Base points a = r/s, as (r, s) pairs, at which a family's intended orbit
@@ -45,12 +65,12 @@ DEGENERATE = {
 }
 
 
-def _checked(a: Fraction | int, family: Family) -> Fraction:
-    if not isinstance(a, Fraction):
-        a = Fraction(a)
-    if (a.numerator, a.denominator) in DEGENERATE[family]:
-        raise DegenerateBasePoint(f"base point {a} is degenerate for this family")
-    return a
+def _numerator_of_c(family: Family, r: int, s: int) -> int:
+    return -r * (r + s) if family is Family.CYCLE1 else -(r * r - r * s + s * s)
+
+
+def _quad_map(family: Family, r: int, s: int) -> QuadMap:
+    return QuadMap(family, r, s, _numerator_of_c(family, r, s))
 
 
 def family1(a: Fraction | int) -> QuadMap:
@@ -60,10 +80,8 @@ def family1(a: Fraction | int) -> QuadMap:
     backward orbit of the base point is not a regular binary tree; both are
     rejected.
     """
-    a = _checked(a, Family.CYCLE1)
-    r, s = a.numerator, a.denominator
-    c = Fraction(-r * (r + s), s * s)
-    return QuadMap(c=c, family=Family.CYCLE1, a=a)
+    a = Fraction(a)
+    return _quad_map(Family.CYCLE1, a.numerator, a.denominator)
 
 
 def family2(a: Fraction | int) -> QuadMap:
@@ -72,18 +90,5 @@ def family2(a: Fraction | int) -> QuadMap:
     a = 0 makes a equal -a and a = 1/2 makes -a equal a - 1, collapsing the
     intended orbit; both are rejected.
     """
-    a = _checked(a, Family.CYCLE2)
-    r, s = a.numerator, a.denominator
-    c = Fraction(-(r * r - r * s + s * s), s * s)
-    return QuadMap(c=c, family=Family.CYCLE2, a=a)
-
-
-def iterate(f: QuadMap, x: Fraction | int, n: int) -> Fraction:
-    """Exact n-fold composition f^n(x); n = 0 returns x."""
-    if n < 0:
-        raise ValueError("iteration count must be nonnegative")
-    x = Fraction(x)
-    for _ in range(n):
-        x = f.apply(x)
-    return x
-
+    a = Fraction(a)
+    return _quad_map(Family.CYCLE2, a.numerator, a.denominator)

@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package and the open() of user-named paths."""
 
 
 class UsageError(ValueError):
@@ -19,3 +19,15 @@ class InvariantViolation(RuntimeError):
     This always signals a bug (or a breach of a mathematically guaranteed
     property), never bad user input, and must not be silently absorbed.
     """
+
+
+def open_named(path, mode: str = "r", **kwargs):
+    """open() a path the user named; a missing one is their error.
+
+    UsageError names the path when it or its directory is missing or it is a
+    directory; an error once the file is open (a full disk) stays OSError.
+    """
+    try:
+        return open(path, mode, **kwargs)
+    except (FileNotFoundError, IsADirectoryError, NotADirectoryError) as exc:
+        raise UsageError(f"{path}: {exc.strerror}") from None

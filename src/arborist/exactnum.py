@@ -36,9 +36,11 @@ _LOG10_2 = math.log10(2)
 _MR_DETERMINISTIC_LIMIT = 3_317_044_064_679_887_385_961_981
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
-# Every square is a quadratic residue modulo each of these moduli; together
-# they reject all but about 1 in 120 non-squares before the exact root.
-_QR_MODULI = (64, 63, 65, 11)
+# Every square is a quadratic residue modulo 64 (read off the low six bits,
+# without a division) and each of these moduli; together they reject all but
+# about 1 in 120 non-squares before the exact root.
+_SQUARES_MOD_64 = frozenset(k * k % 64 for k in range(64))
+_QR_MODULI = (63, 65, 11)
 _QR_PRODUCT = math.prod(_QR_MODULI)
 _QR_RESIDUES = tuple(frozenset(k * k % m for k in range(m)) for m in _QR_MODULI)
 
@@ -60,9 +62,14 @@ def format_rational(x: Fraction) -> str:
     interpreter's ``int_max_str_digits`` limit does not apply.
     """
     x = Fraction(x)
-    if x.denominator == 1:
-        return _decimal(x.numerator)
-    return f"{_decimal(x.numerator)}/{_decimal(x.denominator)}"
+    return format_reduced(x.numerator, x.denominator)
+
+
+def format_reduced(numerator: int, denominator: int) -> str:
+    """format_rational of a fraction the caller vouches is reduced, without a gcd."""
+    if denominator == 1:
+        return _decimal(numerator)
+    return f"{_decimal(numerator)}/{_decimal(denominator)}"
 
 
 def _decimal(n: int) -> str:
@@ -94,7 +101,7 @@ def is_perfect_square(n: int) -> bool:
     A residue test modulo the small moduli above screens out most
     non-squares without taking the integer square root.
     """
-    if n < 0:
+    if n < 0 or n & 63 not in _SQUARES_MOD_64:
         return False
     residue = n % _QR_PRODUCT
     for m, squares in zip(_QR_MODULI, _QR_RESIDUES):

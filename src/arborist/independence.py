@@ -176,14 +176,20 @@ def factored_orbit_independent(reps: Sequence[int], r: int) -> IndependenceResul
 
 
 def _split_2r(reps: Sequence[int], r: int) -> tuple[list[int], list[int]]:
-    # (sign(v_n) * u_n, t_n) per level: u_n from the primes of 2r, t_n prime to 2r
-    if any(v == 0 for v in reps):
+    # (sign(v_n) * u_n, t_n) per level: |v_n| = u_n t_n, u_n from the primes of
+    # 2r, t_n prime to 2r.  Each gcd has one small argument: linear in |v_n|.
+    if 0 in reps:
         raise ValueError("independence is undefined for zero")
     g = 2 * abs(r)
     small: list[int] = []
     cofactors: list[int] = []
     for v in reps:
-        u, t = _split_off(abs(v), g)
+        t, u = abs(v), 1
+        d = math.gcd(t, g)
+        while d > 1:
+            t //= d
+            u *= d
+            d = math.gcd(t, d)
         small.append(u if v > 0 else -u)
         cofactors.append(t)
     return small, cofactors
@@ -206,18 +212,6 @@ def _decide(
             f"witness {witness} failed the exact square re-verification"
         )
     return IndependenceResult(False, witness)
-
-
-def _split_off(n: int, g: int) -> tuple[int, int]:
-    # (u, t) with n = u * t, every prime of u dividing g, gcd(t, g) = 1.
-    # Each gcd has one small argument, so the cost is linear in n.
-    u = 1
-    d = math.gcd(n, g)
-    while d > 1:
-        n //= d
-        u *= d
-        d = math.gcd(n, d)
-    return u, n
 
 
 def brute_force_independent(values: Sequence[Fraction]) -> IndependenceResult:

@@ -7,8 +7,8 @@ recomputed.  The header line records the schema and the depth, and a file
 is only extended when it was written with this schema and at that depth.
 Every row is flushed as it is written; a row cut short by a crash is
 dropped on resume and computed again.  The sweep carries each base point
-as its integers (r, s); a Fraction is built per row only for the worker's
-``certify`` call and the row's ``"a"`` text.
+as its integers (r, s) into the certifier and builds each row, verdict
+included, with its keys in sorted order, as ``json.dumps`` writes them.
 
 Schema ``arborist-v2`` keeps an undecided witness search in the verdict's
 ``detail["undecided"]``.  In ``arborist-v1`` files that note sat at
@@ -30,8 +30,8 @@ from typing import Iterator
 
 from .critorbit import DEFAULT_DEPTH
 from .dynamics import DEGENERATE, Family
-from .errors import UsageError
-from .verdict import certify
+from .errors import UsageError, open_named
+from .verdict import _certify_reduced
 
 SCHEMA = "arborist-v2"
 #: every schema load_rows reads; search extends SCHEMA files only
@@ -99,17 +99,18 @@ def _reduced_pairs(height: int) -> Iterator[tuple[int, int]]:
 def certify_row(task: tuple[int, int, int, int]) -> dict:
     """Compute one self-contained result row; picklable for worker pools."""
     r, s, family, depth = task
-    a = Fraction(r, s)
     started = time.perf_counter()
-    verdict = certify(a, family, depth=depth)
+    verdict = _certify_reduced(r, s, family, depth)
     elapsed_ms = (time.perf_counter() - started) * 1000.0
+    fields = verdict.to_json_dict()
+    # keys in sorted order, as json.dumps writes them
     return {
-        "a": str(a),
+        "a": fields["a"],
         "family": family,
         "r": r,
         "s": s,
-        "verdict": verdict.to_json_dict(),
         "timing_ms": round(elapsed_ms, 3),
+        "verdict": fields,
     }
 
 
@@ -165,7 +166,7 @@ def load_rows(path: str | Path) -> list[dict]:
         parse_float=lambda text: floats.setdefault(text, float(text))
     ).decode
     rows = []
-    with open(path, "r", encoding="utf-8") as fh:
+    with open_named(path, "r", encoding="utf-8") as fh:
         _read_header(path, fh)
         for lineno, line in enumerate(fh, start=2):
             if not line.strip():
@@ -181,7 +182,7 @@ def load_rows(path: str | Path) -> list[dict]:
 
 
 def _check_extendable(path: Path, depth: int) -> None:
-    with open(path, "r", encoding="utf-8") as fh:
+    with open_named(path, "r", encoding="utf-8") as fh:
         head = _read_header(path, fh)
     if head["schema"] != SCHEMA:
         raise UsageError(
@@ -236,7 +237,7 @@ def search(cfg: SearchConfig) -> SearchSummary:
                 continue
             tasks.append((r, s, fam, cfg.depth))
 
-    with open(out, mode, encoding="utf-8", newline="\n") as fh:
+    with open_named(out, mode, encoding="utf-8", newline="\n") as fh:
         if mode == "w":
             fh.write(json.dumps({"schema": SCHEMA, "depth": cfg.depth}) + "\n")
             fh.flush()
@@ -250,7 +251,7 @@ def search(cfg: SearchConfig) -> SearchSummary:
             results = pool.map(certify_row, tasks, chunksize=16)
         try:
             for row in results:
-                fh.write(json.dumps(row, sort_keys=True) + "\n")
+                fh.write(json.dumps(row) + "\n")
                 fh.flush()
                 summary.record(row)
         finally:

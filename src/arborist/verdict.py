@@ -10,9 +10,9 @@ repeated-prime law (which ``d_sequence``'s factored recursion and its
 iteration cross-check establish for the numerators used, so no gcd between
 levels is taken; every witness is re-verified), doubles as a consistency
 audit on every positive certificate and as a finite-depth fallback when no
-condition applies: a fallback "independent to depth N" is evidence about
-the depth-N tree quotient, not a proof for the full tree, and the verdict
-says so.
+condition applies, one shared path for both: a fallback "independent to
+depth N" is evidence about the depth-N tree quotient, not a proof for the
+full tree, and the verdict says so.
 
 Fixed-point-tail family (c = -a - a^2), certificate number
 m = (-1)**delta * 2**e * |r| where delta is read off the sign law of
@@ -35,26 +35,27 @@ also require a - c to not be a rational square; when it is, the tree has
 deeper preperiodic structure and the representation is provably not
 surjective (a - c = 0, where f(0) is the base point itself, is reported as
 inapplicable instead).  Every condition, the sign law and the square test
-are decided on the integers r, s and C = c s^2: a - c = (rs - C)/s^2, so it
-is a nonzero rational square iff the integer rs - C is a perfect square.  A
-Fraction is built only where a verdict hands one out.
+are decided on the map's integers r, s and C = c s^2: a - c = (rs - C)/s^2,
+so it is a nonzero rational square iff the integer rs - C is a perfect
+square.  Each verdict is built once, with its final status, and its a is
+the one Fraction a sweep row builds.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import partial
 from typing import Mapping
 
-from .critorbit import DEFAULT_DEPTH, d_sequence, family1_sign, scaled_c
-from .dynamics import Family, QuadMap, family1, family2
+from .critorbit import DEFAULT_DEPTH, d_sequence, family1_sign
+from .dynamics import Family, QuadMap, _quad_map, family1, family2
 from .errors import InvariantViolation
 from .exactnum import is_perfect_square, jacobi, proven_prime
 from .independence import factored_orbit_independent
 
 TRIAL_DIVISION_CUTOFF = 10**6
+_F0_IS_A = "f(0) equals the base point; the backward orbit is not a regular tree"
 
 
 class VerdictStatus(enum.Enum):
@@ -86,16 +87,21 @@ class Verdict:
     detail: Mapping = field(default_factory=dict)
 
     def to_json_dict(self) -> dict:
+        """The verdict as JSON values, its keys and the detail's in sorted order.
+
+        ``json.dumps`` of the result then needs no ``sort_keys`` to write
+        the same text.
+        """
         return {
             "a": str(self.a),
+            "condition": self.condition,
+            "delta": self.delta,
+            "depth": self.depth,
+            "detail": dict(sorted(self.detail.items())),
+            "e": self.e,
             "family": self.family.value,
             "status": self.status.value,
-            "condition": self.condition,
-            "depth": self.depth,
             "witness": list(self.witness) if self.witness is not None else None,
-            "delta": self.delta,
-            "e": self.e,
-            "detail": dict(self.detail),
         }
 
 
@@ -166,21 +172,20 @@ def _prime_3_mod_4_in(s: int, cutoff: int = TRIAL_DIVISION_CUTOFF):
     return _nonresidue_prime_in(-1, s, cutoff)
 
 
-def _audit_independence(qmap: QuadMap, depth: int) -> None:
-    """Require the first `depth` adjusted-orbit terms to be 2-independent."""
-    if depth <= 0:
-        raise ValueError("audit depth must be positive")
+def _orbit_decision(qmap: QuadMap, depth: int, detail: dict):
+    """(status, 1-based witness levels) of the adjusted orbit to ``depth``:
+    the audit's and the fallback's one path, whose detail keys it adds."""
     orbit = d_sequence(qmap, depth)
     if 0 in orbit.numerators:
-        raise InvariantViolation(
-            f"zero adjusted-orbit term for certified base point {qmap.a}"
-        )
-    result = factored_orbit_independent(orbit.square_class_reps, qmap.a.numerator)
-    if not result.independent:
-        raise InvariantViolation(
-            f"certified base point {qmap.a} fails the independence audit "
-            f"(witness levels {[i + 1 for i in result.witness]})"
-        )
+        detail["zero_levels"] = [i + 1 for i, x in enumerate(orbit.numerators) if x == 0]
+        return VerdictStatus.INAPPLICABLE, None
+    result = factored_orbit_independent(orbit.square_class_reps, qmap.r)
+    if result.independent:
+        detail["note"] = "finite-depth evidence only, not a proof"
+        return VerdictStatus.INDEPENDENT_TO_DEPTH, None
+    witness = tuple(i + 1 for i in result.witness)
+    detail["level"] = max(witness)
+    return VerdictStatus.DEPENDENT_AT_LEVEL, witness
 
 
 def _witness_search(tag: str, m: int, s: int, fired: list, detail: dict) -> bool:
@@ -226,7 +231,7 @@ def _conditions2(r: int, s: int) -> tuple[list[str], dict, str | None]:
     return fired, detail, None
 
 
-def _certify(qmap: QuadMap, depth_check: int) -> Verdict:
+def _certify(qmap: QuadMap, depth: int, fallback: bool) -> Verdict:
     """The decision procedure of either family; only the conditions differ.
 
     Returns Inapplicable when f(0) = a (a - c = 0, so the backward orbit is
@@ -234,52 +239,55 @@ def _certify(qmap: QuadMap, depth_check: int) -> Verdict:
     square, ProvenSurjective with the first firing condition (every firing
     condition is listed in the detail), and Inapplicable otherwise; an
     Inapplicable verdict whose witness search could not finish says so in
-    ``detail["undecided"]``.
-    Positive certificates are audited with the orbit independence decider
-    to depth_check; an audit failure is a bug and raises InvariantViolation.
+    ``detail["undecided"]``.  Positive certificates are audited with the
+    orbit independence decider to ``depth``; an audit failure is a bug and
+    raises InvariantViolation.  With ``fallback``, an Inapplicable outcome
+    goes on to :func:`certify`'s finite-depth check.
     """
-    a, family = qmap.a, qmap.family
-    r, s = a.numerator, a.denominator
+    family, r, s = qmap.family, qmap.r, qmap.s
+    a = qmap.a
+    cycle1 = family is Family.CYCLE1
     delta = e = None
-    if family is Family.CYCLE1:
+    if cycle1:
         de = compute_delta_e(a)
         delta, e = de.delta, de.e
-    make_verdict = partial(Verdict, a, family, delta=delta, e=e)
-    gap = r * s - scaled_c(qmap)  # (a - c) * s^2
+    status, condition, checked, witness = VerdictStatus.INAPPLICABLE, None, None, None
+    gap = r * s - qmap.C  # (a - c) * s^2
     if gap == 0:
-        reason = "f(0) equals the base point; the backward orbit is not a regular tree"
-        return make_verdict(VerdictStatus.INAPPLICABLE, detail={"reason": reason})
-    if is_perfect_square(gap):
+        detail = {"reason": _F0_IS_A}
+    elif is_perfect_square(gap):
+        status = VerdictStatus.NOT_SURJECTIVE
         a_minus_c = str(Fraction(gap, s * s))
         detail = {"reason": "a - c is a rational square", "a_minus_c": a_minus_c}
-        return make_verdict(VerdictStatus.NOT_SURJECTIVE, detail=detail)
-    if family is Family.CYCLE1:
-        fired, detail, note = _conditions1(r, s, delta, e)
     else:
-        fired, detail, note = _conditions2(r, s)
-    if fired:
-        detail["fired"] = fired
-        _audit_independence(qmap, depth_check)
-        return make_verdict(
-            VerdictStatus.PROVEN_SURJECTIVE,
-            condition=fired[0],
-            depth=depth_check,
-            detail=detail,
-        )
-    detail.setdefault("reason", "no certificate condition fires")
-    if note is not None:
-        detail["undecided"] = note
-    return make_verdict(VerdictStatus.INAPPLICABLE, detail=detail)
+        fired, detail, note = _conditions1(r, s, delta, e) if cycle1 else _conditions2(r, s)
+        if fired:
+            detail["fired"] = fired
+            audit, levels = _orbit_decision(qmap, depth, {})
+            if audit is not VerdictStatus.INDEPENDENT_TO_DEPTH:
+                raise InvariantViolation(
+                    f"certified base point {a} fails the independence audit "
+                    f"({audit.value}, witness levels {levels})"
+                )
+            status, condition, checked = VerdictStatus.PROVEN_SURJECTIVE, fired[0], depth
+        else:
+            detail.setdefault("reason", "no certificate condition fires")
+            if note is not None:
+                detail["undecided"] = note
+    if fallback and status is VerdictStatus.INAPPLICABLE:
+        checked = depth
+        status, witness = _orbit_decision(qmap, depth, detail)
+    return Verdict(a, family, status, condition, checked, witness, delta, e, detail)
 
 
 def certify_family1(a: Fraction, depth_check: int = DEFAULT_DEPTH) -> Verdict:
     """Decision procedure for the fixed-point-tail family (c = -a - a^2)."""
-    return _certify(family1(a), depth_check)
+    return _certify(family1(a), depth_check, fallback=False)
 
 
 def certify_family2(a: Fraction, depth_check: int = DEFAULT_DEPTH) -> Verdict:
     """Decision procedure for the two-cycle-tail family (c = -1 + a - a^2)."""
-    return _certify(family2(a), depth_check)
+    return _certify(family2(a), depth_check, fallback=False)
 
 
 def certify(a: Fraction, family: Family | int, depth: int = DEFAULT_DEPTH) -> Verdict:
@@ -290,28 +298,15 @@ def certify(a: Fraction, family: Family | int, depth: int = DEFAULT_DEPTH) -> Ve
     the verdict reports IndependentToDepth (evidence, not proof, said in
     ``detail["note"]``) or DependentAtLevel (with the witness levels,
     1-based).  The detail keeps every key of the inapplicable verdict,
-    ``undecided`` included.
+    ``undecided`` included; an orbit with a zero term stays Inapplicable
+    and lists the zero levels in ``detail["zero_levels"]``.
     """
+    a = Fraction(a)
+    return _certify_reduced(a.numerator, a.denominator, family, depth)
+
+
+def _certify_reduced(r: int, s: int, family: Family | int, depth: int) -> Verdict:
+    # certify at r/s, reduced with s >= 1: the sweep's entry, no Fraction first
     if depth < 1:
         raise ValueError("depth must be positive")
-    qmap = family1(a) if Family(family) is Family.CYCLE1 else family2(a)
-    verdict = _certify(qmap, depth)
-    if verdict.status is not VerdictStatus.INAPPLICABLE:
-        return verdict
-
-    orbit = d_sequence(qmap, depth)
-    detail = dict(verdict.detail)
-    status, witness = VerdictStatus.INAPPLICABLE, None
-    zero_levels = [i + 1 for i, rn in enumerate(orbit.numerators) if rn == 0]
-    if zero_levels:
-        detail["zero_levels"] = zero_levels
-    else:
-        result = factored_orbit_independent(orbit.square_class_reps, qmap.a.numerator)
-        if result.independent:
-            status = VerdictStatus.INDEPENDENT_TO_DEPTH
-            detail["note"] = "finite-depth evidence only, not a proof"
-        else:
-            status = VerdictStatus.DEPENDENT_AT_LEVEL
-            witness = tuple(i + 1 for i in result.witness)
-            detail["level"] = max(witness)
-    return replace(verdict, status=status, depth=depth, witness=witness, detail=detail)
+    return _certify(_quad_map(Family(family), r, s), depth, fallback=True)

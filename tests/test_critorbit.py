@@ -179,14 +179,15 @@ class TestDSequence:
         import arborist.critorbit as critorbit
         from arborist.verdict import certify
 
-        honest = critorbit.numerator_recursion
+        # d_sequence runs the recursion's loop on the chain it fetched once
+        honest = critorbit._numerators
 
         def perturbed(*args):
             nums = honest(*args)
             perturb(nums)
             return nums
 
-        monkeypatch.setattr(critorbit, "numerator_recursion", perturbed)
+        monkeypatch.setattr(critorbit, "_numerators", perturbed)
         for family, a in [(Family.CYCLE1, Fraction(13, 29)), (Family.CYCLE2, Fraction(2, 3))]:
             with pytest.raises(InvariantViolation):
                 build(family, a, 5)

@@ -4,8 +4,22 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from arborist.dynamics import family1, family2, iterate
+from arborist.dynamics import Family, QuadMap, family1, family2
 from arborist.errors import DegenerateBasePoint
+
+
+def apply(f, x):
+    return x * x + f.c
+
+
+def iterate(f, x, n):
+    """Exact n-fold composition f^n(x) over Fractions; n = 0 returns x."""
+    if n < 0:
+        raise ValueError("iteration count must be nonnegative")
+    x = Fraction(x)
+    for _ in range(n):
+        x = apply(f, x)
+    return x
 
 nonzero_rationals = st.fractions(
     min_value=-30, max_value=30, max_denominator=30
@@ -33,9 +47,9 @@ class TestFamily1:
     @given(a=nonzero_rationals.filter(lambda f: f != -1))
     def test_orbit_identities(self, a):
         f = family1(a)
-        fa = f.apply(a)
+        fa = apply(f, a)
         assert fa == -a
-        assert f.apply(fa) == fa
+        assert apply(f, fa) == fa
         assert fa != a
 
 
@@ -87,3 +101,28 @@ class TestQuadMapBasics:
         assert hash(f) == hash(family1(Fraction(1, 2)))
         with pytest.raises(AttributeError):
             f.c = Fraction(0)
+
+    def test_integers_are_stored_and_rationals_derived(self):
+        f = family2(Fraction(-6, 14))
+        assert (f.family, f.r, f.s, f.C) == (Family.CYCLE2, -3, 7, -79)
+        assert (f.a, f.c) == (Fraction(-3, 7), Fraction(-79, 49))
+        g = family1(2)
+        assert (g.r, g.s, g.C, g.c) == (2, 1, -6, Fraction(-6))
+
+    @pytest.mark.parametrize(
+        "family, r, s, C",
+        [
+            (Family.CYCLE1, 1, 2, 5),  # C of neither family
+            (Family.CYCLE2, 1, 3, -4),  # the first family's C
+            (Family.CYCLE1, 2, 4, -24),  # r/s not reduced
+            (Family.CYCLE1, 1, -2, 1),  # s < 1
+            (Family.CYCLE2, 1, 0, -1),
+        ],
+    )
+    def test_only_the_families_maps_can_be_built(self, family, r, s, C):
+        with pytest.raises(ValueError, match="not a map of either family"):
+            QuadMap(family, r, s, C)
+
+    def test_degenerate_map_cannot_be_built(self):
+        with pytest.raises(DegenerateBasePoint):
+            QuadMap(Family.CYCLE1, -1, 1, 0)

@@ -11,7 +11,7 @@ ALLOWED_UNREACHED = {
     "certify_family2": "documented public entry point for the second family",
     "decompose1": "checks the coprimality law of the first family in the tests",
     "enumerate_rationals": "the sweep's base points as Fractions; search walks their (r, s)",
-    "iterate": "plain iteration oracle for the orbit tests",
+    "numerator_recursion": "checked entry of the recursion whose loop d_sequence runs",
     "orbit_independent": "raw-value entry and law-checking oracle",
 }
 

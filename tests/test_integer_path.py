@@ -6,6 +6,7 @@ integer rs - C.  The Fraction expressions they replace are kept here as the
 reference, over every base point of height <= 60 and under hypothesis.
 """
 
+import json
 from fractions import Fraction
 
 import pytest
@@ -13,11 +14,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from arborist.critorbit import family1_sign, sign_predict
-from arborist.dynamics import family1, family2
+from arborist.dynamics import DEGENERATE, Family, family1, family2
 from arborist.errors import DegenerateBasePoint
 from arborist.exactnum import rational_is_square
-from arborist.search import enumerate_rationals
-from arborist.verdict import VerdictStatus, certify_family1, certify_family2
+from arborist.search import _reduced_pairs, enumerate_rationals
+from arborist.verdict import (
+    VerdictStatus,
+    _certify_reduced,
+    certify,
+    certify_family1,
+    certify_family2,
+)
 
 F_0_EQUALS_A = "f(0) equals the base point; the backward orbit is not a regular tree"
 
@@ -107,3 +114,21 @@ def test_large_pythagorean_points(m, n, sign):
     # a = (m^2 - n^2) / 2mn makes 1 + a^2 a rational square
     if m != n:
         check_against_fractions(Fraction(sign * (m * m - n * n), 2 * m * n))
+
+
+def test_integer_entry_gives_certify_json():
+    # search reaches the certifier from (r, s) without a Fraction; every base
+    # point of height <= 30 must get certify's verdict, text for text
+    zero_rows = []
+    for r, s in _reduced_pairs(30):
+        for family in (1, 2):
+            if (r, s) in DEGENERATE[Family(family)]:
+                continue
+            row = json.dumps(_certify_reduced(r, s, family, 8).to_json_dict())
+            reference = certify(Fraction(r, s), family, depth=8).to_json_dict()
+            assert row == json.dumps(reference, sort_keys=True), (r, s, family)
+            if "zero_levels" in reference["detail"]:
+                zero_rows.append((r, s, family, reference["detail"]["reason"]))
+    # a = -2 in the first family: a - c = 0, and the fallback still lists
+    # the zero levels of its orbit
+    assert zero_rows == [(-2, 1, 1, F_0_EQUALS_A)]

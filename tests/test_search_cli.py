@@ -34,6 +34,9 @@ def brute_count(height):
     return 2 * pairs
 
 
+JULIA_TO = ["julia", "--c=-0.75", "--a", "0.5", "--points", "10", "--out"]
+
+
 def strip_timing(row):
     return {k: v for k, v in row.items() if k != "timing_ms"}
 
@@ -215,6 +218,17 @@ class TestSearch:
         )
         assert rows_a == rows_b
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_rows_are_written_with_sorted_keys(self, tmp_path, workers):
+        # search writes json.dumps(row) without sort_keys: the row, the
+        # verdict and its detail are built in key order instead
+        out = tmp_path / "rows.jsonl"
+        search(SearchConfig(height=12, out_path=out, depth=6, workers=workers))
+        lines = out.read_text().splitlines()
+        assert len(lines) == 1 + len(load_rows(out))
+        for line in lines[1:]:
+            assert line == json.dumps(json.loads(line), sort_keys=True)
+
     def test_failed_write_leaves_the_queued_rows_uncomputed(self, tmp_path, monkeypatch):
         import concurrent.futures
 
@@ -381,6 +395,24 @@ class TestCliUsageErrors:
         err = capsys.readouterr().err
         assert "must be at least 1" in err or "not an integer" in err
 
+    @pytest.mark.parametrize(
+        "argv, named",
+        [
+            (["report", "--in", "missing.jsonl"], "missing.jsonl"),
+            (["report", "--in", "."], "."),
+            (["search", "--height", "1", "--out", "."], "."),
+            (["search", "--height", "1", "--out", "no/rows.jsonl"], "no/rows.jsonl"),
+            ([*JULIA_TO, "no/julia.pgm"], "no/julia.pgm"),
+            ([*JULIA_TO, "."], "."),
+        ],
+    )
+    def test_missing_or_directory_path_exits_2(self, tmp_path, monkeypatch, capsys, argv, named):
+        # a path the user named that is missing or a directory is their error
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith(f"error: {named}: ")
+        assert list(tmp_path.iterdir()) == []
+
     def test_foreign_results_file_exits_2(self, tmp_path, capsys):
         out = tmp_path / "rows.jsonl"
         out.write_text('{"schema": "other-v9"}\n')
@@ -400,6 +432,40 @@ class TestCliOrbit:
         assert main(["orbit", "--family", "1", "--a", "13/29"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["N"] == 12 and len(payload["D"]) == 12
+
+
+class TestCliOrbitPins:
+    # SHA-256 of `arborist orbit` stdout, recorded before D_i was formatted
+    # from r_i and s**(2**i) without a Fraction
+    PINS = {
+        ("13/29", 1, 12): "1c0882db00c536eb46d0c2c91010d0133401a4fde70fe4e3b442bd7a37c9f249",
+        ("13/29", 2, 12): "d5f4e4bfa2dfa891d0458e8c2caf11d78589452c98a8e2be78afbc3d01ed7b64",
+        ("-5/17", 1, 12): "308ea77ca8037ba0dd8a56962a24b3ee629979501ecab90916a998665cedf114",
+        ("-5/17", 2, 12): "4ba2c04d0c46e2f9c2c5c864e2718187edf47ca86a3d40b8fca7acae3c297d15",
+        ("7/23", 1, 12): "d2bae854485f10091765b577127be4e8269f1732f9a83981afe01cca7e3f98bf",
+        ("2/27", 2, 12): "307b44808db7a749ebea9584054ce5a3a2c5c6f9522e3c03a833f8d768fb3824",
+        ("3/19", 1, 12): "235c967d126892214ecde271c37ec5cd7b130355eb34c876469ed63d18dbec9d",
+        ("11/27", 2, 12): "66465cd444b7766ca9b1ef2dfe758345effdae2cc9bd52683abba311901cbedd",
+        ("1", 2, 12): "8eccb37c35534ddc29b4a5a6db0bc33d716180252a75b79a5aaf027261dce330",
+        ("13/29", 1, 14): "486a2b5131a3606a89431e9a71d3ed85a9c9d6d9d327efc7edcb36cd72d272f2",
+        ("13/29", 2, 14): "37df7d4240b20d529db5d7d0265be4ae66f52a30e9a592c49d3fd3376cceb8d6",
+        ("-5/17", 1, 14): "aad28b3a1eb8e9e8987eeab5500b0df5c6ee4872ec8ee2cc041e0419c23b161e",
+        ("-5/17", 2, 14): "83d512eb89d455801751a858d19a72e2243d453106eb4b930c89d1f614968098",
+        ("7/23", 1, 14): "5c636bcfdf360e09dfe45e00c7e7525626bfc9bbac3734d80bbf7e883e3afcf6",
+        ("2/27", 2, 14): "ae88de0294f83a5734c0b3a5b50065ce0b738638d401a8e2e7c262ab9a60dfa7",
+        ("3/19", 1, 14): "067733c3c9b9090d4d8a5420c96ac9aadc2aa75dcd989e82a4ffcc9ff8b781b4",
+        ("11/27", 2, 14): "097999949a3eeb415d11871cbef5095b50cc9ebdcdc71983e5970ccc88f93c09",
+        ("1", 2, 14): "9d6299e1bb7e6a3d8341a550836ca329bc13a5e6590c4de6b1fdd4f712bc9de7",
+    }
+
+    @pytest.mark.parametrize("a, family, depth", list(PINS), ids=lambda v: str(v))
+    def test_output_is_pinned(self, a, family, depth, capsys):
+        import hashlib
+
+        argv = ["orbit", "--family", str(family), f"--a={a}", "--depth", str(depth)]
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == self.PINS[a, family, depth]
 
 
 class TestCliIndependence:
@@ -575,9 +641,11 @@ class TestCliSearchAndReport:
         assert f"{out}:4: corrupt line" in capsys.readouterr().err
 
     def test_unwritable_output_path(self, tmp_path, capsys):
+        # a missing directory in a path the user named is their error
         target = tmp_path / "missing" / "rows.jsonl"
         code = main(["search", "--height", "1", "--out", str(target)])
-        assert code == 1
+        assert code == 2
+        assert f"{target}: No such file or directory" in capsys.readouterr().err
 
 
 class TestCliJulia:
