@@ -39,14 +39,12 @@ from .independence import (
     square_classes,
     two_independent,
 )
-from .search import SearchConfig, SearchSummary, enumerate_rationals
+from .search import SearchConfig, SearchSummary
 from .verdict import (
     DeltaE,
     Verdict,
     VerdictStatus,
     certify,
-    certify_family1,
-    certify_family2,
     compute_delta_e,
 )
 
@@ -73,14 +71,11 @@ __all__ = [
     "VerdictStatus",
     "brute_force_independent",
     "certify",
-    "certify_family1",
-    "certify_family2",
     "check_valuations",
     "compute_delta_e",
     "congruence_check",
     "d_sequence",
     "decompose1",
-    "enumerate_rationals",
     "factor_refine",
     "family1",
     "family2",

@@ -14,9 +14,6 @@ from dataclasses import dataclass
 
 from .errors import UsageError
 
-DEFAULT_POINTS = 200_000
-DEFAULT_BURN_IN = 50
-
 
 @dataclass(frozen=True)
 class RenderConfig:
@@ -24,8 +21,8 @@ class RenderConfig:
     height: int = 800
     #: (re_min, re_max, im_min, im_max)
     bounds: tuple[float, float, float, float] = (-2.0, 2.0, -2.0, 2.0)
-    n_points: int = DEFAULT_POINTS
-    burn_in: int = DEFAULT_BURN_IN
+    n_points: int = 200_000
+    burn_in: int = 50
     seed: int = 0
 
     def __post_init__(self) -> None:

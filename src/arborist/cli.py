@@ -166,19 +166,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--workers", type=_positive_int, default=1)
     p.set_defaults(func=cmd_search)
 
+    defaults = RenderConfig()
     p = sub.add_parser("julia", help="render a Julia set by backward orbit")
     p.add_argument("--c", required=True, metavar="RE[,IM]")
     p.add_argument("--a", required=True, metavar="RE[,IM]")
-    p.add_argument("--points", type=int, default=200_000)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--burn-in", type=int, default=50, dest="burn_in")
-    p.add_argument("--width", type=int, default=800)
-    p.add_argument("--height", type=int, default=800)
+    p.add_argument("--points", type=int, default=defaults.n_points)
+    p.add_argument("--seed", type=int, default=defaults.seed)
+    p.add_argument("--burn-in", type=int, default=defaults.burn_in, dest="burn_in")
+    p.add_argument("--width", type=int, default=defaults.width)
+    p.add_argument("--height", type=int, default=defaults.height)
     p.add_argument(
         "--bounds",
         type=float,
         nargs=4,
-        default=(-2.0, 2.0, -2.0, 2.0),
+        default=defaults.bounds,
         metavar=("RE_MIN", "RE_MAX", "IM_MIN", "IM_MAX"),
     )
     p.add_argument("--out", default=None)

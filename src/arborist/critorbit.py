@@ -326,11 +326,11 @@ def check_valuations(orbit: AdjustedOrbit, p: int) -> list[ValuationCheck]:
     claim on them.
     """
     r, s = orbit.qmap.r, orbit.s
-    vp_r = int(v_int(r, p)) if r != 0 else 0
-    vp_s = int(v_int(s, p))
+    vp_r = v_int(r, p)
+    vp_s = v_int(s, p)
     vp_a = vp_r - vp_s
     n_range = range(1, orbit.depth + 1)
-    num_v = [int(v_int(rn, p)) if rn != 0 else None for rn in orbit.numerators]
+    num_v = [v_int(rn, p) if rn != 0 else None for rn in orbit.numerators]
 
     checks: list[ValuationCheck] = []
 

@@ -22,9 +22,6 @@ from typing import Iterable
 
 from .errors import UsageError
 
-#: Marker returned by :func:`v_int` for the valuation of zero.
-INFINITY = math.inf
-
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(?:/\d+)?$")
 
 # Up to 2000 bits (603 decimal digits) str() stays below the smallest
@@ -83,10 +80,10 @@ def _decimal(n: int) -> str:
     return _decimal(high) + _decimal(low).zfill(k)
 
 
-def v_int(n: int, p: int) -> int | float:
-    """Exponent of p in n (no primality check; p >= 2). Infinite for n = 0."""
+def v_int(n: int, p: int) -> int:
+    """Exponent of p in n != 0 (no primality check; p >= 2)."""
     if n == 0:
-        return INFINITY
+        raise ValueError("the valuation of 0 is not an integer")
     count = 0
     n = abs(n)
     while n % p == 0:

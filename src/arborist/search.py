@@ -6,9 +6,12 @@ changes row content, and an existing output file is extended rather than
 recomputed.  The header line records the schema and the depth, and a file
 is only extended when it was written with this schema and at that depth.
 Every row is flushed as it is written; a row cut short by a crash is
-dropped on resume and computed again.  The sweep carries each base point
-as its integers (r, s) into the certifier and builds each row, verdict
-included, with its keys in sorted order, as ``json.dumps`` writes them.
+dropped on resume and computed again; the header line is never cut, and
+a header that lost only its newline gets it back.  The base points are the
+reduced pairs (r, s) of ``_reduced_pairs``, the one enumeration; each goes
+as its integers into the certifier's one entry, ``verdict._certify``, and
+each row, verdict included, is built with its keys in sorted order, as
+``json.dumps`` writes them.
 
 Schema ``arborist-v2`` keeps an undecided witness search in the verdict's
 ``detail["undecided"]``.  In ``arborist-v1`` files that note sat at
@@ -31,7 +34,7 @@ from typing import Iterator
 from .critorbit import DEFAULT_DEPTH
 from .dynamics import DEGENERATE, Family
 from .errors import UsageError, open_named
-from .verdict import _certify_reduced
+from .verdict import _certify
 
 SCHEMA = "arborist-v2"
 #: every schema load_rows reads; search extends SCHEMA files only
@@ -76,20 +79,12 @@ class SearchSummary:
             self.condition_counts[tag] = self.condition_counts.get(tag, 0) + 1
 
 
-def enumerate_rationals(height: int) -> Iterator[Fraction]:
-    """All reduced r/s with 1 <= |r| <= height, 1 <= s <= height.
+def _reduced_pairs(height: int) -> Iterator[tuple[int, int]]:
+    """(r, s) of every reduced r/s with 1 <= |r| <= height, 1 <= s <= height.
 
     Deterministic order: s ascending, then r ascending.  Degenerate base
     points are emitted; filtering is the consumer's concern.
     """
-    if height < 1:
-        raise ValueError("height must be positive")
-    for r, s in _reduced_pairs(height):
-        yield Fraction(r, s)
-
-
-def _reduced_pairs(height: int) -> Iterator[tuple[int, int]]:
-    # (r, s) of every base point enumerate_rationals yields, in its order
     for s in range(1, height + 1):
         for r in range(-height, height + 1):
             if r != 0 and math.gcd(abs(r), s) == 1:
@@ -100,7 +95,7 @@ def certify_row(task: tuple[int, int, int, int]) -> dict:
     """Compute one self-contained result row; picklable for worker pools."""
     r, s, family, depth = task
     started = time.perf_counter()
-    verdict = _certify_reduced(r, s, family, depth)
+    verdict = _certify(r, s, family, depth)
     elapsed_ms = (time.perf_counter() - started) * 1000.0
     fields = verdict.to_json_dict()
     # keys in sorted order, as json.dumps writes them
@@ -200,12 +195,18 @@ def _check_extendable(path: Path, depth: int) -> None:
 
 def _drop_partial_row(path: Path) -> None:
     # Only the last line can lack its newline: rows are flushed one by one.
+    # The header has been read whole, so a file without any newline is a
+    # header that lost only its own: restore it rather than cut line 1.
     with open(path, "rb+") as fh:
         fh.seek(-1, os.SEEK_END)
         if fh.read(1) == b"\n":
             return
         fh.seek(0)
-        fh.truncate(fh.read().rfind(b"\n") + 1)
+        end = fh.read().rfind(b"\n") + 1
+        if end:
+            fh.truncate(end)
+        else:
+            fh.write(b"\n")
 
 
 def search(cfg: SearchConfig) -> SearchSummary:

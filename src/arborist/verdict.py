@@ -8,11 +8,12 @@ adjusted orbit, decided by
 :func:`~arborist.independence.factored_orbit_independent` from the
 repeated-prime law (which ``d_sequence``'s factored recursion and its
 iteration cross-check establish for the numerators used, so no gcd between
-levels is taken; every witness is re-verified), doubles as a consistency
-audit on every positive certificate and as a finite-depth fallback when no
-condition applies, one shared path for both: a fallback "independent to
-depth N" is evidence about the depth-N tree quotient, not a proof for the
-full tree, and the verdict says so.
+levels is taken; every witness is re-verified), is one computation per
+verdict: it audits every positive certificate, and it is the finite-depth
+fallback when no condition applies.  A fallback "independent to depth N" is
+evidence about the depth-N tree quotient, not a proof for the full tree,
+and the verdict says so.  ``certify`` and the sweep's rows reach every
+verdict through one integer entry, so the decision runs from one site.
 
 Fixed-point-tail family (c = -a - a^2), certificate number
 m = (-1)**delta * 2**e * |r| where delta is read off the sign law of
@@ -49,7 +50,7 @@ from fractions import Fraction
 from typing import Mapping
 
 from .critorbit import DEFAULT_DEPTH, d_sequence, family1_sign
-from .dynamics import Family, QuadMap, _quad_map, family1, family2
+from .dynamics import Family, _quad_map
 from .errors import InvariantViolation
 from .exactnum import is_perfect_square, jacobi, proven_prime
 from .independence import factored_orbit_independent
@@ -172,22 +173,6 @@ def _prime_3_mod_4_in(s: int, cutoff: int = TRIAL_DIVISION_CUTOFF):
     return _nonresidue_prime_in(-1, s, cutoff)
 
 
-def _orbit_decision(qmap: QuadMap, depth: int, detail: dict):
-    """(status, 1-based witness levels) of the adjusted orbit to ``depth``:
-    the audit's and the fallback's one path, whose detail keys it adds."""
-    orbit = d_sequence(qmap, depth)
-    if 0 in orbit.numerators:
-        detail["zero_levels"] = [i + 1 for i, x in enumerate(orbit.numerators) if x == 0]
-        return VerdictStatus.INAPPLICABLE, None
-    result = factored_orbit_independent(orbit.square_class_reps, qmap.r)
-    if result.independent:
-        detail["note"] = "finite-depth evidence only, not a proof"
-        return VerdictStatus.INDEPENDENT_TO_DEPTH, None
-    witness = tuple(i + 1 for i in result.witness)
-    detail["level"] = max(witness)
-    return VerdictStatus.DEPENDENT_AT_LEVEL, witness
-
-
 def _witness_search(tag: str, m: int, s: int, fired: list, detail: dict) -> bool:
     """Fire `tag` on a prime q | s with (m|q) = -1; True when undecided."""
     q, divisor, undecided = _nonresidue_prime_in(m, s)
@@ -231,82 +216,81 @@ def _conditions2(r: int, s: int) -> tuple[list[str], dict, str | None]:
     return fired, detail, None
 
 
-def _certify(qmap: QuadMap, depth: int, fallback: bool) -> Verdict:
-    """The decision procedure of either family; only the conditions differ.
+def certify(a: Fraction, family: Family | int, depth: int = DEFAULT_DEPTH) -> Verdict:
+    """Certify a base point, falling back to finite-depth independence.
+
+    Runs the family's decision procedure; when no condition fires, the
+    adjusted orbit is checked for 2-independence to the requested depth and
+    the verdict reports IndependentToDepth (evidence, not proof, said in
+    ``detail["note"]``) or DependentAtLevel (with the witness levels,
+    1-based, and the highest in ``detail["level"]``).  The detail keeps
+    every key of the inapplicable outcome, ``undecided`` included; an orbit
+    with a zero term stays Inapplicable and lists the zero levels in
+    ``detail["zero_levels"]``.
+    """
+    a = Fraction(a)
+    return _certify(a.numerator, a.denominator, family, depth)
+
+
+def _certify(r: int, s: int, family: Family | int, depth: int) -> Verdict:
+    """The decision procedure at a = r/s, reduced with s >= 1; only the
+    conditions differ between the families.  ``certify`` and the sweep's
+    rows both enter here, the sweep with no Fraction first.
 
     Returns Inapplicable when f(0) = a (a - c = 0, so the backward orbit is
     not a regular tree), NotSurjective when a - c is a nonzero rational
-    square, ProvenSurjective with the first firing condition (every firing
-    condition is listed in the detail), and Inapplicable otherwise; an
-    Inapplicable verdict whose witness search could not finish says so in
-    ``detail["undecided"]``.  Positive certificates are audited with the
-    orbit independence decider to ``depth``; an audit failure is a bug and
-    raises InvariantViolation.  With ``fallback``, an Inapplicable outcome
-    goes on to :func:`certify`'s finite-depth check.
+    square, and ProvenSurjective with the first firing condition (every
+    firing condition is listed in the detail).  Otherwise the status is the
+    orbit's, as :func:`certify` describes; an undecided witness search says
+    so in ``detail["undecided"]``.  The adjusted orbit to ``depth`` is
+    decided once: it is the audit of a fired condition, which must find it
+    independent (else InvariantViolation, a bug), and the verdict when no
+    condition fires.
     """
-    family, r, s = qmap.family, qmap.r, qmap.s
-    a = qmap.a
+    if depth < 1:
+        raise ValueError("depth must be positive")
+    qmap = _quad_map(Family(family), r, s)
+    family, a = qmap.family, qmap.a
     cycle1 = family is Family.CYCLE1
     delta = e = None
     if cycle1:
         de = compute_delta_e(a)
         delta, e = de.delta, de.e
-    status, condition, checked, witness = VerdictStatus.INAPPLICABLE, None, None, None
+    fired: list[str] = []
     gap = r * s - qmap.C  # (a - c) * s^2
     if gap == 0:
         detail = {"reason": _F0_IS_A}
     elif is_perfect_square(gap):
-        status = VerdictStatus.NOT_SURJECTIVE
         a_minus_c = str(Fraction(gap, s * s))
         detail = {"reason": "a - c is a rational square", "a_minus_c": a_minus_c}
+        return Verdict(a, family, VerdictStatus.NOT_SURJECTIVE, None, None, None, delta, e, detail)
     else:
         fired, detail, note = _conditions1(r, s, delta, e) if cycle1 else _conditions2(r, s)
-        if fired:
-            detail["fired"] = fired
-            audit, levels = _orbit_decision(qmap, depth, {})
-            if audit is not VerdictStatus.INDEPENDENT_TO_DEPTH:
-                raise InvariantViolation(
-                    f"certified base point {a} fails the independence audit "
-                    f"({audit.value}, witness levels {levels})"
-                )
-            status, condition, checked = VerdictStatus.PROVEN_SURJECTIVE, fired[0], depth
-        else:
+        if not fired:
             detail.setdefault("reason", "no certificate condition fires")
             if note is not None:
                 detail["undecided"] = note
-    if fallback and status is VerdictStatus.INAPPLICABLE:
-        checked = depth
-        status, witness = _orbit_decision(qmap, depth, detail)
-    return Verdict(a, family, status, condition, checked, witness, delta, e, detail)
-
-
-def certify_family1(a: Fraction, depth_check: int = DEFAULT_DEPTH) -> Verdict:
-    """Decision procedure for the fixed-point-tail family (c = -a - a^2)."""
-    return _certify(family1(a), depth_check, fallback=False)
-
-
-def certify_family2(a: Fraction, depth_check: int = DEFAULT_DEPTH) -> Verdict:
-    """Decision procedure for the two-cycle-tail family (c = -1 + a - a^2)."""
-    return _certify(family2(a), depth_check, fallback=False)
-
-
-def certify(a: Fraction, family: Family | int, depth: int = DEFAULT_DEPTH) -> Verdict:
-    """Certify a base point, falling back to finite-depth independence.
-
-    Runs the family's decision procedure; when it is inapplicable, the
-    adjusted orbit is checked for 2-independence to the requested depth and
-    the verdict reports IndependentToDepth (evidence, not proof, said in
-    ``detail["note"]``) or DependentAtLevel (with the witness levels,
-    1-based).  The detail keeps every key of the inapplicable verdict,
-    ``undecided`` included; an orbit with a zero term stays Inapplicable
-    and lists the zero levels in ``detail["zero_levels"]``.
-    """
-    a = Fraction(a)
-    return _certify_reduced(a.numerator, a.denominator, family, depth)
-
-
-def _certify_reduced(r: int, s: int, family: Family | int, depth: int) -> Verdict:
-    # certify at r/s, reduced with s >= 1: the sweep's entry, no Fraction first
-    if depth < 1:
-        raise ValueError("depth must be positive")
-    return _certify(_quad_map(Family(family), r, s), depth, fallback=True)
+    orbit = d_sequence(qmap, depth)
+    witness = None
+    if 0 in orbit.numerators:
+        status = VerdictStatus.INAPPLICABLE
+        found = {"zero_levels": [i + 1 for i, x in enumerate(orbit.numerators) if x == 0]}
+    else:
+        result = factored_orbit_independent(orbit.square_class_reps, r)
+        if result.independent:
+            status = VerdictStatus.INDEPENDENT_TO_DEPTH
+            found = {"note": "finite-depth evidence only, not a proof"}
+        else:
+            witness = tuple(i + 1 for i in result.witness)
+            status, found = VerdictStatus.DEPENDENT_AT_LEVEL, {"level": max(witness)}
+    if fired:
+        if status is not VerdictStatus.INDEPENDENT_TO_DEPTH:
+            raise InvariantViolation(
+                f"certified base point {a} fails the independence audit "
+                f"({status.value}, witness levels {witness})"
+            )
+        detail["fired"] = fired
+        status = VerdictStatus.PROVEN_SURJECTIVE
+        return Verdict(a, family, status, fired[0], depth, None, delta, e, detail)
+    detail.update(found)
+    return Verdict(a, family, status, None, depth, witness, delta, e, detail)

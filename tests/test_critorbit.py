@@ -613,7 +613,7 @@ class TestPairwiseCoprimality:
         for a in points:
             orbit = build(Family.CYCLE2, a, 6)
             assert all(rn < 0 for rn in orbit.numerators), a
-            parts = [abs(rn) >> int(v_int(rn, 2)) for rn in orbit.numerators]
+            parts = [abs(rn) >> v_int(rn, 2) for rn in orbit.numerators]
             for i in range(len(parts)):
                 for j in range(i + 1, len(parts)):
                     assert math.gcd(parts[i], parts[j]) == 1, (a, i, j)

@@ -7,10 +7,7 @@ import arborist
 
 # Exported on purpose although no other module calls them.
 ALLOWED_UNREACHED = {
-    "certify_family1": "documented public entry point for the first family",
-    "certify_family2": "documented public entry point for the second family",
     "decompose1": "checks the coprimality law of the first family in the tests",
-    "enumerate_rationals": "the sweep's base points as Fractions; search walks their (r, s)",
     "numerator_recursion": "checked entry of the recursion whose loop d_sequence runs",
     "orbit_independent": "raw-value entry and law-checking oracle",
 }

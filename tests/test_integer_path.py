@@ -17,14 +17,8 @@ from arborist.critorbit import family1_sign, sign_predict
 from arborist.dynamics import DEGENERATE, Family, family1, family2
 from arborist.errors import DegenerateBasePoint
 from arborist.exactnum import rational_is_square
-from arborist.search import _reduced_pairs, enumerate_rationals
-from arborist.verdict import (
-    VerdictStatus,
-    _certify_reduced,
-    certify,
-    certify_family1,
-    certify_family2,
-)
+from arborist.search import _reduced_pairs
+from arborist.verdict import VerdictStatus, _certify, certify
 
 F_0_EQUALS_A = "f(0) equals the base point; the backward orbit is not a regular tree"
 
@@ -50,13 +44,13 @@ def reference_family2_sign(a):
 
 
 FAMILIES = (
-    (family1, certify_family1, lambda a: -a - a * a, reference_family1_sign),
-    (family2, certify_family2, lambda a: -1 + a - a * a, reference_family2_sign),
+    (family1, 1, lambda a: -a - a * a, reference_family1_sign),
+    (family2, 2, lambda a: -1 + a - a * a, reference_family2_sign),
 )
 
 
 def check_against_fractions(a):
-    for ctor, certifier, reference_c, reference_sign in FAMILIES:
+    for ctor, family, reference_c, reference_sign in FAMILIES:
         try:
             qmap = ctor(a)
         except DegenerateBasePoint:
@@ -68,7 +62,7 @@ def check_against_fractions(a):
             law = family1_sign(a.numerator, a.denominator)
             assert (law.kind, law.start) == reference_family1_sign(a), a
         a_minus_c = a - qmap.c
-        verdict = certifier(a, depth_check=1)
+        verdict = certify(a, family, depth=1)
         assert (verdict.detail.get("reason") == F_0_EQUALS_A) == (a_minus_c == 0), a
         square = a_minus_c != 0 and rational_is_square(a_minus_c)
         assert (verdict.status is VerdictStatus.NOT_SURJECTIVE) == square, a
@@ -77,8 +71,8 @@ def check_against_fractions(a):
 
 
 def test_every_base_point_up_to_height_60():
-    for a in enumerate_rationals(60):
-        check_against_fractions(a)
+    for r, s in _reduced_pairs(60):
+        check_against_fractions(Fraction(r, s))
 
 
 @pytest.mark.parametrize(
@@ -124,7 +118,7 @@ def test_integer_entry_gives_certify_json():
         for family in (1, 2):
             if (r, s) in DEGENERATE[Family(family)]:
                 continue
-            row = json.dumps(_certify_reduced(r, s, family, 8).to_json_dict())
+            row = json.dumps(_certify(r, s, family, 8).to_json_dict())
             reference = certify(Fraction(r, s), family, depth=8).to_json_dict()
             assert row == json.dumps(reference, sort_keys=True), (r, s, family)
             if "zero_levels" in reference["detail"]:

@@ -9,14 +9,15 @@ from pathlib import Path
 import pytest
 
 import arborist
-from arborist.cli import main
+from arborist.backorbit import RenderConfig
+from arborist.cli import build_parser, main
 from arborist.dynamics import family1, family2
 from arborist.errors import DegenerateBasePoint, UsageError
 from arborist.search import (
     SCHEMA,
     SearchConfig,
+    _reduced_pairs,
     certify_row,
-    enumerate_rationals,
     load_rows,
     search,
     tally,
@@ -41,12 +42,17 @@ def strip_timing(row):
     return {k: v for k, v in row.items() if k != "timing_ms"}
 
 
+def base_points(height):
+    """The sweep's base points as Fractions, in its order."""
+    return [Fraction(r, s) for r, s in _reduced_pairs(height)]
+
+
 class TestEnumerateRationals:
     def test_height_one(self):
-        assert list(enumerate_rationals(1)) == [Fraction(-1), Fraction(1)]
+        assert list(_reduced_pairs(1)) == [(-1, 1), (1, 1)]
 
     def test_height_two(self):
-        values = list(enumerate_rationals(2))
+        values = base_points(2)
         assert len(values) == 6
         assert set(values) == {
             Fraction(-2),
@@ -59,20 +65,23 @@ class TestEnumerateRationals:
 
     def test_counts_match_oracle(self):
         for h in range(1, 9):
-            assert len(list(enumerate_rationals(h))) == brute_count(h)
+            assert len(list(_reduced_pairs(h))) == brute_count(h)
 
     def test_all_reduced_and_within_height(self):
-        for a in enumerate_rationals(7):
-            assert math.gcd(abs(a.numerator), a.denominator) == 1
-            assert 1 <= abs(a.numerator) <= 7 and 1 <= a.denominator <= 7
+        for r, s in _reduced_pairs(7):
+            assert math.gcd(abs(r), s) == 1
+            assert 1 <= abs(r) <= 7 and 1 <= s <= 7
 
     def test_monotone_in_height(self):
-        small = set(enumerate_rationals(4))
-        large = set(enumerate_rationals(5))
+        small = set(_reduced_pairs(4))
+        large = set(_reduced_pairs(5))
         assert small < large
 
     def test_deterministic_order(self):
-        assert list(enumerate_rationals(5)) == list(enumerate_rationals(5))
+        # s ascending, then r ascending
+        pairs = list(_reduced_pairs(5))
+        assert pairs == sorted(pairs, key=lambda pair: (pair[1], pair[0]))
+        assert pairs == list(_reduced_pairs(5))
 
 
 class TestSearch:
@@ -93,7 +102,7 @@ class TestSearch:
         search(SearchConfig(height=6, out_path=out, depth=2))
         written = {(row["a"], row["family"]) for row in load_rows(out)}
         expected = set()
-        for a in enumerate_rationals(6):
+        for a in base_points(6):
             for fam, ctor in ((1, family1), (2, family2)):
                 try:
                     ctor(a)
@@ -132,7 +141,7 @@ class TestSearch:
         keys = [(row["a"], row["family"]) for row in rows]
         assert len(keys) == len(set(keys))
         expected = set()
-        for a in enumerate_rationals(3):
+        for a in base_points(3):
             if a != -1:
                 expected.add((str(a), 1))
             if a != Fraction(1, 2):
@@ -640,6 +649,26 @@ class TestCliSearchAndReport:
         assert main(["report", "--in", str(out)]) == 2
         assert f"{out}:4: corrupt line" in capsys.readouterr().err
 
+    def test_header_that_lost_its_newline_is_resumed(self, tmp_path, capsys):
+        # a crash after the header's JSON but before its newline
+        out, fresh = tmp_path / "rows.jsonl", tmp_path / "fresh.jsonl"
+        header = json.dumps({"schema": SCHEMA, "depth": 4})
+        out.write_text(header, encoding="utf-8")
+        assert main(["search", "--height", "2", "--depth", "4", "--out", str(out)]) == 0
+        assert main(["search", "--height", "2", "--depth", "4", "--out", str(fresh)]) == 0
+        assert out.read_text().splitlines()[0] == header
+        assert [strip_timing(row) for row in load_rows(out)] == [
+            strip_timing(row) for row in load_rows(fresh)
+        ]
+
+    def test_header_cut_inside_its_json_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "rows.jsonl"
+        out.write_text(json.dumps({"schema": SCHEMA, "depth": 4})[:-5], encoding="utf-8")
+        before = out.read_bytes()
+        assert main(["search", "--height", "2", "--depth", "4", "--out", str(out)]) == 2
+        assert f"{out}:1: corrupt line" in capsys.readouterr().err
+        assert out.read_bytes() == before
+
     def test_unwritable_output_path(self, tmp_path, capsys):
         # a missing directory in a path the user named is their error
         target = tmp_path / "missing" / "rows.jsonl"
@@ -649,6 +678,15 @@ class TestCliSearchAndReport:
 
 
 class TestCliJulia:
+    def test_defaults_are_render_config_defaults(self):
+        args = build_parser().parse_args(["julia", "--c", "-1", "--a", "0"])
+        cfg = RenderConfig()
+        assert args.points == cfg.n_points
+        assert args.burn_in == cfg.burn_in
+        assert args.seed == cfg.seed
+        assert (args.width, args.height) == (cfg.width, cfg.height)
+        assert tuple(args.bounds) == cfg.bounds
+
     def test_pgm_output(self, tmp_path):
         out = tmp_path / "julia.pgm"
         code = main(

@@ -10,13 +10,12 @@ from arborist.dynamics import Family, family1, family2
 from arborist.errors import DegenerateBasePoint, InvariantViolation
 from arborist.exactnum import rational_is_square
 from arborist.independence import two_independent
+from arborist.search import _reduced_pairs
 from arborist.verdict import (
     VerdictStatus,
     _nonresidue_prime_in,
     _prime_3_mod_4_in,
     certify,
-    certify_family1,
-    certify_family2,
     compute_delta_e,
 )
 
@@ -81,36 +80,36 @@ class TestDeltaE:
 
 class TestCertifyFamily1:
     def test_example_one_fifth(self):
-        v = certify_family1(Fraction(1, 5), depth_check=6)
+        v = certify(Fraction(1, 5), 1, depth=6)
         assert v.status is VerdictStatus.PROVEN_SURJECTIVE
         assert v.condition == "T1.1-1"
         assert v.detail["m"] == "-1"
 
     def test_example_one_half_fires_mod4(self):
-        v = certify_family1(Fraction(1, 2), depth_check=6)
+        v = certify(Fraction(1, 2), 1, depth=6)
         assert v.status is VerdictStatus.PROVEN_SURJECTIVE
         assert "T1.1-2" in v.detail["fired"]  # -1 = 3 (mod 4)
 
     def test_example_minus_six_sevenths(self):
-        v = certify_family1(Fraction(-6, 7), depth_check=6)
+        v = certify(Fraction(-6, 7), 1, depth=6)
         assert v.status is VerdictStatus.PROVEN_SURJECTIVE
         assert v.condition == "T1.1-3"
         assert v.detail["fired"] == ["T1.1-3"]
         assert v.detail["q"] == "7"
 
     def test_square_offset_is_not_surjective(self):
-        v = certify_family1(Fraction(1, 4))
+        v = certify(Fraction(1, 4), 1, depth=1)
         assert v.status is VerdictStatus.NOT_SURJECTIVE
         assert v.detail["a_minus_c"] == "9/16"
 
     def test_minus_two_is_inapplicable(self):
-        assert certify_family1(Fraction(-2)).status is VerdictStatus.INAPPLICABLE
+        assert certify(Fraction(-2), 1, depth=1).status is VerdictStatus.INAPPLICABLE
 
     def test_degenerate_rejected(self):
         with pytest.raises(DegenerateBasePoint):
-            certify_family1(Fraction(0))
+            certify(Fraction(0), 1, depth=1)
         with pytest.raises(DegenerateBasePoint):
-            certify_family1(Fraction(-1))
+            certify(Fraction(-1), 1, depth=1)
 
     def test_audit_failure_raises(self, monkeypatch):
         import arborist.verdict as verdict_module
@@ -122,51 +121,57 @@ class TestCertifyFamily1:
             "factored_orbit_independent",
             lambda reps, r: IndependenceResult(False, (0,)),
         )
-        with pytest.raises(InvariantViolation):
-            certify_family1(Fraction(1, 5), depth_check=4)
+        # 1/5 fires T1.1-1 in the first family, 1/4 fires T1.2-1 in the second
+        for a, family in ((Fraction(1, 5), 1), (Fraction(1, 4), 2)):
+            with pytest.raises(InvariantViolation, match="fails the independence audit"):
+                certify(a, family, depth=4)
 
     def test_unaudited_proof_is_refused(self):
         # 1/5 fires T1.1-1; a proof without its independence audit is an error
-        for depth_check in (0, -1):
+        for depth in (0, -1):
             with pytest.raises(ValueError):
-                certify_family1(Fraction(1, 5), depth_check=depth_check)
+                certify(Fraction(1, 5), 1, depth=depth)
 
 
 class TestCertifyFamily2:
     def test_example_one_quarter(self):
-        v = certify_family2(Fraction(1, 4), depth_check=6)
+        v = certify(Fraction(1, 4), 2, depth=6)
         assert v.status is VerdictStatus.PROVEN_SURJECTIVE
         assert v.condition == "T1.2-1"
 
     def test_example_two_thirteenths(self):
-        v = certify_family2(Fraction(2, 13), depth_check=6)
+        v = certify(Fraction(2, 13), 2, depth=6)
         assert v.status is VerdictStatus.PROVEN_SURJECTIVE
         assert v.condition == "T1.2-2"
         assert v.detail["fired"] == ["T1.2-2"]
 
     def test_example_two_thirds(self):
-        v = certify_family2(Fraction(2, 3), depth_check=6)
+        v = certify(Fraction(2, 3), 2, depth=6)
         assert v.status is VerdictStatus.PROVEN_SURJECTIVE
         assert v.condition == "T1.2-3"
         assert v.detail["q"] == "3"
 
     def test_pythagorean_square_offset(self):
         # a - c = 1 + a^2 = 25/16 at a = 3/4
-        v = certify_family2(Fraction(3, 4))
+        v = certify(Fraction(3, 4), 2, depth=1)
         assert v.status is VerdictStatus.NOT_SURJECTIVE
         assert v.detail["a_minus_c"] == "25/16"
 
     def test_unaudited_proof_is_refused(self):
         with pytest.raises(ValueError):
-            certify_family2(Fraction(1, 4), depth_check=0)
+            certify(Fraction(1, 4), 2, depth=0)
 
     def test_conditions_require_unit_or_two_numerator(self):
-        v = certify_family2(Fraction(3, 5), depth_check=0)
-        assert v.status is VerdictStatus.INAPPLICABLE
+        # 3/5 fires nothing, so its status is the orbit's, not a proof
+        v = certify(Fraction(3, 5), 2, depth=1)
+        assert v.status is VerdictStatus.INDEPENDENT_TO_DEPTH
+        assert v.condition is None
+        assert v.detail["reason"] == "no certificate condition fires"
+        assert "fired" not in v.detail
 
     def test_degenerate_rejected(self):
         with pytest.raises(DegenerateBasePoint):
-            certify_family2(Fraction(1, 2))
+            certify(Fraction(1, 2), 2, depth=1)
 
 
 class TestCertify:
@@ -204,6 +209,23 @@ class TestCertify:
         v = certify(Fraction(-2), 1, depth=4)
         assert v.status is VerdictStatus.INAPPLICABLE
         assert v.detail["zero_levels"] == [1]
+
+    def test_nonpositive_depth_is_refused_for_every_base_point(self):
+        # every verdict, NotSurjective and f(0) = a included, is reached at a
+        # positive depth only
+        for r, s in _reduced_pairs(6):
+            for family in (1, 2):
+                for depth in (0, -1):
+                    with pytest.raises(ValueError, match="depth must be positive"):
+                        certify(Fraction(r, s), family, depth=depth)
+
+    def test_proven_verdict_carries_no_orbit_keys(self):
+        # the audit decides the orbit independent; its note is the fallback's
+        for a, family in ((Fraction(1, 5), 1), (Fraction(2, 3), 2)):
+            v = certify(a, family, depth=6)
+            assert v.status is VerdictStatus.PROVEN_SURJECTIVE
+            assert v.depth == 6 and v.witness is None
+            assert {"note", "level", "zero_levels"}.isdisjoint(v.detail)
 
     def test_family_accepts_enum_or_int(self):
         assert certify(Fraction(1, 5), Family.CYCLE1, depth=4).condition == "T1.1-1"
