@@ -21,7 +21,7 @@ from .dynamics import family1, family2
 from .errors import InvariantViolation, UsageError, open_named
 from .exactnum import parse_rational
 from .independence import brute_force_independent, two_independent
-from .search import SearchConfig, load_rows, search, tally
+from .search import SearchConfig, iter_rows, search, tally
 from .verdict import certify
 
 USAGE_ERROR = 2
@@ -93,10 +93,13 @@ def cmd_search(args: argparse.Namespace) -> int:
     summary = search(cfg)
     print(f"rows written: {summary.rows_written}")
     print(f"rows skipped (already present): {summary.rows_skipped}")
-    for status in sorted(summary.status_counts):
-        print(f"  {status}: {summary.status_counts[status]}")
-    for tag in sorted(summary.condition_counts):
-        print(f"  condition {tag}: {summary.condition_counts[tag]}")
+    for label, part in (("", 0), ("condition ", 1)):
+        totals: dict[str, int] = {}
+        for key, count in summary.counts.items():
+            totals[key[part]] = totals.get(key[part], 0) + count
+        totals.pop("-", None)  # the condition of a row without one
+        for name in sorted(totals):
+            print(f"  {label}{name}: {totals[name]}")
     return 0
 
 
@@ -123,13 +126,12 @@ def cmd_julia(args: argparse.Namespace) -> int:
 
 
 def cmd_report(args: argparse.Namespace) -> int:
-    rows = load_rows(args.in_path)
-    counts = tally(rows)
+    counts = tally(iter_rows(args.in_path))
     width = max([len(status) for status, _ in counts] + [6])
     print(f"{'status':<{width}}  {'condition':<10}  count")
     for (status, condition), count in sorted(counts.items()):
         print(f"{status:<{width}}  {condition:<10}  {count}")
-    print(f"total rows: {len(rows)}")
+    print(f"total rows: {sum(counts.values())}")
     return 0
 
 

@@ -99,13 +99,16 @@ class AdjustedOrbit:
     """Immutable adjusted critical orbit to a fixed depth.
 
     ``numerators[i-1]`` is r_i, the reduced numerator of f^i(0) - a over
-    denominator s**(2**i); it is the only stored form of the orbit.  D_i and
-    ``d_values`` are derived from it on each access and not cached.
+    denominator s**(2**i); it is the only stored form of the orbit.  The
+    depth, D_i and ``d_values`` are derived from it on each access.
     """
 
     qmap: QuadMap
-    depth: int
     numerators: tuple[int, ...]
+
+    @property
+    def depth(self) -> int:
+        return len(self.numerators)
 
     @property
     def a(self) -> Fraction:
@@ -292,7 +295,7 @@ def d_sequence(qmap: QuadMap, depth: int = DEFAULT_DEPTH) -> AdjustedOrbit:
         if math.gcd(rn, s) != 1:
             raise InvariantViolation(f"gcd(r_{n}, s) != 1 for a = {r}/{s}")
 
-    return AdjustedOrbit(qmap, depth, tuple(nums))
+    return AdjustedOrbit(qmap, tuple(nums))
 
 
 def decompose1(orbit: AdjustedOrbit, n: int) -> Decomposition1:

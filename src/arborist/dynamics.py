@@ -2,11 +2,11 @@
 strictly preperiodic base points (tail length 1 into a fixed point, and
 tail length 1 into a two-cycle).
 
-A map is carried as the integers of its base point a = r/s (reduced,
-s >= 1) and of c = C/s^2: C = -r(r + s) in the first family and
-C = -(r^2 - rs + s^2) in the second.  Neither C shares a prime with s,
-because gcd(r, s) = 1, so C/s^2 is reduced; a and c are derived from the
-integers on access.
+A map holds only its family and the integers of its base point a = r/s
+(reduced, s >= 1).  Its c is C/s^2 with C = -r(r + s) in the first family
+and C = -(r^2 - rs + s^2) in the second.  Neither C shares a prime with s,
+because gcd(r, s) = 1, so C/s^2 is reduced; C, a and c are derived from
+the stored integers on access.
 """
 
 from __future__ import annotations
@@ -32,21 +32,25 @@ class Family(enum.Enum):
 class QuadMap:
     """x -> x^2 + C/s^2 with its family and base point a = r/s.
 
-    Only the families' maps exist: r/s reduced with s >= 1 and C the
-    family's, else ValueError; a degenerate r/s raises DegenerateBasePoint.
+    Only the families' maps exist: r/s reduced with s >= 1, else ValueError;
+    a degenerate r/s raises DegenerateBasePoint.  C is derived, not stored.
     """
 
     family: Family
     r: int
     s: int
-    C: int
 
     def __post_init__(self) -> None:
         r, s = self.r, self.s
-        if s < 1 or math.gcd(r, s) != 1 or self.C != _numerator_of_c(self.family, r, s):
+        if s < 1 or math.gcd(r, s) != 1:
             raise ValueError(f"not a map of either family: {self}")
         if (r, s) in DEGENERATE[self.family]:
             raise DegenerateBasePoint(f"base point {self.a} is degenerate for this family")
+
+    @property
+    def C(self) -> int:
+        r, s = self.r, self.s
+        return -r * (r + s) if self.family is Family.CYCLE1 else -(r * r - r * s + s * s)
 
     @property
     def a(self) -> Fraction:
@@ -65,14 +69,6 @@ DEGENERATE = {
 }
 
 
-def _numerator_of_c(family: Family, r: int, s: int) -> int:
-    return -r * (r + s) if family is Family.CYCLE1 else -(r * r - r * s + s * s)
-
-
-def _quad_map(family: Family, r: int, s: int) -> QuadMap:
-    return QuadMap(family, r, s, _numerator_of_c(family, r, s))
-
-
 def family1(a: Fraction | int) -> QuadMap:
     """Map with c = -a - a^2, for which a falls onto the fixed point -a.
 
@@ -81,7 +77,7 @@ def family1(a: Fraction | int) -> QuadMap:
     rejected.
     """
     a = Fraction(a)
-    return _quad_map(Family.CYCLE1, a.numerator, a.denominator)
+    return QuadMap(Family.CYCLE1, a.numerator, a.denominator)
 
 
 def family2(a: Fraction | int) -> QuadMap:
@@ -91,4 +87,4 @@ def family2(a: Fraction | int) -> QuadMap:
     intended orbit; both are rejected.
     """
     a = Fraction(a)
-    return _quad_map(Family.CYCLE2, a.numerator, a.denominator)
+    return QuadMap(Family.CYCLE2, a.numerator, a.denominator)

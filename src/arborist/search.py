@@ -3,15 +3,18 @@
 Rows are independent (one per admissible base point and family), so the
 sweep is an order-preserving map over the enumeration: worker count never
 changes row content, and an existing output file is extended rather than
-recomputed.  The header line records the schema and the depth, and a file
-is only extended when it was written with this schema and at that depth.
-Every row is flushed as it is written; a row cut short by a crash is
-dropped on resume and computed again; the header line is never cut, and
-a header that lost only its newline gets it back.  The base points are the
-reduced pairs (r, s) of ``_reduced_pairs``, the one enumeration; each goes
-as its integers into the certifier's one entry, ``verdict._certify``, and
-each row, verdict included, is built with its keys in sorted order, as
-``json.dumps`` writes them.
+recomputed.  The base points are the reduced pairs (r, s) of
+``_reduced_pairs``, the one enumeration; each goes as its integers into the
+certifier's one entry, ``verdict._certify``, and each row, verdict included,
+is built with its keys in sorted order, as ``json.dumps`` writes them.
+
+One streaming reader, ``_Rows``, reads a results file for ``load_rows``,
+``report`` and the resume, which keeps only the (a, family) keys.  A file
+is extended only when its header records this schema and the run's depth.
+A resume checks the header and every complete row before it changes the
+file, so a refused run leaves it as it was; only then does it drop a row
+cut short by a crash (rows are flushed one by one, so only the last line
+can be cut) or give a header that lost only its newline its newline back.
 
 Schema ``arborist-v2`` keeps an undecided witness search in the verdict's
 ``detail["undecided"]``.  In ``arborist-v1`` files that note sat at
@@ -23,13 +26,12 @@ from __future__ import annotations
 
 import json
 import math
-import os
 import sys
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from .critorbit import DEFAULT_DEPTH
 from .dynamics import DEGENERATE, Family
@@ -66,17 +68,14 @@ class SearchConfig:
 class SearchSummary:
     rows_written: int = 0
     rows_skipped: int = 0
-    status_counts: dict[str, int] = field(default_factory=dict)
-    condition_counts: dict[str, int] = field(default_factory=dict)
+    #: rows written per (status, condition), "-" for no condition
+    counts: dict[tuple[str, str], int] = field(default_factory=dict)
 
     def record(self, row: dict) -> None:
         self.rows_written += 1
         verdict = row["verdict"]
-        status = verdict["status"]
-        self.status_counts[status] = self.status_counts.get(status, 0) + 1
-        if verdict["condition"]:
-            tag = verdict["condition"]
-            self.condition_counts[tag] = self.condition_counts.get(tag, 0) + 1
+        key = verdict["status"], verdict["condition"] or "-"
+        self.counts[key] = self.counts.get(key, 0) + 1
 
 
 def _reduced_pairs(height: int) -> Iterator[tuple[int, int]]:
@@ -109,22 +108,49 @@ def certify_row(task: tuple[int, int, int, int]) -> dict:
     }
 
 
-def _read_header(path: str | Path, fh) -> dict:
-    line = fh.readline()
-    if not line:
-        raise UsageError(f"{path}: empty results file")
-    head = _parse_line(path, 1, line)
-    schema = head.get("schema") if isinstance(head, dict) else None
-    if schema not in READABLE_SCHEMAS:
-        raise UsageError(f"{path}: unexpected schema {schema!r}")
-    return head
+class _Rows:
+    """One streaming pass over a results file opened in binary.
 
+    Construction reads and checks the header line; iteration yields every
+    complete row, raising UsageError as :func:`iter_rows` describes.  Only the
+    last line can lack its newline, since rows are flushed one by one, so
+    iteration stops there: ``cut`` is the byte offset where that line starts
+    and ``lineno`` its number.  ``cut`` is 0 when the header lost only its
+    newline, and None when the file ends with one.
+    """
 
-def _parse_line(path: str | Path, lineno: int, line: str, decode=json.loads):
-    try:
-        return decode(line)
-    except json.JSONDecodeError as exc:
-        raise UsageError(f"{path}:{lineno}: corrupt line: {exc}") from None
+    def __init__(self, path: str | Path, fh) -> None:
+        self.path, self._fh, self.lineno = path, fh, 1
+        floats: dict[str, float] = {}
+        self._decode = json.JSONDecoder(
+            parse_float=lambda text: floats.setdefault(text, float(text))
+        ).decode
+        line = fh.readline()
+        if not line:
+            raise UsageError(f"{path}: empty results file")
+        self.header = self._parse(line)
+        schema = self.header.get("schema") if isinstance(self.header, dict) else None
+        if schema not in READABLE_SCHEMAS:
+            raise UsageError(f"{path}: unexpected schema {schema!r}")
+        self.cut: int | None = None if line.endswith(b"\n") else 0
+
+    def _parse(self, line: bytes):
+        try:
+            return self._decode(line.decode("utf-8"))
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise UsageError(f"{self.path}:{self.lineno}: corrupt line: {exc}") from None
+
+    def __iter__(self) -> Iterator[dict]:
+        for line in self._fh:
+            self.lineno += 1
+            if not line.endswith(b"\n"):
+                self.cut = self._fh.tell() - len(line)
+                return
+            if line.strip():
+                row = self._parse(line)
+                if not _is_row(row):
+                    raise UsageError(f"{self.path}:{self.lineno}: not a result row")
+                yield row
 
 
 def _is_row(row) -> bool:
@@ -143,89 +169,58 @@ def _is_row(row) -> bool:
     )
 
 
-def load_rows(path: str | Path) -> list[dict]:
-    """Read a JSONL results file, validating the schema header.
+def iter_rows(path: str | Path) -> Iterator[dict]:
+    """Stream the rows of a JSONL results file, validating the schema header.
 
     The header's depth is optional here, so files written without one
     still load.  An unterminated last line is a row cut short by a crash:
     it is skipped with a note on stderr, as ``search`` drops it before
-    resuming.  Any other line that is not JSON, or is JSON but not a row (an
-    object with a string ``a``, a ``family`` of 1 or 2 and a ``verdict``
-    object holding a string ``status`` and a ``condition`` that is a string
-    or null), raises UsageError naming ``path:line``.  Files of every schema
-    in READABLE_SCHEMAS load.  Equal float texts (``timing_ms`` repeats
-    often) load as one shared float object.
+    resuming.  Any other line that is not UTF-8 JSON, or is JSON but not a
+    row (an object with a string ``a``, a ``family`` of 1 or 2 and a
+    ``verdict`` object holding a string ``status`` and a ``condition`` that
+    is a string or null), raises UsageError naming ``path:line``.  Files of
+    every schema in READABLE_SCHEMAS load; equal float texts load as one
+    shared float object.
     """
-    floats: dict[str, float] = {}
-    decode = json.JSONDecoder(
-        parse_float=lambda text: floats.setdefault(text, float(text))
-    ).decode
-    rows = []
-    with open_named(path, "r", encoding="utf-8") as fh:
-        _read_header(path, fh)
-        for lineno, line in enumerate(fh, start=2):
-            if not line.strip():
-                continue
-            if not line.endswith("\n"):
-                print(f"{path}:{lineno}: skipped an unterminated last line", file=sys.stderr)
-                break
-            row = _parse_line(path, lineno, line, decode)
-            if not _is_row(row):
-                raise UsageError(f"{path}:{lineno}: not a result row")
-            rows.append(row)
-    return rows
+    with open_named(path, "rb") as fh:
+        rows = _Rows(path, fh)
+        yield from rows
+    if rows.cut:
+        print(f"{path}:{rows.lineno}: skipped an unterminated last line", file=sys.stderr)
 
 
-def _check_extendable(path: Path, depth: int) -> None:
-    with open_named(path, "r", encoding="utf-8") as fh:
-        head = _read_header(path, fh)
-    if head["schema"] != SCHEMA:
-        raise UsageError(
-            f"{path}: written with schema {head['schema']}, this run writes {SCHEMA}; "
-            "write a new file"
-        )
-    recorded = head.get("depth")
-    if recorded != depth:
-        found = "no depth" if recorded is None else f"depth {recorded}"
-        raise UsageError(
-            f"{path}: header records {found}, this run asks for depth {depth}; "
-            "resume at the recorded depth or write a new file"
-        )
-
-
-def _drop_partial_row(path: Path) -> None:
-    # Only the last line can lack its newline: rows are flushed one by one.
-    # The header has been read whole, so a file without any newline is a
-    # header that lost only its own: restore it rather than cut line 1.
-    with open(path, "rb+") as fh:
-        fh.seek(-1, os.SEEK_END)
-        if fh.read(1) == b"\n":
-            return
-        fh.seek(0)
-        end = fh.read().rfind(b"\n") + 1
-        if end:
-            fh.truncate(end)
-        else:
-            fh.write(b"\n")
+def load_rows(path: str | Path) -> list[dict]:
+    """The rows of :func:`iter_rows`, as a list."""
+    return list(iter_rows(path))
 
 
 def search(cfg: SearchConfig) -> SearchSummary:
     """Run the sweep, appending to (and resuming from) cfg.out_path.
 
-    An existing file must carry SCHEMA and cfg.depth in its header;
-    otherwise it is left unchanged and UsageError is raised.
+    An existing file must carry SCHEMA and cfg.depth in its header and hold
+    only rows; otherwise it is left unchanged and UsageError is raised.
     """
     out = Path(cfg.out_path)
     summary = SearchSummary()
     done: set[tuple[str, int]] = set()
+    mode, cut = "w", None
     if out.exists() and out.stat().st_size > 0:
-        _check_extendable(out, cfg.depth)
-        _drop_partial_row(out)
-        for row in load_rows(out):
-            done.add((row["a"], row["family"]))
-        mode = "a"
-    else:
-        mode = "w"
+        with open_named(out, "rb") as fh:
+            rows = _Rows(out, fh)
+            schema, recorded = rows.header["schema"], rows.header.get("depth")
+            if schema != SCHEMA:
+                raise UsageError(
+                    f"{out}: written with schema {schema}, this run writes {SCHEMA}; "
+                    "write a new file"
+                )
+            if recorded != cfg.depth:
+                found = "no depth" if recorded is None else f"depth {recorded}"
+                raise UsageError(
+                    f"{out}: header records {found}, this run asks for depth {cfg.depth}; "
+                    "resume at the recorded depth or write a new file"
+                )
+            done = {(row["a"], row["family"]) for row in rows}
+        mode, cut = "a", rows.cut
 
     degenerate = {fam: DEGENERATE[Family(fam)] for fam in cfg.families}
     tasks = []
@@ -239,9 +234,14 @@ def search(cfg: SearchConfig) -> SearchSummary:
             tasks.append((r, s, fam, cfg.depth))
 
     with open_named(out, mode, encoding="utf-8", newline="\n") as fh:
+        # a resumed file has passed every check; only now is it changed
         if mode == "w":
             fh.write(json.dumps({"schema": SCHEMA, "depth": cfg.depth}) + "\n")
-            fh.flush()
+        elif cut == 0:  # line 1 is never cut: the header gets its newline back
+            fh.write("\n")
+        elif cut:
+            fh.truncate(cut)
+        fh.flush()
         if cfg.workers == 1:
             results = map(certify_row, tasks)
         else:
@@ -263,11 +263,9 @@ def search(cfg: SearchConfig) -> SearchSummary:
     return summary
 
 
-def tally(rows: list[dict]) -> dict[tuple[str, str], int]:
-    """Per (status, condition) row counts, for reporting."""
-    counts: dict[tuple[str, str], int] = {}
+def tally(rows: Iterable[dict]) -> dict[tuple[str, str], int]:
+    """Per (status, condition) row counts, for reporting, as search counts them."""
+    summary = SearchSummary()
     for row in rows:
-        verdict = row["verdict"]
-        key = (verdict["status"], verdict["condition"] or "-")
-        counts[key] = counts.get(key, 0) + 1
-    return counts
+        summary.record(row)
+    return summary.counts

@@ -50,7 +50,7 @@ from fractions import Fraction
 from typing import Mapping
 
 from .critorbit import DEFAULT_DEPTH, d_sequence, family1_sign
-from .dynamics import Family, _quad_map
+from .dynamics import Family, QuadMap
 from .errors import InvariantViolation
 from .exactnum import is_perfect_square, jacobi, proven_prime
 from .independence import factored_orbit_independent
@@ -249,7 +249,7 @@ def _certify(r: int, s: int, family: Family | int, depth: int) -> Verdict:
     """
     if depth < 1:
         raise ValueError("depth must be positive")
-    qmap = _quad_map(Family(family), r, s)
+    qmap = QuadMap(Family(family), r, s)
     family, a = qmap.family, qmap.a
     cycle1 = family is Family.CYCLE1
     delta = e = None

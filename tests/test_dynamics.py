@@ -110,19 +110,17 @@ class TestQuadMapBasics:
         assert (g.r, g.s, g.C, g.c) == (2, 1, -6, Fraction(-6))
 
     @pytest.mark.parametrize(
-        "family, r, s, C",
+        "family, r, s",
         [
-            (Family.CYCLE1, 1, 2, 5),  # C of neither family
-            (Family.CYCLE2, 1, 3, -4),  # the first family's C
-            (Family.CYCLE1, 2, 4, -24),  # r/s not reduced
-            (Family.CYCLE1, 1, -2, 1),  # s < 1
-            (Family.CYCLE2, 1, 0, -1),
+            (Family.CYCLE1, 2, 4),  # r/s not reduced
+            (Family.CYCLE1, 1, -2),  # s < 1
+            (Family.CYCLE2, 1, 0),
         ],
     )
-    def test_only_the_families_maps_can_be_built(self, family, r, s, C):
+    def test_only_the_families_maps_can_be_built(self, family, r, s):
         with pytest.raises(ValueError, match="not a map of either family"):
-            QuadMap(family, r, s, C)
+            QuadMap(family, r, s)
 
     def test_degenerate_map_cannot_be_built(self):
         with pytest.raises(DegenerateBasePoint):
-            QuadMap(Family.CYCLE1, -1, 1, 0)
+            QuadMap(Family.CYCLE1, -1, 1)

@@ -625,6 +625,39 @@ class TestCliSearchAndReport:
         assert f"{out}:{lineno}: not a result row" in capsys.readouterr().err
         assert out.read_bytes() == before
 
+    def test_refused_resume_leaves_a_cut_file_as_it_was(self, tmp_path, capsys):
+        # the bad row is found before the cut last row would be dropped
+        out = tmp_path / "rows.jsonl"
+        argv = ["search", "--height", "3", "--depth", "4", "--out", str(out)]
+        assert main(argv) == 0
+        lines = out.read_bytes().splitlines(keepends=True)
+        lines[2] = b'{"a": "5", "family": 1}\n'
+        lines[-1] = lines[-1][:20]
+        out.write_bytes(b"".join(lines))
+        capsys.readouterr()
+        before = out.read_bytes()
+        assert main(argv) == 2
+        assert f"{out}:3: not a result row" in capsys.readouterr().err
+        assert out.read_bytes() == before
+
+    @pytest.mark.parametrize("command", ["report", "search"])
+    def test_line_that_is_not_utf8_exits_2(self, tmp_path, capsys, command):
+        out = tmp_path / "rows.jsonl"
+        assert main(["search", "--height", "2", "--depth", "4", "--out", str(out)]) == 0
+        lines = out.read_bytes().splitlines(keepends=True)
+        lines[3] = lines[3].replace(b'"a": "', b'"a": "\xff', 1)
+        out.write_bytes(b"".join(lines))
+        capsys.readouterr()
+        before = out.read_bytes()
+        argv = {
+            "report": ["report", "--in", str(out)],
+            "search": ["search", "--height", "3", "--depth", "4", "--out", str(out)],
+        }[command]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert f"{out}:4: corrupt line" in err and "internal error" not in err
+        assert out.read_bytes() == before
+
     def test_extending_a_v1_file_exits_2(self, tmp_path, capsys):
         out = tmp_path / "rows.jsonl"
         assert main(["search", "--height", "2", "--depth", "4", "--out", str(out)]) == 0
