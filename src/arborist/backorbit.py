@@ -10,13 +10,13 @@ from __future__ import annotations
 
 import cmath
 import random
-from dataclasses import dataclass
+from typing import NamedTuple
 
-from .errors import UsageError
+from .errors import UsageError, checked
 
 
-@dataclass(frozen=True)
-class RenderConfig:
+@checked
+class RenderConfig(NamedTuple):
     width: int = 800
     height: int = 800
     #: (re_min, re_max, im_min, im_max)
@@ -25,7 +25,7 @@ class RenderConfig:
     burn_in: int = 50
     seed: int = 0
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         re_min, re_max, im_min, im_max = self.bounds
         if self.width < 1 or self.height < 1:
             raise UsageError("image dimensions must be positive")

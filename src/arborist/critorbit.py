@@ -84,18 +84,20 @@ from __future__ import annotations
 
 import math
 import threading
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .dynamics import Family, QuadMap
-from .errors import InvariantViolation
+from .errors import InvariantViolation, UsageError
 from .exactnum import format_rational, format_reduced, primes_up_to, v_int
 
 DEFAULT_DEPTH = 12
+#: The most bits that :func:`check_depth` lets r_N have.  A ``verify`` at
+#: the limit takes about a minute on 2 vCPUs (CPython 3.11).
+MAX_NUMERATOR_BITS = 1 << 25
 
 
-@dataclass(frozen=True)
-class AdjustedOrbit:
+class AdjustedOrbit(NamedTuple):
     """Immutable adjusted critical orbit to a fixed depth.
 
     ``numerators[i-1]`` is r_i, the reduced numerator of f^i(0) - a over
@@ -148,8 +150,7 @@ class AdjustedOrbit:
         return self.numerators[i - 1]
 
 
-@dataclass(frozen=True)
-class Decomposition1:
+class Decomposition1(NamedTuple):
     """r_n = sign * 2**e * |r| * t with t odd, positive, coprime to r."""
 
     n: int
@@ -158,8 +159,7 @@ class Decomposition1:
     t: int
 
 
-@dataclass(frozen=True)
-class ValuationCheck:
+class ValuationCheck(NamedTuple):
     """Outcome of one valuation law at one prime.
 
     ``passed`` is None when the law's hypothesis does not hold for (a, p).
@@ -171,8 +171,7 @@ class ValuationCheck:
     first_failure: int | None = None
 
 
-@dataclass(frozen=True)
-class SignPrediction:
+class SignPrediction(NamedTuple):
     """Predicted signs of f^n(0) - a.
 
     kind is one of ``all_positive`` (for n >= start), ``all_negative``
@@ -184,12 +183,34 @@ class SignPrediction:
     start: int | None = None
 
 
-@dataclass(frozen=True)
-class CongruenceReport:
+class CongruenceReport(NamedTuple):
     modulus: int
     applicable: bool
     passed: bool | None
     first_failure: int | None = None
+
+
+def check_depth(r: int, s: int, depth: int) -> int:
+    """An upper bound on the bits of r_depth for a = r/s.
+
+    UsageError for depth < 1 or a bound over MAX_NUMERATOR_BITS, before any
+    arithmetic on the orbit.  Either family's C has |C| <= (|r| + s)^2, so
+    with M = 2 bits(|r| + s), X_1 = C and
+    |X_{n+1}| <= X_n^2 + |C| s**(2**(n+1) - 2) give
+    bits(X_n) <= 2**(n-1) (M + 2) - 2 by induction, and r Q_n has at most
+    2**(n-1) M bits, so r_n = X_n - r Q_n has at most one bit more.  The
+    bound exceeds 2**depth, so it is evaluated at most at the limit's bit length.
+    """
+    if depth < 1:
+        raise UsageError("depth must be positive")
+    n = min(depth, MAX_NUMERATOR_BITS.bit_length())
+    bits = ((2 * (abs(r) + s).bit_length() + 2) << (n - 1)) - 1
+    if bits > MAX_NUMERATOR_BITS:
+        raise UsageError(
+            f"depth {depth} is too deep for base points with |r| <= {abs(r)} and "
+            f"s <= {s}: r_{depth} may exceed {MAX_NUMERATOR_BITS} bits"
+        )
+    return bits
 
 
 #: s -> (Q_1, ..., Q_k) with Q_n = s**(2**n - 1), least recently used first
@@ -277,10 +298,10 @@ def d_sequence(qmap: QuadMap, depth: int = DEFAULT_DEPTH) -> AdjustedOrbit:
     denominator law) raises InvariantViolation.  Agreement at every level,
     with the recursion's T_1 check, pins the chain to the true powers, and
     with it the identities behind the repeated-prime law (module docstring).
+    A depth that :func:`check_depth` refuses raises before any arithmetic.
     """
-    if depth < 1:
-        raise ValueError("depth must be positive")
     r, s, C = qmap.r, qmap.s, qmap.C
+    check_depth(r, s, depth)
     powers = _odd_powers(s, depth)
     nums = _numerators(qmap.family, r, s, powers)
     x = C  # X_n, the numerator of f^n(0) over s**(2**n)
@@ -481,16 +502,7 @@ def orbit_report(orbit: AdjustedOrbit, prime_bound: int = 100) -> dict:
         ],
         "sign_class": {"kind": sign.kind, "from": sign.start},
         "valuation_checks": {
-            str(p): [
-                {
-                    "name": ch.name,
-                    "applicable": ch.applicable,
-                    "passed": ch.passed,
-                    "first_failure": ch.first_failure,
-                }
-                for ch in check_valuations(orbit, p)
-            ]
-            for p in relevant
+            str(p): [check._asdict() for check in check_valuations(orbit, p)] for p in relevant
         },
         "congruence_checks": {},
     }

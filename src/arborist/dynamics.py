@@ -13,10 +13,10 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
-from .errors import DegenerateBasePoint
+from .errors import DegenerateBasePoint, checked
 
 
 class Family(enum.Enum):
@@ -28,8 +28,8 @@ class Family(enum.Enum):
     CYCLE2 = 2
 
 
-@dataclass(frozen=True)
-class QuadMap:
+@checked
+class QuadMap(NamedTuple):
     """x -> x^2 + C/s^2 with its family and base point a = r/s.
 
     Only the families' maps exist: r/s reduced with s >= 1, else ValueError;
@@ -40,7 +40,7 @@ class QuadMap:
     r: int
     s: int
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         r, s = self.r, self.s
         if s < 1 or math.gcd(r, s) != 1:
             raise ValueError(f"not a map of either family: {self}")

@@ -1,4 +1,4 @@
-"""Exception types shared across the package and the open() of user-named paths."""
+"""Exception types, the open() of user-named paths and the checked-record decorator."""
 
 
 class UsageError(ValueError):
@@ -31,3 +31,23 @@ def open_named(path, mode: str = "r", **kwargs):
         return open(path, mode, **kwargs)
     except (FileNotFoundError, IsADirectoryError, NotADirectoryError) as exc:
         raise UsageError(f"{path}: {exc.strerror}") from None
+
+
+def checked(record):
+    """Class decorator: a NamedTuple's ``_check`` runs on every record its ``__new__``
+    or ``_make`` builds, so ``_replace`` and unpickling cannot skip it either."""
+    new, make = record.__new__, record._make.__func__
+
+    def __new__(cls, *args, **kwargs):
+        self = new(cls, *args, **kwargs)
+        self._check()
+        return self
+
+    def _make(cls, iterable):
+        self = make(cls, iterable)
+        self._check()
+        return self
+
+    __new__.__wrapped__ = new  # inspect.signature shows the fields
+    record.__new__, record._make = __new__, classmethod(_make)
+    return record

@@ -40,23 +40,22 @@ certifier's path.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
-from .errors import InvariantViolation, UsageError
+from .errors import InvariantViolation, UsageError, checked
 from .exactnum import factor_refine, is_perfect_square, rational_is_square
 
 BRUTE_FORCE_LIMIT = 20
 
 
-@dataclass(frozen=True)
-class CoprimeBasis:
+@checked
+class CoprimeBasis(NamedTuple):
     """Pairwise-coprime integers >= 2, none of them a perfect square."""
 
     elements: tuple[int, ...]
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         for i, b in enumerate(self.elements):
             if b < 2 or is_perfect_square(b):
                 raise ValueError(f"invalid basis element {b}")
@@ -65,8 +64,7 @@ class CoprimeBasis:
                     raise ValueError(f"basis elements {b}, {other} not coprime")
 
 
-@dataclass(frozen=True)
-class IndependenceResult:
+class IndependenceResult(NamedTuple):
     independent: bool
     #: sorted indices into the input sequence whose product is a square
     witness: tuple[int, ...] | None = None

@@ -28,48 +28,49 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
-from .critorbit import DEFAULT_DEPTH
+from .critorbit import DEFAULT_DEPTH, check_depth
 from .dynamics import DEGENERATE, Family
-from .errors import UsageError, open_named
+from .errors import UsageError, checked, open_named
 from .verdict import _certify
 
 SCHEMA = "arborist-v2"
 #: every schema load_rows reads; search extends SCHEMA files only
 READABLE_SCHEMAS = ("arborist-v1", SCHEMA)
+#: base points per task sent to a worker process
+_CHUNK = 16
 
 
-@dataclass(frozen=True)
-class SearchConfig:
+@checked
+class SearchConfig(NamedTuple):
     height: int
     out_path: str | Path
     families: tuple[int, ...] = (1, 2)
     depth: int = DEFAULT_DEPTH
     workers: int = 1
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         if self.height < 1:
             raise UsageError("height must be positive")
-        if self.depth < 1:
-            raise UsageError("depth must be positive")
         if self.workers < 1:
             raise UsageError("worker count must be positive")
         if not self.families or any(f not in (1, 2) for f in self.families):
             raise UsageError("families must be a nonempty subset of {1, 2}")
         if len(set(self.families)) != len(self.families):
             raise UsageError(f"families {self.families} repeat a family")
+        check_depth(self.height, self.height, self.depth)  # |r|, s <= height
 
 
-@dataclass
 class SearchSummary:
-    rows_written: int = 0
-    rows_skipped: int = 0
-    #: rows written per (status, condition), "-" for no condition
-    counts: dict[tuple[str, str], int] = field(default_factory=dict)
+    __slots__ = ("rows_written", "rows_skipped", "counts")
+
+    def __init__(self) -> None:
+        self.rows_written = self.rows_skipped = 0
+        #: rows written per (status, condition), "-" for no condition
+        self.counts: dict[tuple[str, str], int] = {}
 
     def record(self, row: dict) -> None:
         self.rows_written += 1
@@ -242,21 +243,24 @@ def search(cfg: SearchConfig) -> SearchSummary:
         elif cut:
             fh.truncate(cut)
         fh.flush()
-        if cfg.workers == 1:
+        # a fork starts every worker at once: one per chunk at most, and a
+        # run of one chunk or none computes here
+        workers = min(cfg.workers, -(-len(tasks) // _CHUNK))
+        if workers <= 1:
             results = map(certify_row, tasks)
         else:
             # imported here, so the serial path never loads multiprocessing
             from concurrent.futures import ProcessPoolExecutor
 
-            pool = ProcessPoolExecutor(max_workers=cfg.workers)
-            results = pool.map(certify_row, tasks, chunksize=16)
+            pool = ProcessPoolExecutor(max_workers=workers)
+            results = pool.map(certify_row, tasks, chunksize=_CHUNK)
         try:
             for row in results:
                 fh.write(json.dumps(row) + "\n")
                 fh.flush()
                 summary.record(row)
         finally:
-            if cfg.workers > 1:
+            if workers > 1:
                 # map has submitted every chunk; a failed write must not wait
                 # for the rest of the sweep to be computed
                 pool.shutdown(cancel_futures=True)

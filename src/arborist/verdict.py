@@ -45,11 +45,10 @@ the one Fraction a sweep row builds.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
-from .critorbit import DEFAULT_DEPTH, d_sequence, family1_sign
+from .critorbit import DEFAULT_DEPTH, check_depth, d_sequence, family1_sign
 from .dynamics import Family, QuadMap
 from .errors import InvariantViolation
 from .exactnum import is_perfect_square, jacobi, proven_prime
@@ -67,16 +66,14 @@ class VerdictStatus(enum.Enum):
     DEPENDENT_AT_LEVEL = "DependentAtLevel"
 
 
-@dataclass(frozen=True)
-class DeltaE:
+class DeltaE(NamedTuple):
     """Sign exponent delta (None where undefined) and 2-part exponent e."""
 
     delta: int | None
     e: int
 
 
-@dataclass(frozen=True)
-class Verdict:
+class _Verdict(NamedTuple):
     a: Fraction
     family: Family
     status: VerdictStatus
@@ -85,7 +82,17 @@ class Verdict:
     witness: tuple[int, ...] | None = None
     delta: int | None = None
     e: int | None = None
-    detail: Mapping = field(default_factory=dict)
+    detail: Mapping | None = None
+
+
+class Verdict(_Verdict):
+    """A base point's status; one built without ``detail`` gets an empty dict of its own."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        verdict = super().__new__(cls, *args, **kwargs)
+        return verdict if verdict.detail is not None else verdict._replace(detail={})
 
     def to_json_dict(self) -> dict:
         """The verdict as JSON values, its keys and the detail's in sorted order.
@@ -245,17 +252,13 @@ def _certify(r: int, s: int, family: Family | int, depth: int) -> Verdict:
     so in ``detail["undecided"]``.  The adjusted orbit to ``depth`` is
     decided once: it is the audit of a fired condition, which must find it
     independent (else InvariantViolation, a bug), and the verdict when no
-    condition fires.
+    condition fires.  A depth that ``check_depth`` refuses raises first.
     """
-    if depth < 1:
-        raise ValueError("depth must be positive")
+    check_depth(r, s, depth)
     qmap = QuadMap(Family(family), r, s)
     family, a = qmap.family, qmap.a
     cycle1 = family is Family.CYCLE1
-    delta = e = None
-    if cycle1:
-        de = compute_delta_e(a)
-        delta, e = de.delta, de.e
+    delta, e = compute_delta_e(a) if cycle1 else (None, None)
     fired: list[str] = []
     gap = r * s - qmap.C  # (a - c) * s^2
     if gap == 0:

@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 
 import arborist.critorbit as critorbit
 from arborist.critorbit import (
+    MAX_NUMERATOR_BITS,
+    check_depth,
     check_valuations,
     congruence_check,
     d_sequence,
@@ -18,8 +20,8 @@ from arborist.critorbit import (
     orbit_report,
     sign_predict,
 )
-from arborist.dynamics import DEGENERATE, Family, family1, family2
-from arborist.errors import InvariantViolation
+from arborist.dynamics import DEGENERATE, Family, QuadMap, family1, family2
+from arborist.errors import InvariantViolation, UsageError
 from arborist.exactnum import primes_up_to, v_int
 
 
@@ -428,6 +430,39 @@ class TestOneProductRecursion:
                 "e": None if family == 2 else 0,
                 "detail": detail,
             }, (a, family)
+
+
+class TestDepthLimit:
+    def test_bound_covers_every_numerator(self):
+        for family, a in sample_points(12):
+            r, s = a.numerator, a.denominator
+            nums = d_sequence(QuadMap(family, r, s), 8).numerators
+            for n, rn in enumerate(nums, start=1):
+                assert rn.bit_length() <= check_depth(r, s, n), (family, a, n)
+
+    @pytest.mark.parametrize("depth", [23, 25, 40, 10**9])
+    def test_refused_before_any_arithmetic(self, monkeypatch, depth):
+        from arborist import verdict
+
+        def computed(*args):
+            raise AssertionError("a refused depth reached the orbit arithmetic")
+
+        for name in ("_odd_powers", "_numerators"):
+            monkeypatch.setattr(critorbit, name, computed)
+        monkeypatch.setattr(verdict, "_nonresidue_prime_in", computed)
+        with pytest.raises(UsageError, match=f"depth {depth} is too deep"):
+            d_sequence(family2(Fraction(13, 29)), depth)
+        with pytest.raises(UsageError, match=f"depth {depth} is too deep"):
+            verdict.certify(Fraction(13, 29), 1, depth=depth)
+
+    def test_limit_keeps_the_benchmark_and_pinned_depths(self):
+        # r_22 of 13/29 has about 20.4M bits; depth 23 would double it
+        assert check_depth(13, 29, 22) <= MAX_NUMERATOR_BITS
+        with pytest.raises(UsageError):
+            check_depth(13, 29, 23)
+        for a, _ in DEPTH16_NUMERATORS:
+            check_depth(Fraction(a).numerator, Fraction(a).denominator, 16)
+        check_depth(30, 30, 14)
 
 
 class TestDecompose1:

@@ -269,6 +269,32 @@ class TestSearch:
         assert len(computed) < len(submitted) // 4
         assert len(load_rows(out)) == 3
 
+    def test_pool_starts_one_process_per_chunk_at_most(self, tmp_path, monkeypatch):
+        import concurrent.futures
+
+        pools = []
+
+        class RecordingPool:
+            # stands in for ProcessPoolExecutor without starting a process
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+
+            def map(self, fn, tasks, chunksize):
+                return map(fn, tasks)
+
+            def shutdown(self, cancel_futures):
+                pass
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        out = tmp_path / "rows.jsonl"
+        summary = search(SearchConfig(height=4, out_path=out, depth=3, workers=500))
+        chunks = -(-summary.rows_written // 16)
+        assert chunks > 1 and pools == [chunks]
+        # nothing left to compute, or one chunk: no pool is opened
+        assert search(SearchConfig(height=4, out_path=out, depth=3, workers=500)).rows_written == 0
+        search(SearchConfig(height=2, out_path=tmp_path / "small.jsonl", depth=3, workers=500))
+        assert pools == [chunks]
+
     def test_rejects_bad_config(self, tmp_path):
         with pytest.raises(ValueError):
             SearchConfig(height=0, out_path=tmp_path / "x.jsonl")
@@ -421,6 +447,21 @@ class TestCliUsageErrors:
         assert main(argv) == 2
         assert capsys.readouterr().err.startswith(f"error: {named}: ")
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "--family", "1", "--a", "1/3", "--depth", "40"],
+            ["verify", "--family", "2", "--a", "13/29", "--depth", "23"],
+            ["orbit", "--family", "1", "--a=-5/17", "--depth", "23"],
+            ["search", "--height", "6", "--depth", "24", "--out", "rows.jsonl"],
+        ],
+    )
+    def test_depth_past_the_limit_exits_2(self, tmp_path, monkeypatch, capsys, argv):
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == 2
+        assert "is too deep" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []  # search refused before writing
 
     def test_foreign_results_file_exits_2(self, tmp_path, capsys):
         out = tmp_path / "rows.jsonl"
