@@ -32,6 +32,10 @@ Either way, a prime dividing r_m and r_n (m < n) also divides k Q_n or
 the second family).  Each level costs one full-size product; T_n is a
 linear step, not a second product.  The family-2 identity holds for the
 integers computed because the cross-check below pins Q_n = s Q_{n-1}^2.
+That product, the iteration's square X_n^2 and the chain's square
+Q_{n-1}^2 are the level's full-size work; above ``_bigmul.CUTOFF_BITS``
+they go to GMP's mpn layer when the system's libgmp loads (same integers,
+so every check below is unchanged), and below it they stay CPython's ``*``.
 
 The integers r_n over the known denominator s**(2**n) are the only stored
 form of the orbit; every D_n is derived from them on demand.  As a
@@ -87,14 +91,22 @@ import threading
 from fractions import Fraction
 from typing import NamedTuple
 
-from .dynamics import Family, QuadMap
+from ._bigmul import CUTOFF_BITS, mul, sqr
+from .dynamics import Family, QuadMap, integer_c
 from .errors import InvariantViolation, UsageError
 from .exactnum import format_rational, format_reduced, primes_up_to, v_int
 
 DEFAULT_DEPTH = 12
-#: The most bits that :func:`check_depth` lets r_N have.  A ``verify`` at
-#: the limit takes about a minute on 2 vCPUs (CPython 3.11).
+#: The most bits that :func:`check_depth` lets r_N have.  The slowest
+#: ``verify`` found at the limit, a = 1/(2**60 - 3) in the second family at
+#: depth 19 (r_19 of 31M bits), takes 1.2 s on 2 vCPUs (CPython 3.11) with
+#: GMP's products and 40 s with CPython's.
 MAX_NUMERATOR_BITS = 1 << 25
+#: The most levels :func:`check_depth` accepts.  An orbit that stays in
+#: [-2, 2] over the integers (s = 1, such as a = 1 in the second family,
+#: of period 2) keeps r_N small at any depth, so the bits alone would let
+#: its per-level work grow without end.
+MAX_DEPTH = 64
 
 
 class AdjustedOrbit(NamedTuple):
@@ -190,27 +202,48 @@ class CongruenceReport(NamedTuple):
     first_failure: int | None = None
 
 
-def check_depth(r: int, s: int, depth: int) -> int:
+def check_depth(r: int, s: int, depth: int, family: Family | None = None) -> int:
     """An upper bound on the bits of r_depth for a = r/s.
 
-    UsageError for depth < 1 or a bound over MAX_NUMERATOR_BITS, before any
-    arithmetic on the orbit.  Either family's C has |C| <= (|r| + s)^2, so
-    with M = 2 bits(|r| + s), X_1 = C and
-    |X_{n+1}| <= X_n^2 + |C| s**(2**(n+1) - 2) give
-    bits(X_n) <= 2**(n-1) (M + 2) - 2 by induction, and r Q_n has at most
-    2**(n-1) M bits, so r_n = X_n - r Q_n has at most one bit more.  The
-    bound exceeds 2**depth, so it is evaluated at most at the limit's bit length.
+    UsageError for depth < 1, depth > MAX_DEPTH or a bound over
+    MAX_NUMERATOR_BITS, before any arithmetic on the orbit.  The escape
+    bound holds in both families for every base point with
+    |r'| + s' <= |r| + s: either family's C has |C| <= (|r| + s)^2, so with
+    M = 2 bits(|r| + s), X_1 = C and |X_{n+1}| <= X_n^2 + |C| s**(2**(n+1) - 2)
+    give bits(X_n) <= 2**(n-1) (M + 2) - 2 by induction, and r Q_n has at
+    most 2**(n-1) M bits, so r_n = X_n - r Q_n has at most one bit more.
+    Where it passes the limit and the family is given, the orbit's own
+    bound (:func:`_bounded_orbit_bits`) is taken if it has one.
     """
     if depth < 1:
         raise UsageError("depth must be positive")
-    n = min(depth, MAX_NUMERATOR_BITS.bit_length())
-    bits = ((2 * (abs(r) + s).bit_length() + 2) << (n - 1)) - 1
+    if depth > MAX_DEPTH:
+        raise UsageError(f"depth {depth} is too deep: at most {MAX_DEPTH} levels are computed")
+    bits = ((2 * (abs(r) + s).bit_length() + 2) << (depth - 1)) - 1
+    if bits > MAX_NUMERATOR_BITS and family is not None:
+        bits = _bounded_orbit_bits(family, r, s, depth) or bits
     if bits > MAX_NUMERATOR_BITS:
         raise UsageError(
             f"depth {depth} is too deep for base points with |r| <= {abs(r)} and "
             f"s <= {s}: r_{depth} may exceed {MAX_NUMERATOR_BITS} bits"
         )
     return bits
+
+
+def _bounded_orbit_bits(family: Family, r: int, s: int, depth: int) -> int | None:
+    """A bound on the bits of r_depth that does not double with the bits of
+    |r| + s, for a map with -2 <= c <= 1/4 (on the integers,
+    -8 s^2 <= 4C <= s^2); None for any other map.
+
+    x^2 + c maps [-R, R] into itself for R = (1 + sqrt(1 - 4c))/2 <= 2, and
+    that interval holds 0, so |f^n(0)| <= 2 and
+    |r_n| <= s**(2**n - 1) (2s + |r|).  With b = bits(s - 1), s <= 2**b, so
+    bits(r_n) <= (2**n - 1) b + bits(2s + |r|), which is bits(2 + |r|) at
+    every depth when s = 1.
+    """
+    if not -8 * s * s <= 4 * integer_c(family, r, s) <= s * s:
+        return None
+    return ((1 << depth) - 1) * (s - 1).bit_length() + (2 * s + abs(r)).bit_length()
 
 
 #: s -> (Q_1, ..., Q_k) with Q_n = s**(2**n - 1), least recently used first
@@ -238,7 +271,8 @@ def _odd_powers(s: int, depth: int) -> tuple[int, ...]:
         if len(chain) < depth:
             grown = list(chain)
             while len(grown) < depth:
-                grown.append(s * grown[-1] ** 2)
+                q = grown[-1]
+                grown.append(s * (q * q if q.bit_length() < CUTOFF_BITS else sqr(q)))
             chain = tuple(grown)
         _POWER_CHAINS[s] = chain
     return chain[:depth]
@@ -254,7 +288,8 @@ def numerator_recursion(family: Family, r: int, s: int, depth: int) -> list[int]
     -(k - r)^2, the numerator of c + a, else InvariantViolation; at a = 1
     in the second family this check alone pins Q_1.  Q_n comes from the
     s-power chain that :func:`d_sequence`'s iteration reads too; that
-    cross-check, not this function, proves the chain right.
+    cross-check, not this function, proves the chain right.  A depth that
+    :func:`check_depth` refuses raises before any arithmetic.
     """
     if s < 1 or math.gcd(r, s) != 1:
         raise ValueError("base point must be given as a reduced fraction with s >= 1")
@@ -262,6 +297,7 @@ def numerator_recursion(family: Family, r: int, s: int, depth: int) -> list[int]
         raise ValueError("depth must be positive")
     if family not in (Family.CYCLE1, Family.CYCLE2):
         raise ValueError("numerator recursion requires a known family")
+    check_depth(r, s, depth, family)
     return _numerators(family, r, s, _odd_powers(s, depth))
 
 
@@ -279,7 +315,7 @@ def _numerators(family: Family, r: int, s: int, powers: tuple[int, ...]) -> list
     rn = p - k * q
     out = [rn]
     for q in powers[1:]:
-        p = rn * t
+        p = rn * t if rn.bit_length() < CUTOFF_BITS else mul(rn, t)
         t = p + j * q if j else p  # T_n = P_n in the first family
         rn = p - k * q
         out.append(rn)
@@ -301,7 +337,7 @@ def d_sequence(qmap: QuadMap, depth: int = DEFAULT_DEPTH) -> AdjustedOrbit:
     A depth that :func:`check_depth` refuses raises before any arithmetic.
     """
     r, s, C = qmap.r, qmap.s, qmap.C
-    check_depth(r, s, depth)
+    check_depth(r, s, depth, qmap.family)
     powers = _odd_powers(s, depth)
     nums = _numerators(qmap.family, r, s, powers)
     x = C  # X_n, the numerator of f^n(0) over s**(2**n)
@@ -310,7 +346,7 @@ def d_sequence(qmap: QuadMap, depth: int = DEFAULT_DEPTH) -> AdjustedOrbit:
             even, rem = divmod(q, s)  # s**(2**n - 2), exactly
             if rem:
                 raise InvariantViolation(f"s^(2^{n} - 1) is not a multiple of s = {s}")
-            x = x * x + C * even
+            x = (x * x if x.bit_length() < CUTOFF_BITS else sqr(x)) + C * even
         if x - r * q != rn:
             raise InvariantViolation(f"recursion/iteration mismatch at n = {n}, a = {r}/{s}")
         if math.gcd(rn, s) != 1:

@@ -49,8 +49,7 @@ class QuadMap(NamedTuple):
 
     @property
     def C(self) -> int:
-        r, s = self.r, self.s
-        return -r * (r + s) if self.family is Family.CYCLE1 else -(r * r - r * s + s * s)
+        return integer_c(self.family, self.r, self.s)
 
     @property
     def a(self) -> Fraction:
@@ -59,6 +58,11 @@ class QuadMap(NamedTuple):
     @property
     def c(self) -> Fraction:
         return Fraction(self.C, self.s * self.s)
+
+
+def integer_c(family: Family, r: int, s: int) -> int:
+    """C = c s^2 of the family's map at a = r/s."""
+    return -r * (r + s) if family is Family.CYCLE1 else -(r * r - r * s + s * s)
 
 
 #: Base points a = r/s, as (r, s) pairs, at which a family's intended orbit

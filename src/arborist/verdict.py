@@ -254,9 +254,10 @@ def _certify(r: int, s: int, family: Family | int, depth: int) -> Verdict:
     independent (else InvariantViolation, a bug), and the verdict when no
     condition fires.  A depth that ``check_depth`` refuses raises first.
     """
-    check_depth(r, s, depth)
-    qmap = QuadMap(Family(family), r, s)
-    family, a = qmap.family, qmap.a
+    family = Family(family)
+    check_depth(r, s, depth, family)
+    qmap = QuadMap(family, r, s)
+    a = qmap.a
     cycle1 = family is Family.CYCLE1
     delta, e = compute_delta_e(a) if cycle1 else (None, None)
     fired: list[str] = []

@@ -5,11 +5,13 @@ from contextlib import contextmanager
 from fractions import Fraction
 
 import pytest
+from conftest import force_python_products
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import arborist.critorbit as critorbit
 from arborist.critorbit import (
+    MAX_DEPTH,
     MAX_NUMERATOR_BITS,
     check_depth,
     check_valuations,
@@ -414,6 +416,12 @@ class TestOneProductRecursion:
         qmap = (family1 if family == 1 else family2)(Fraction(a))
         assert numerators_digest(d_sequence(qmap, 16).numerators) == DEPTH16_NUMERATORS[key]
 
+    def test_depth16_pins_hold_without_gmp(self, chains, monkeypatch):
+        force_python_products(monkeypatch)
+        for (a, family), digest in DEPTH16_NUMERATORS.items():
+            qmap = (family1 if family == 1 else family2)(Fraction(a))
+            assert numerators_digest(d_sequence(qmap, 16).numerators) == digest, (a, family)
+
     def test_depth16_verdicts_are_pinned(self):
         from arborist.verdict import certify
 
@@ -434,11 +442,33 @@ class TestOneProductRecursion:
 
 class TestDepthLimit:
     def test_bound_covers_every_numerator(self):
+        bounded = 0
         for family, a in sample_points(12):
             r, s = a.numerator, a.denominator
             nums = d_sequence(QuadMap(family, r, s), 8).numerators
             for n, rn in enumerate(nums, start=1):
                 assert rn.bit_length() <= check_depth(r, s, n), (family, a, n)
+                # the bound of a map with -2 <= c <= 1/4, where it has one
+                orbit_bits = critorbit._bounded_orbit_bits(family, r, s, n)
+                if orbit_bits is not None:
+                    bounded += 1
+                    assert rn.bit_length() <= orbit_bits <= check_depth(r, s, n), (family, a, n)
+        assert bounded > 1000
+
+    def test_bounded_orbit_is_accepted_at_any_depth_up_to_the_cap(self):
+        # a = 1 in the second family: c = -1, period 2, |r_n| <= 2
+        qmap = family2(1)
+        assert check_depth(1, 1, 30, Family.CYCLE2) == 2
+        assert d_sequence(qmap, 30).numerators == (-2, -1) * 15
+        assert d_sequence(qmap, MAX_DEPTH).depth == MAX_DEPTH
+        # without the family (search's bound for every base point) it is refused
+        with pytest.raises(UsageError, match="depth 30 is too deep"):
+            check_depth(1, 1, 30)
+        for depth in (MAX_DEPTH + 1, 10**9):
+            with pytest.raises(UsageError, match=f"depth {depth} is too deep"):
+                check_depth(1, 1, depth, Family.CYCLE2)
+            with pytest.raises(UsageError, match=f"depth {depth} is too deep"):
+                check_depth(1, 1, depth)
 
     @pytest.mark.parametrize("depth", [23, 25, 40, 10**9])
     def test_refused_before_any_arithmetic(self, monkeypatch, depth):
@@ -454,6 +484,8 @@ class TestDepthLimit:
             d_sequence(family2(Fraction(13, 29)), depth)
         with pytest.raises(UsageError, match=f"depth {depth} is too deep"):
             verdict.certify(Fraction(13, 29), 1, depth=depth)
+        with pytest.raises(UsageError, match=f"depth {depth} is too deep"):
+            numerator_recursion(Family.CYCLE1, 13, 29, depth)
 
     def test_limit_keeps_the_benchmark_and_pinned_depths(self):
         # r_22 of 13/29 has about 20.4M bits; depth 23 would double it
