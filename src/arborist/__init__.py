@@ -5,13 +5,11 @@ from .backorbit import RenderConfig, points_csv, render, sample_backward
 from .critorbit import (
     AdjustedOrbit,
     CongruenceReport,
-    Decomposition1,
     SignPrediction,
     ValuationCheck,
     check_valuations,
     congruence_check,
     d_sequence,
-    decompose1,
     numerator_recursion,
     orbit_report,
     sign_predict,
@@ -54,7 +52,6 @@ __all__ = [
     "AdjustedOrbit",
     "CongruenceReport",
     "CoprimeBasis",
-    "Decomposition1",
     "DegenerateBasePoint",
     "DeltaE",
     "Family",
@@ -75,7 +72,6 @@ __all__ = [
     "compute_delta_e",
     "congruence_check",
     "d_sequence",
-    "decompose1",
     "factor_refine",
     "family1",
     "family2",

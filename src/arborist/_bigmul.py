@@ -9,7 +9,9 @@ comes back through ``int.from_bytes`` and the sign is applied here.
 Python owns every buffer, so GMP holds no memory between calls, and
 ctypes releases the GIL during each call, so threads share nothing.
 
-libgmp is loaded on the first call, not at import, and only by soname
+The binding is made once per process, by :func:`functools.cache` on the
+first call, not at import (two threads racing on that call may each make
+one, and either serves).  libgmp is loaded only by soname
 (``ctypes.util.find_library`` would import subprocess and may run
 ldconfig).  It is used when its limbs are 64 bits, the byte order is
 little-endian, a C long (GMP's mp_size_t) has 8 bytes, and a self-test
@@ -20,8 +22,8 @@ callers' cross-checks do not depend on which path computed them.
 
 from __future__ import annotations
 
+import functools
 import sys
-import threading
 
 #: Operand size from which the orbit's products go to GMP.  Measured on
 #: CPython 3.11 (x * y against mpn_mul through ctypes, best of 7): 2k bits
@@ -44,32 +46,25 @@ def _python_sqr(x: int) -> int:
     return x * x
 
 
-#: (mul, sqr) once loaded: GMP's, or Python's where GMP cannot be used
-_products: tuple | None = None
-_LOAD_LOCK = threading.Lock()
+@functools.cache
+def _products() -> tuple:
+    """(mul, sqr): GMP's, or Python's where GMP cannot be used."""
+    return _bind() or (_python_mul, _python_sqr)
 
 
 def mul(x: int, y: int) -> int:
     """x * y."""
-    return (_products or _load())[0](x, y)
+    return _products()[0](x, y)
 
 
 def sqr(x: int) -> int:
     """x * x."""
-    return (_products or _load())[1](x)
+    return _products()[1](x)
 
 
 def uses_gmp() -> bool:
     """True when this process's products above the cutoff go to libgmp (loads it)."""
-    return (_products or _load())[0] is not _python_mul
-
-
-def _load() -> tuple:
-    global _products
-    with _LOAD_LOCK:
-        if _products is None:
-            _products = _bind() or (_python_mul, _python_sqr)
-    return _products
+    return _products()[0] is not _python_mul
 
 
 def _bind() -> tuple | None:

@@ -46,8 +46,9 @@ cross-check the module also iterates the map on integers: with c = C/s^2
 
 so r_n = X_n - r s**(2**n - 1).  Besides the inputs, the two computations
 share one chain of odd powers Q_n = s**(2**n - 1) (Q_1 = s,
-Q_n = s Q_{n-1}^2), built once per denominator, kept for the last few
-denominators and read once per orbit: the recursion reads Q_n and
+Q_n = s Q_{n-1}^2), read once per orbit from a ``functools.lru_cache`` of
+128 (s, depth) entries, where a deeper chain extends a shorter one (about
+12 denominators at depth 10): the recursion reads Q_n and
 s Q_n = s**(2**n), the iteration reads Q_n and the exact quotient
 Q_n / s = s**(2**n - 2), and a nonzero remainder raises
 InvariantViolation.  Agreement at every level pins the chain, for r != 0
@@ -76,18 +77,17 @@ the repeated-prime law then holds for the numerators of every
 between levels.
 
 The module also hosts the valuation, sign and congruence analyzers that
-:func:`orbit_report` collects, and the first family's numerator
-decomposition.  Note D_1 = -(f(0) - a) = -r_1/s^2: sign statements below
-are always about f^n(0) - a, whose sign at n = 1 is the opposite of D_1's.
-Since every denominator is an even power of s, the square class of D_n is
-that of the integer -r_1 (n = 1) or r_n (n >= 2); see
-:attr:`AdjustedOrbit.square_class_reps`.
+:func:`orbit_report` collects.  Note D_1 = -(f(0) - a) = -r_1/s^2: sign
+statements below are always about f^n(0) - a, whose sign at n = 1 is the
+opposite of D_1's.  Since every denominator is an even power of s, the
+square class of D_n is that of the integer -r_1 (n = 1) or r_n (n >= 2);
+see :attr:`AdjustedOrbit.square_class_reps`.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-import threading
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -160,15 +160,6 @@ class AdjustedOrbit(NamedTuple):
         if not 1 <= i <= self.depth:
             raise ValueError(f"index {i} outside 1..{self.depth}")
         return self.numerators[i - 1]
-
-
-class Decomposition1(NamedTuple):
-    """r_n = sign * 2**e * |r| * t with t odd, positive, coprime to r."""
-
-    n: int
-    sign: int
-    e: int
-    t: int
 
 
 class ValuationCheck(NamedTuple):
@@ -246,36 +237,22 @@ def _bounded_orbit_bits(family: Family, r: int, s: int, depth: int) -> int | Non
     return ((1 << depth) - 1) * (s - 1).bit_length() + (2 * s + abs(r)).bit_length()
 
 
-#: s -> (Q_1, ..., Q_k) with Q_n = s**(2**n - 1), least recently used first
-_POWER_CHAINS: dict[int, tuple[int, ...]] = {}
-_POWER_CHAINS_BOUND = 8
-_POWER_CHAINS_LOCK = threading.Lock()
-
-
+@functools.lru_cache(maxsize=128)
 def _odd_powers(s: int, depth: int) -> tuple[int, ...]:
     """(Q_1, ..., Q_depth) with Q_n = s**(2**n - 1), so Q_1 = s, Q_n = s Q_{n-1}^2.
 
-    The chains of the last _POWER_CHAINS_BOUND denominators are kept, each
-    as one immutable tuple that a deeper request replaces by its extension;
-    the least recently used chain is dropped.  One lock guards the memo, so
-    threads that certify concurrently keep it within its bound.  Nothing
+    Each (s, depth) is one cache entry, built by extending the entry one
+    level shorter, so a deeper chain shares the integers of the shorter
+    ones.  The 128 entries hold the chains of about 12 denominators at
+    depth 10 and 9 at depth 14, least recently used dropped first.  Nothing
     here is trusted: :func:`d_sequence`'s cross-check pins every Q_n it
     reads (module docstring).
     """
-    with _POWER_CHAINS_LOCK:
-        chain = _POWER_CHAINS.pop(s, None)
-        if chain is None:
-            if len(_POWER_CHAINS) >= _POWER_CHAINS_BOUND:
-                del _POWER_CHAINS[next(iter(_POWER_CHAINS))]
-            chain = (s,)
-        if len(chain) < depth:
-            grown = list(chain)
-            while len(grown) < depth:
-                q = grown[-1]
-                grown.append(s * (q * q if q.bit_length() < CUTOFF_BITS else sqr(q)))
-            chain = tuple(grown)
-        _POWER_CHAINS[s] = chain
-    return chain[:depth]
+    if depth == 1:
+        return (s,)
+    chain = _odd_powers(s, depth - 1)
+    q = chain[-1]
+    return (*chain, s * (q * q if q.bit_length() < CUTOFF_BITS else sqr(q)))
 
 
 def numerator_recursion(family: Family, r: int, s: int, depth: int) -> list[int]:
@@ -293,8 +270,6 @@ def numerator_recursion(family: Family, r: int, s: int, depth: int) -> list[int]
     """
     if s < 1 or math.gcd(r, s) != 1:
         raise ValueError("base point must be given as a reduced fraction with s >= 1")
-    if depth < 1:
-        raise ValueError("depth must be positive")
     if family not in (Family.CYCLE1, Family.CYCLE2):
         raise ValueError("numerator recursion requires a known family")
     check_depth(r, s, depth, family)
@@ -353,28 +328,6 @@ def d_sequence(qmap: QuadMap, depth: int = DEFAULT_DEPTH) -> AdjustedOrbit:
             raise InvariantViolation(f"gcd(r_{n}, s) != 1 for a = {r}/{s}")
 
     return AdjustedOrbit(qmap, tuple(nums))
-
-
-def decompose1(orbit: AdjustedOrbit, n: int) -> Decomposition1:
-    """Split r_n (n >= 2, fixed-point-tail family) as sign * 2**e * |r| * t.
-
-    e is 1 exactly when the base point numerator is even.  The division must
-    be exact with t odd and coprime to r; failure is a hard error since the
-    decomposition is guaranteed for this family.
-    """
-    if orbit.family is not Family.CYCLE1:
-        raise ValueError("decomposition applies to the fixed-point-tail family only")
-    if not 2 <= n <= orbit.depth:
-        raise ValueError(f"index {n} outside 2..{orbit.depth}")
-    r_abs = abs(orbit.qmap.r)
-    e = 1 if orbit.qmap.r % 2 == 0 else 0
-    rn = orbit.r(n)
-    t, rem = divmod(abs(rn), (1 << e) * r_abs)
-    if rem != 0 or t % 2 == 0 or math.gcd(t, r_abs) != 1:
-        raise InvariantViolation(
-            f"r_{n} = {rn} does not decompose as sign * 2^{e} * {r_abs} * odd-coprime"
-        )
-    return Decomposition1(n=n, sign=1 if rn > 0 else -1, e=e, t=t)
 
 
 def check_valuations(orbit: AdjustedOrbit, p: int) -> list[ValuationCheck]:

@@ -17,10 +17,11 @@ from __future__ import annotations
 
 import math
 import re
+import sys
 from fractions import Fraction
 from typing import Iterable
 
-from .errors import UsageError
+from .errors import InvariantViolation, UsageError
 
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(?:/\d+)?$")
 
@@ -43,13 +44,23 @@ _QR_RESIDUES = tuple(frozenset(k * k % m for k in range(m)) for m in _QR_MODULI)
 
 
 def parse_rational(text: str) -> Fraction:
-    """Parse the exact wire format ``r/s`` (or a bare integer ``r``)."""
+    """Parse the exact wire format ``r/s`` (or a bare integer ``r``).
+
+    UsageError for anything else, a zero denominator, or a part with more
+    digits than the interpreter's int/str conversion limit.
+    """
     if not _RATIONAL_RE.match(text.strip()):
         raise UsageError(f"not a rational in r/s form: {text!r}")
     try:
         return Fraction(text.strip())
     except ZeroDivisionError:
         raise UsageError(f"zero denominator: {text!r}") from None
+    except ValueError:  # the digits passed sys.get_int_max_str_digits()
+        shown = text if len(text) <= 40 else f"{text[:20]}...{text[-10:]}"
+        raise UsageError(
+            f"{shown!r} ({len(text)} characters) has a part of more than "
+            f"{sys.get_int_max_str_digits()} digits, the interpreter's int/str limit"
+        ) from None
 
 
 def format_rational(x: Fraction) -> str:
@@ -217,29 +228,26 @@ def factor_refine(
     elements are pairwise coprime, and ``inputs[i] == prod(b**e for b, e in
     zip(basis, rows[i]))`` exactly.  Output is deterministic for a fixed
     input order.
+
+    A split in :func:`_coprime_basis` writes b = g (b/g) and m = g (m/g),
+    so every input stays a product of basis elements; as they are pairwise
+    coprime, dividing each out as often as it goes leaves 1.  A leftover
+    cofactor raises InvariantViolation.
     """
     vals = [int(n) for n in inputs]
     if any(n < 2 for n in vals):
         raise ValueError("factor_refine requires all inputs >= 2")
-    basis = _coprime_basis(list(vals))
-    while True:
-        basis.sort()
-        rows: list[list[int]] = []
-        residual = 0
-        for n in vals:
-            row = []
-            for b in basis:
-                e = 0
-                while n % b == 0:
-                    n //= b
-                    e += 1
-                row.append(e)
-            if n != 1:
-                residual = n
-                break
-            rows.append(row)
-        if not residual:
-            return basis, rows
-        # A leftover cofactor shares a nontrivial gcd with some basis
-        # element; feeding it back splits that element further.
-        basis = _coprime_basis(basis + [residual])
+    basis = sorted(_coprime_basis(list(vals)))
+    rows: list[list[int]] = []
+    for i, n in enumerate(vals):
+        row = []
+        for b in basis:
+            e = 0
+            while n % b == 0:
+                n //= b
+                e += 1
+            row.append(e)
+        if n != 1:
+            raise InvariantViolation(f"input {i} is not a product of its coprime basis")
+        rows.append(row)
+    return basis, rows

@@ -1,4 +1,25 @@
+import functools
+import math
+import sys
+from typing import NamedTuple
+
 from arborist import _bigmul
+from arborist.critorbit import AdjustedOrbit
+from arborist.dynamics import Family
+from arborist.errors import InvariantViolation
+
+
+def current_int_str_limit():
+    """The interpreter's int/str digit limit; None where it has none."""
+    return getattr(sys, "get_int_max_str_digits", lambda: None)()
+
+
+def fresh_cache(monkeypatch, module, name):
+    """An empty cache of the same size in place of ``module.name``'s for the
+    test; monkeypatch restores the old one, and what it holds, afterwards."""
+    cached = getattr(module, name)
+    maxsize = cached.cache_parameters()["maxsize"]
+    monkeypatch.setattr(module, name, functools.lru_cache(maxsize)(cached.__wrapped__))
 
 
 def force_python_products(monkeypatch):
@@ -9,4 +30,35 @@ def force_python_products(monkeypatch):
         raise OSError(f"{name}: cannot open shared object file")
 
     monkeypatch.setattr(ctypes, "CDLL", absent)
-    monkeypatch.setattr(_bigmul, "_products", None)
+    fresh_cache(monkeypatch, _bigmul, "_products")
+
+
+class Decomposition1(NamedTuple):
+    """r_n = sign * 2**e * |r| * t with t odd, positive, coprime to r."""
+
+    n: int
+    sign: int
+    e: int
+    t: int
+
+
+def decompose1(orbit: AdjustedOrbit, n: int) -> Decomposition1:
+    """Split r_n (n >= 2, fixed-point-tail family) as sign * 2**e * |r| * t.
+
+    The first family's coprimality law, checked in the tests: e is 1
+    exactly when the base point numerator is even, and the division must be
+    exact with t odd and coprime to r, else InvariantViolation.
+    """
+    if orbit.family is not Family.CYCLE1:
+        raise ValueError("decomposition applies to the fixed-point-tail family only")
+    if not 2 <= n <= orbit.depth:
+        raise ValueError(f"index {n} outside 2..{orbit.depth}")
+    r_abs = abs(orbit.qmap.r)
+    e = 1 if orbit.qmap.r % 2 == 0 else 0
+    rn = orbit.r(n)
+    t, rem = divmod(abs(rn), (1 << e) * r_abs)
+    if rem != 0 or t % 2 == 0 or math.gcd(t, r_abs) != 1:
+        raise InvariantViolation(
+            f"r_{n} = {rn} does not decompose as sign * 2^{e} * {r_abs} * odd-coprime"
+        )
+    return Decomposition1(n=n, sign=1 if rn > 0 else -1, e=e, t=t)

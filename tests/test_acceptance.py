@@ -12,13 +12,13 @@ import time
 from fractions import Fraction
 
 import pytest
+from conftest import decompose1
 
 from arborist.backorbit import RenderConfig, render, sample_backward
 from arborist.critorbit import (
     check_valuations,
     congruence_check,
     d_sequence,
-    decompose1,
     numerator_recursion,
     sign_predict,
 )

@@ -9,7 +9,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from conftest import force_python_products
+from conftest import force_python_products, fresh_cache
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -69,12 +69,12 @@ def numerators(pairs, depth):
 
 
 def test_fallback_gives_the_same_deep_numerators(gmp, monkeypatch):
-    monkeypatch.setattr(critorbit, "_POWER_CHAINS", {})
+    fresh_cache(monkeypatch, critorbit, "_odd_powers")
     through_gmp = numerators(DEEP_PAIRS, 14)
     # r_14 crosses the cutoff in every pair, so both paths are exercised
     assert all(nums[-1].bit_length() > CUTOFF_BITS for nums in through_gmp.values())
     force_python_products(monkeypatch)
-    monkeypatch.setattr(critorbit, "_POWER_CHAINS", {})
+    fresh_cache(monkeypatch, critorbit, "_odd_powers")
     assert not _bigmul.uses_gmp()
     assert numerators(DEEP_PAIRS, 14) == through_gmp
 
@@ -88,7 +88,7 @@ def test_fallback_gives_the_same_deep_numerators(gmp, monkeypatch):
     ],
 )
 def test_an_unusable_gmp_falls_back_to_python(gmp, monkeypatch, refuse):
-    monkeypatch.setattr(_bigmul, "_products", None)
+    fresh_cache(monkeypatch, _bigmul, "_products")
     refuse(monkeypatch)
     assert not _bigmul.uses_gmp()
     x = 3 ** 20000

@@ -5,7 +5,7 @@ from contextlib import contextmanager
 from fractions import Fraction
 
 import pytest
-from conftest import force_python_products
+from conftest import current_int_str_limit, decompose1, force_python_products, fresh_cache
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -17,7 +17,6 @@ from arborist.critorbit import (
     check_valuations,
     congruence_check,
     d_sequence,
-    decompose1,
     numerator_recursion,
     orbit_report,
     sign_predict,
@@ -48,11 +47,6 @@ def sample_points(bound):
                 yield Family.CYCLE1, a
             if a != Fraction(1, 2):
                 yield Family.CYCLE2, a
-
-
-def current_int_str_limit():
-    """The interpreter's int/str digit limit; None where it has none."""
-    return getattr(sys, "get_int_max_str_digits", lambda: None)()
 
 
 @contextmanager
@@ -106,19 +100,25 @@ POWER_CORRUPTIONS = {
 
 @contextmanager
 def fresh_chains():
-    """An empty s-power memo for the block; the previous one is restored after."""
-    saved = critorbit._POWER_CHAINS
-    critorbit._POWER_CHAINS = {}
-    try:
-        yield critorbit._POWER_CHAINS
-    finally:
-        critorbit._POWER_CHAINS = saved
+    """An empty s-power cache for the block; the previous one is restored after."""
+    with pytest.MonkeyPatch.context() as mp:
+        fresh_cache(mp, critorbit, "_odd_powers")
+        yield critorbit._odd_powers
 
 
 @pytest.fixture
 def chains():
-    with fresh_chains() as memo:
-        yield memo
+    """An empty s-power cache for the test: the cached function itself."""
+    with fresh_chains() as cached:
+        yield cached
+
+
+def forge_chain(monkeypatch, s, chain):
+    """d_sequence reads ``chain``, cut to its depth, as the s-power chain of s."""
+    real = critorbit._odd_powers
+    monkeypatch.setattr(
+        critorbit, "_odd_powers", lambda t, depth: chain[:depth] if t == s else real(t, depth)
+    )
 
 
 def build(family, a, depth):
@@ -230,7 +230,7 @@ class TestNumeratorRecursion:
 class TestSharedPowerChain:
     @pytest.mark.parametrize("level", [1, 2, 4])
     @pytest.mark.parametrize("corrupt", POWER_CORRUPTIONS.values(), ids=list(POWER_CORRUPTIONS))
-    def test_corrupted_power_is_caught(self, chains, level, corrupt):
+    def test_corrupted_power_is_caught(self, monkeypatch, level, corrupt):
         from arborist.verdict import VerdictStatus, certify
 
         proven, fallback = VerdictStatus.PROVEN_SURJECTIVE, VerdictStatus.INDEPENDENT_TO_DEPTH
@@ -242,14 +242,13 @@ class TestSharedPowerChain:
             (Fraction(2, 27), Family.CYCLE2, proven),
             (Fraction(13, 29), Family.CYCLE2, fallback),
         ]:
-            chains.clear()
             assert certify(a, family, depth=5).status is path
             r, s = a.numerator, a.denominator
-            for run in (lambda: build(family, a, 5), lambda: certify(a, family, depth=5)):
-                chains.clear()
-                chains[s] = corrupted_chain(r, s, 5, level, corrupt)
-                with pytest.raises(InvariantViolation):
-                    run()
+            with monkeypatch.context() as forged:
+                forge_chain(forged, s, corrupted_chain(r, s, 5, level, corrupt))
+                for run in (lambda: build(family, a, 5), lambda: certify(a, family, depth=5)):
+                    with pytest.raises(InvariantViolation):
+                        run()
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -257,7 +256,7 @@ class TestSharedPowerChain:
         s=st.integers(1, 40),
         family=st.sampled_from([Family.CYCLE1, Family.CYCLE2]),
         depth=st.integers(1, 9),
-        others=st.lists(st.tuples(st.integers(1, 40), st.integers(1, 9)), max_size=12),
+        others=st.lists(st.tuples(st.integers(1, 40), st.integers(1, 9)), max_size=40),
     )
     def test_warm_chains_give_the_cold_orbit(self, r, s, family, depth, others):
         assume(math.gcd(r, s) == 1 and (r, s) not in DEGENERATE[family])
@@ -265,45 +264,51 @@ class TestSharedPowerChain:
         qmap = family1(a) if family is Family.CYCLE1 else family2(a)
         with fresh_chains():
             cold = d_sequence(qmap, depth).numerators
-        # warm the memo with a shorter chain for s, then with other
-        # denominators at other depths, enough of them to force evictions
-        with fresh_chains() as memo:
+        # warm the cache with a shorter chain for s, then with other
+        # denominators at other depths, up to 360 entries against its 128
+        with fresh_chains() as cached:
             d_sequence(qmap, min(depth, 3))
+            bound = cached.cache_parameters()["maxsize"]
             for other_s, other_depth in others:
                 d_sequence(family1(Fraction(1, other_s)), other_depth)
-                assert len(memo) <= critorbit._POWER_CHAINS_BOUND
+                assert cached.cache_info().currsize <= bound
             assert d_sequence(qmap, depth).numerators == cold
         for n, offset in enumerate(oracle_offsets(qmap.c, a, depth), start=1):
             assert offset == Fraction(cold[n - 1], s ** (2**n)), n
 
     def test_memo_holds_at_most_its_bound(self, chains):
-        bound = critorbit._POWER_CHAINS_BOUND
-        for s in range(1, 3 * bound + 1):
+        bound = chains.cache_parameters()["maxsize"]
+        # a depth-4 chain takes 4 entries: three times what the cache holds
+        newest = 3 * bound // 4
+        for s in range(1, newest + 1):
             build(Family.CYCLE1, Fraction(1, s), 4)
-            assert len(chains) <= bound
-        assert list(chains) == list(range(2 * bound + 1, 3 * bound + 1))
-        # a chain in use moves to the back, so the oldest other one goes next
-        build(Family.CYCLE2, Fraction(1, 2 * bound + 1), 4)
-        build(Family.CYCLE1, Fraction(1, 3 * bound + 1), 4)
-        assert len(chains) == bound
-        assert 2 * bound + 1 in chains and 2 * bound + 2 not in chains
+            assert chains.cache_info().currsize <= bound
+        before = chains.cache_info()
+        assert before.currsize == bound
+        # the most recent chain is a hit, the oldest one a miss
+        assert chains(newest, 4) == tuple(newest ** (2**n - 1) for n in range(1, 5))
+        after = chains.cache_info()
+        assert (after.hits, after.misses) == (before.hits + 1, before.misses)
+        assert chains(1, 4) == (1, 1, 1, 1)
+        assert chains.cache_info().misses > after.misses
+        assert chains.cache_info().currsize == bound
 
     def test_threads_keep_the_memo_bounded_and_right(self, chains):
         import random
         import threading
 
-        bound = critorbit._POWER_CHAINS_BOUND
-        expected = {s: tuple(s ** (2**n - 1) for n in range(1, 7)) for s in range(1, 3 * bound)}
+        bound = chains.cache_parameters()["maxsize"]
+        expected = {s: tuple(s ** (2**n - 1) for n in range(1, 7)) for s in range(1, bound)}
         errors, sizes = [], []
 
         def worker(seed):
             rng = random.Random(seed)
             try:
                 for _ in range(4000):
-                    s, depth = rng.randrange(1, 3 * bound), rng.randrange(1, 7)
+                    s, depth = rng.randrange(1, bound), rng.randrange(1, 7)
                     if critorbit._odd_powers(s, depth) != expected[s][:depth]:
                         errors.append((s, depth))
-                    sizes.append(len(chains))
+                    sizes.append(chains.cache_info().currsize)
             except Exception as exc:  # reported below, with the thread's seed
                 errors.append((seed, repr(exc)))
 
@@ -319,17 +324,19 @@ class TestSharedPowerChain:
             sys.setswitchinterval(saved)
         assert not any(thread.is_alive() for thread in threads)
         assert errors == []
-        assert max(sizes) <= bound and len(chains) <= bound
+        assert max(sizes) <= bound and chains.cache_info().currsize <= bound
 
     def test_deeper_request_extends_the_chain(self, chains):
         build(Family.CYCLE1, Fraction(2, 7), 3)
-        short = chains[7]
+        short = chains(7, 3)
+        misses = chains.cache_info().misses
         build(Family.CYCLE2, Fraction(3, 7), 9)
-        assert len(chains[7]) == 9
-        assert all(old is new for old, new in zip(short, chains[7]))
-        assert chains[7] == tuple(7 ** (2**n - 1) for n in range(1, 10))
+        assert chains.cache_info().misses == misses + 6
+        deep = chains(7, 9)
+        assert all(old is new for old, new in zip(short, deep))
+        assert deep == tuple(7 ** (2**n - 1) for n in range(1, 10))
         build(Family.CYCLE1, Fraction(2, 7), 5)
-        assert len(chains[7]) == 9
+        assert chains.cache_info().misses == misses + 6
 
 
 def divides(d, x):
@@ -376,15 +383,14 @@ DEPTH16_VERDICTS = {
 
 class TestOneProductRecursion:
     @pytest.mark.parametrize("q1", [2, 5, -3, -1])
-    def test_corrupted_first_power_at_one_is_caught(self, chains, q1):
+    def test_corrupted_first_power_at_one_is_caught(self, monkeypatch, q1):
         from arborist.verdict import certify
 
         # at a = 1 (r = s = 1) recursion and iteration both give
         # r_1 = -1 - Q_1 for any Q_1, and they agree at every later level on
         # a chain rebuilt from it; only the recursion's T_1 check ties Q_1 to s
+        forge_chain(monkeypatch, 1, corrupted_chain(1, 1, 6, 1, lambda r, s, q: q1))
         for run in (lambda: d_sequence(family2(1), 6), lambda: certify(1, 2, depth=6)):
-            chains.clear()
-            chains[1] = corrupted_chain(1, 1, 6, 1, lambda r, s, q: q1)
             with pytest.raises(InvariantViolation):
                 run()
 

@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from arborist import exactnum
+from arborist.errors import InvariantViolation
 from arborist.exactnum import (
     factor_refine,
     format_rational,
@@ -220,6 +222,20 @@ class TestFactorRefine:
         basis, rows = factor_refine(inputs)
         self.assert_valid(inputs, basis, rows)
         assert basis == sorted(basis)
+
+    @pytest.mark.parametrize(
+        "forged",
+        [
+            pytest.param([2, 5], id="prime-3-missing"),
+            pytest.param([4, 3, 5], id="2-not-split"),
+        ],
+    )
+    def test_a_basis_that_does_not_generate_the_inputs_raises(self, monkeypatch, forged):
+        # 12 = 2^2 * 3 and 10 = 2 * 5: each forgery is pairwise coprime, but
+        # dividing its elements out of 12 or 10 leaves a cofactor
+        monkeypatch.setattr(exactnum, "_coprime_basis", lambda work: list(forged))
+        with pytest.raises(InvariantViolation, match="not a product of its coprime basis"):
+            factor_refine([12, 10])
 
 
 class TestSerialization:

@@ -7,7 +7,6 @@ import arborist
 
 # Exported on purpose although no other module calls them.
 ALLOWED_UNREACHED = {
-    "decompose1": "checks the coprimality law of the first family in the tests",
     "numerator_recursion": "checked entry of the recursion whose loop d_sequence runs",
     "orbit_independent": "raw-value entry and law-checking oracle",
 }

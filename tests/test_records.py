@@ -9,6 +9,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from conftest import decompose1
 
 import arborist
 from arborist import (
@@ -26,7 +27,6 @@ from arborist import (
     compute_delta_e,
     congruence_check,
     d_sequence,
-    decompose1,
     family1,
     sign_predict,
     two_independent,

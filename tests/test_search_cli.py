@@ -7,6 +7,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from conftest import current_int_str_limit
 
 import arborist
 from arborist.backorbit import RenderConfig
@@ -462,6 +463,25 @@ class TestCliUsageErrors:
         assert main(argv) == 2
         assert "is too deep" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []  # search refused before writing
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "--family", "1", "--a", "1/{digits}", "--depth", "1"],
+            ["orbit", "--family", "2", "--a", "{digits}"],
+            ["independence", "--values", "2,{digits}"],
+        ],
+        ids=["verify", "orbit", "independence"],
+    )
+    def test_rational_past_the_int_str_limit_exits_2(self, argv, capsys):
+        limit = current_int_str_limit()
+        if not limit:
+            pytest.skip("this interpreter has no int/str digit limit")
+        digits = "7" * (limit + 700)
+        assert main([arg.format(digits=digits) for arg in argv]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert f"more than {limit} digits" in err
 
     def test_foreign_results_file_exits_2(self, tmp_path, capsys):
         out = tmp_path / "rows.jsonl"

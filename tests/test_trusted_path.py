@@ -7,7 +7,7 @@ import sys
 from fractions import Fraction
 
 import pytest
-from conftest import force_python_products
+from conftest import force_python_products, fresh_cache
 
 import arborist.critorbit as critorbit
 from arborist import _bigmul
@@ -29,7 +29,7 @@ SAMPLE = [
 
 TRUSTED = {
     "arborist._bigmul._bind",
-    "arborist._bigmul._load",
+    "arborist._bigmul._products",
     "arborist._bigmul.mul",
     "arborist._bigmul.sqr",
     "arborist.critorbit._numerators",
@@ -117,8 +117,8 @@ def products(request, monkeypatch):
 
 
 def test_certify_reaches_exactly_the_listed_functions(products, monkeypatch):
-    # a fresh binding and power-chain memo, so the load and the chain's
+    # a fresh binding and power-chain cache, so the load and the chain's
     # growth are on the path in every run
-    monkeypatch.setattr(_bigmul, "_products", None)
-    monkeypatch.setattr(critorbit, "_POWER_CHAINS", {})
+    fresh_cache(monkeypatch, _bigmul, "_products")
+    fresh_cache(monkeypatch, critorbit, "_odd_powers")
     assert reached_by_certify() == TRUSTED | ON_PATH[products]
