@@ -1,23 +1,26 @@
-"""Full-size products of the orbit arithmetic through GMP's mpn layer.
+"""Full-size products of the orbit arithmetic: this module alone decides
+how each is computed.
 
-Above :data:`CUTOFF_BITS`, :mod:`critorbit` sends the product and the two
-squares that cost a level's time to :func:`mul` and :func:`sqr`, which call
-``mpn_mul`` and ``mpn_sqr`` of the system's libgmp through :mod:`ctypes`
-(GMP manual, "Low-level Functions").  A magnitude goes in as its array of
-64-bit limbs, which is ``int.to_bytes(8 * n, "little")``; the product
-comes back through ``int.from_bytes`` and the sign is applied here.
-Python owns every buffer, so GMP holds no memory between calls, and
-ctypes releases the GIL during each call, so threads share nothing.
+:mod:`critorbit` sends the product and the two squares that cost a level's
+time to :func:`mul` and :func:`sqr`.  Below :data:`CUTOFF_BITS` they are
+CPython's ``*``; from it on they call ``mpn_mul`` and ``mpn_sqr`` of the
+system's libgmp through :mod:`ctypes` (GMP manual, "Low-level Functions").
+A magnitude goes in as its array of 64-bit limbs, which is
+``int.to_bytes(8 * n, "little")``; the product comes back through
+``int.from_bytes`` and the sign is applied here.  Python owns every
+buffer, so GMP holds no memory between calls, and ctypes releases the GIL
+during each call, so threads share nothing.
 
 The binding is made once per process, by :func:`functools.cache` on the
-first call, not at import (two threads racing on that call may each make
-one, and either serves).  libgmp is loaded only by soname
-(``ctypes.util.find_library`` would import subprocess and may run
-ldconfig).  It is used when its limbs are 64 bits, the byte order is
-little-endian, a C long (GMP's mp_size_t) has 8 bytes, and a self-test
-against ``*`` passes; otherwise every product is ``*`` for the rest of
-the process.  Either way the results are the same integers, and the
-callers' cross-checks do not depend on which path computed them.
+first product from the cutoff on, so ctypes stays unimported until then
+(two threads racing on that call may each make one, and either serves).
+libgmp is loaded only by soname (``ctypes.util.find_library`` would import
+subprocess and may run ldconfig).  It is used when its limbs are 64 bits,
+the byte order is little-endian, a C long (GMP's mp_size_t) has 8 bytes,
+and a self-test against ``*`` passes; otherwise every product is ``*``
+for the rest of the process.  Either way the results are the same
+integers, and the callers' cross-checks do not depend on which path
+computed them.
 """
 
 from __future__ import annotations
@@ -30,44 +33,34 @@ import sys
 #: 5.3 against 6.6 us, 4k 18.6 against 10.6 us, 8k 72.9 against 18.3 us,
 #: 80k 1869 against 259 us.  The crossover lies between 2k and 4k bits; the
 #: cutoff sits above it so that a depth-10 row of height <= 30 (r_10 at
-#: most 5654 bits) stays on ``*`` and never imports ctypes.  Callers
-#: compare an operand's bit length with it inline, so a product below the
-#: cutoff makes no call into this module.
+#: most 5654 bits) stays on ``*`` and never imports ctypes.  Only this
+#: module compares an operand's bit length with it.
 CUTOFF_BITS = 8192
 
 _SONAMES = ("libgmp.so.10", "libgmp.so")
 
 
-def _python_mul(x: int, y: int) -> int:
+def mul(x: int, y: int) -> int:
+    """x * y, through GMP when x has at least CUTOFF_BITS bits and libgmp is usable."""
+    if x.bit_length() >= CUTOFF_BITS and (gmp := _gmp()):
+        return gmp[0](x, y)
     return x * y
 
 
-def _python_sqr(x: int) -> int:
+def sqr(x: int) -> int:
+    """x * x, through GMP when x has at least CUTOFF_BITS bits and libgmp is usable."""
+    if x.bit_length() >= CUTOFF_BITS and (gmp := _gmp()):
+        return gmp[1](x)
     return x * x
 
 
-@functools.cache
-def _products() -> tuple:
-    """(mul, sqr): GMP's, or Python's where GMP cannot be used."""
-    return _bind() or (_python_mul, _python_sqr)
-
-
-def mul(x: int, y: int) -> int:
-    """x * y."""
-    return _products()[0](x, y)
-
-
-def sqr(x: int) -> int:
-    """x * x."""
-    return _products()[1](x)
-
-
 def uses_gmp() -> bool:
-    """True when this process's products above the cutoff go to libgmp (loads it)."""
-    return _products()[0] is not _python_mul
+    """True when this process's products from the cutoff on go to libgmp (loads it)."""
+    return _gmp() is not None
 
 
-def _bind() -> tuple | None:
+@functools.cache
+def _gmp() -> tuple | None:
     """GMP's (mul, sqr) on Python ints, or None where they cannot be used."""
     import ctypes
 
@@ -91,34 +84,30 @@ def _bind() -> tuple | None:
         mpn_mul.restype = ctypes.c_ulong
         mpn_sqr.argtypes = (ptr, ptr, size)
         mpn_sqr.restype = None
-        products = _wrap(mpn_mul, mpn_sqr, ctypes.create_string_buffer)
-        return products if _agrees(*products) else None
+
+        def gmp_mul(x: int, y: int) -> int:
+            if not x or not y:
+                return 0
+            u, v = abs(x), abs(y)
+            m, n = (u.bit_length() + 63) >> 6, (v.bit_length() + 63) >> 6
+            if m < n:
+                u, v, m, n = v, u, n, m
+            out = ctypes.create_string_buffer(8 * (m + n))
+            mpn_mul(out, u.to_bytes(8 * m, "little"), m, v.to_bytes(8 * n, "little"), n)
+            z = int.from_bytes(out, "little")
+            return -z if (x < 0) is not (y < 0) else z
+
+        def gmp_sqr(x: int) -> int:
+            if not x:
+                return 0
+            u = abs(x)
+            n = (u.bit_length() + 63) >> 6
+            out = ctypes.create_string_buffer(16 * n)
+            mpn_sqr(out, u.to_bytes(8 * n, "little"), n)
+            return int.from_bytes(out, "little")
+
+        return (gmp_mul, gmp_sqr) if _agrees(gmp_mul, gmp_sqr) else None
     return None
-
-
-def _wrap(mpn_mul, mpn_sqr, buffer) -> tuple:
-    def gmp_mul(x: int, y: int) -> int:
-        if not x or not y:
-            return 0
-        u, v = abs(x), abs(y)
-        m, n = (u.bit_length() + 63) >> 6, (v.bit_length() + 63) >> 6
-        if m < n:
-            u, v, m, n = v, u, n, m
-        out = buffer(8 * (m + n))
-        mpn_mul(out, u.to_bytes(8 * m, "little"), m, v.to_bytes(8 * n, "little"), n)
-        z = int.from_bytes(out, "little")
-        return -z if (x < 0) is not (y < 0) else z
-
-    def gmp_sqr(x: int) -> int:
-        if not x:
-            return 0
-        u = abs(x)
-        n = (u.bit_length() + 63) >> 6
-        out = buffer(16 * n)
-        mpn_sqr(out, u.to_bytes(8 * n, "little"), n)
-        return int.from_bytes(out, "little")
-
-    return gmp_mul, gmp_sqr
 
 
 def _agrees(gmp_mul, gmp_sqr) -> bool:

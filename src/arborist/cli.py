@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 import traceback
 
@@ -19,7 +20,7 @@ from .backorbit import RenderConfig, points_csv, render, sample_backward
 from .critorbit import DEFAULT_DEPTH, d_sequence, orbit_report
 from .dynamics import family1, family2
 from .errors import InvariantViolation, UsageError, open_named
-from .exactnum import parse_rational
+from .exactnum import digit_limit_message, parse_rational
 from .independence import brute_force_independent, two_independent
 from .search import SearchConfig, iter_rows, search, tally
 from .verdict import certify
@@ -27,12 +28,15 @@ from .verdict import certify
 USAGE_ERROR = 2
 INTERNAL_ERROR = 1
 BROKEN_PIPE = 141  # 128 + SIGPIPE, as a shell reports a writer killed by it
+_INTEGER_RE = re.compile(r"\s*[+-]?\d+\s*")
 
 
 def _positive_int(text: str) -> int:
     try:
         value = int(text)
     except ValueError:
+        if _INTEGER_RE.fullmatch(text):  # the digits passed sys.get_int_max_str_digits()
+            raise argparse.ArgumentTypeError(digit_limit_message(text)) from None
         raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")

@@ -33,9 +33,10 @@ the second family).  Each level costs one full-size product; T_n is a
 linear step, not a second product.  The family-2 identity holds for the
 integers computed because the cross-check below pins Q_n = s Q_{n-1}^2.
 That product, the iteration's square X_n^2 and the chain's square
-Q_{n-1}^2 are the level's full-size work; above ``_bigmul.CUTOFF_BITS``
-they go to GMP's mpn layer when the system's libgmp loads (same integers,
-so every check below is unchanged), and below it they stay CPython's ``*``.
+Q_{n-1}^2 are the level's full-size work, and they go through
+``_bigmul.mul`` and ``_bigmul.sqr``, which alone choose by operand size
+between CPython's ``*`` and GMP's mpn layer (same integers, so every check
+below is unchanged).
 
 The integers r_n over the known denominator s**(2**n) are the only stored
 form of the orbit; every D_n is derived from them on demand.  As a
@@ -91,7 +92,7 @@ import math
 from fractions import Fraction
 from typing import NamedTuple
 
-from ._bigmul import CUTOFF_BITS, mul, sqr
+from ._bigmul import mul, sqr
 from .dynamics import Family, QuadMap, integer_c
 from .errors import InvariantViolation, UsageError
 from .exactnum import format_rational, format_reduced, primes_up_to, v_int
@@ -251,8 +252,7 @@ def _odd_powers(s: int, depth: int) -> tuple[int, ...]:
     if depth == 1:
         return (s,)
     chain = _odd_powers(s, depth - 1)
-    q = chain[-1]
-    return (*chain, s * (q * q if q.bit_length() < CUTOFF_BITS else sqr(q)))
+    return (*chain, s * sqr(chain[-1]))
 
 
 def numerator_recursion(family: Family, r: int, s: int, depth: int) -> list[int]:
@@ -290,7 +290,7 @@ def _numerators(family: Family, r: int, s: int, powers: tuple[int, ...]) -> list
     rn = p - k * q
     out = [rn]
     for q in powers[1:]:
-        p = rn * t if rn.bit_length() < CUTOFF_BITS else mul(rn, t)
+        p = mul(rn, t)
         t = p + j * q if j else p  # T_n = P_n in the first family
         rn = p - k * q
         out.append(rn)
@@ -321,7 +321,7 @@ def d_sequence(qmap: QuadMap, depth: int = DEFAULT_DEPTH) -> AdjustedOrbit:
             even, rem = divmod(q, s)  # s**(2**n - 2), exactly
             if rem:
                 raise InvariantViolation(f"s^(2^{n} - 1) is not a multiple of s = {s}")
-            x = (x * x if x.bit_length() < CUTOFF_BITS else sqr(x)) + C * even
+            x = sqr(x) + C * even
         if x - r * q != rn:
             raise InvariantViolation(f"recursion/iteration mismatch at n = {n}, a = {r}/{s}")
         if math.gcd(rn, s) != 1:

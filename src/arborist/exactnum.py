@@ -56,11 +56,16 @@ def parse_rational(text: str) -> Fraction:
     except ZeroDivisionError:
         raise UsageError(f"zero denominator: {text!r}") from None
     except ValueError:  # the digits passed sys.get_int_max_str_digits()
-        shown = text if len(text) <= 40 else f"{text[:20]}...{text[-10:]}"
-        raise UsageError(
-            f"{shown!r} ({len(text)} characters) has a part of more than "
-            f"{sys.get_int_max_str_digits()} digits, the interpreter's int/str limit"
-        ) from None
+        raise UsageError(digit_limit_message(text)) from None
+
+
+def digit_limit_message(text: str) -> str:
+    """The error for an argument holding a number past the interpreter's int/str digit limit."""
+    shown = text if len(text) <= 40 else f"{text[:20]}...{text[-10:]}"
+    return (
+        f"{shown!r} ({len(text)} characters) has a number of more than "
+        f"{sys.get_int_max_str_digits()} digits, the interpreter's int/str limit"
+    )
 
 
 def format_rational(x: Fraction) -> str:

@@ -30,7 +30,7 @@ def force_python_products(monkeypatch):
         raise OSError(f"{name}: cannot open shared object file")
 
     monkeypatch.setattr(ctypes, "CDLL", absent)
-    fresh_cache(monkeypatch, _bigmul, "_products")
+    fresh_cache(monkeypatch, _bigmul, "_gmp")
 
 
 class Decomposition1(NamedTuple):

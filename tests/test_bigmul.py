@@ -1,5 +1,6 @@
 """The full-size products through GMP's mpn layer, and their fallback to ``*``."""
 
+import ast
 import os
 import random
 import subprocess
@@ -88,11 +89,47 @@ def test_fallback_gives_the_same_deep_numerators(gmp, monkeypatch):
     ],
 )
 def test_an_unusable_gmp_falls_back_to_python(gmp, monkeypatch, refuse):
-    fresh_cache(monkeypatch, _bigmul, "_products")
+    fresh_cache(monkeypatch, _bigmul, "_gmp")
     refuse(monkeypatch)
     assert not _bigmul.uses_gmp()
     x = 3 ** 20000
     assert mul(x, -x - 1) == x * (-x - 1) and sqr(x) == x * x
+
+
+BELOW = (1 << (CUTOFF_BITS - 1)) - 1  # CUTOFF_BITS - 1 bits
+AT = 1 << (CUTOFF_BITS - 1)  # CUTOFF_BITS bits
+
+
+def test_operands_below_the_cutoff_leave_the_binding_unloaded(monkeypatch):
+    fresh_cache(monkeypatch, _bigmul, "_gmp")
+    # only the first operand's size decides, so a large second one stays on *
+    assert mul(BELOW, -AT * AT) == BELOW * -AT * AT and mul(-BELOW, BELOW) == -BELOW * BELOW
+    assert sqr(BELOW) == BELOW * BELOW and sqr(-BELOW) == BELOW * BELOW
+    assert _bigmul._gmp.cache_info().misses == 0
+
+
+@pytest.mark.parametrize(
+    "product, expected",
+    [
+        pytest.param(lambda: mul(AT, -BELOW), AT * -BELOW, id="mul"),
+        pytest.param(lambda: sqr(-AT), AT * AT, id="sqr"),
+    ],
+)
+def test_an_operand_at_the_cutoff_loads_the_binding(monkeypatch, product, expected):
+    fresh_cache(monkeypatch, _bigmul, "_gmp")
+    assert product() == expected
+    assert _bigmul._gmp.cache_info().misses == 1
+
+
+def test_only_bigmul_names_the_cutoff():
+    package = Path(arborist.__file__).resolve().parent
+    naming = set()
+    for path in package.rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            # a Name's id, an Attribute's attr, an imported alias's or a definition's name
+            if "CUTOFF_BITS" in {getattr(node, field, None) for field in ("id", "attr", "name")}:
+                naming.add(path.name)
+    assert naming == {"_bigmul.py"}
 
 
 def test_threads_multiplying_above_the_cutoff_agree(gmp):

@@ -483,6 +483,26 @@ class TestCliUsageErrors:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert f"more than {limit} digits" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "--family", "1", "--a", "1/3", "--depth", "{digits}"],
+            ["search", "--height", "{digits}", "--out", "unused.jsonl"],
+        ],
+        ids=["verify-depth", "search-height"],
+    )
+    def test_count_past_the_int_str_limit_exits_2(self, argv, capsys):
+        limit = current_int_str_limit()
+        if not limit:
+            pytest.skip("this interpreter has no int/str digit limit")
+        digits = "7" * (limit + 700)
+        with pytest.raises(SystemExit) as exc:
+            main([arg.format(digits=digits) for arg in argv])
+        assert exc.value.code == 2
+        # argparse's usage lines, then the one-line error
+        message = capsys.readouterr().err.splitlines()[-1]
+        assert len(message) < 200 and f"more than {limit} digits" in message
+
     def test_foreign_results_file_exits_2(self, tmp_path, capsys):
         out = tmp_path / "rows.jsonl"
         out.write_text('{"schema": "other-v9"}\n')

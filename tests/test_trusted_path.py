@@ -28,8 +28,7 @@ SAMPLE = [
 ]
 
 TRUSTED = {
-    "arborist._bigmul._bind",
-    "arborist._bigmul._products",
+    "arborist._bigmul._gmp",
     "arborist._bigmul.mul",
     "arborist._bigmul.sqr",
     "arborist.critorbit._numerators",
@@ -67,19 +66,15 @@ TRUSTED = {
     "arborist.verdict.compute_delta_e",
 }
 # what each path of the full-size products adds: the binding to libgmp and
-# its load-time self-test, or CPython's ``*``
+# its load-time self-test, or nothing where they fall back to CPython's ``*``
 ON_PATH = {
     "gmp": {
         "arborist._bigmul._agrees",
         "arborist._bigmul._filled",
-        "arborist._bigmul._wrap",
         "arborist._bigmul.gmp_mul",
         "arborist._bigmul.gmp_sqr",
     },
-    "python": {
-        "arborist._bigmul._python_mul",
-        "arborist._bigmul._python_sqr",
-    },
+    "python": set(),
 }
 
 
@@ -119,6 +114,6 @@ def products(request, monkeypatch):
 def test_certify_reaches_exactly_the_listed_functions(products, monkeypatch):
     # a fresh binding and power-chain cache, so the load and the chain's
     # growth are on the path in every run
-    fresh_cache(monkeypatch, _bigmul, "_products")
+    fresh_cache(monkeypatch, _bigmul, "_gmp")
     fresh_cache(monkeypatch, critorbit, "_odd_powers")
     assert reached_by_certify() == TRUSTED | ON_PATH[products]
