@@ -33,7 +33,6 @@ from .independence import (
     CoprimeBasis,
     IndependenceResult,
     brute_force_independent,
-    orbit_independent,
     square_classes,
     two_independent,
 )
@@ -79,7 +78,6 @@ __all__ = [
     "is_perfect_square",
     "jacobi",
     "numerator_recursion",
-    "orbit_independent",
     "orbit_report",
     "parse_rational",
     "points_csv",

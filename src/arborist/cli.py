@@ -20,7 +20,7 @@ from .backorbit import RenderConfig, points_csv, render, sample_backward
 from .critorbit import DEFAULT_DEPTH, d_sequence, orbit_report
 from .dynamics import family1, family2
 from .errors import InvariantViolation, UsageError, open_named
-from .exactnum import digit_limit_message, parse_rational
+from .exactnum import digit_limit_message, parse_rational, quoted
 from .independence import brute_force_independent, two_independent
 from .search import SearchConfig, iter_rows, search, tally
 from .verdict import certify
@@ -37,7 +37,7 @@ def _positive_int(text: str) -> int:
     except ValueError:
         if _INTEGER_RE.fullmatch(text):  # the digits passed sys.get_int_max_str_digits()
             raise argparse.ArgumentTypeError(digit_limit_message(text)) from None
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+        raise argparse.ArgumentTypeError(f"not an integer: {quoted(text)}") from None
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
     return value
@@ -52,7 +52,7 @@ def _parse_complex(text: str) -> complex:
             return complex(float(parts[0]), float(parts[1]))
     except ValueError:
         pass
-    raise UsageError(f"expected RE or RE,IM, got {text!r}")
+    raise UsageError(f"expected RE or RE,IM, got {quoted(text)}")
 
 
 def cmd_verify(args: argparse.Namespace) -> int:

@@ -99,9 +99,9 @@ from .exactnum import format_rational, format_reduced, primes_up_to, v_int
 
 DEFAULT_DEPTH = 12
 #: The most bits that :func:`check_depth` lets r_N have.  The slowest
-#: ``verify`` found at the limit, a = 1/(2**60 - 3) in the second family at
-#: depth 19 (r_19 of 31M bits), takes 1.2 s on 2 vCPUs (CPython 3.11) with
-#: GMP's products and 40 s with CPython's.
+#: ``verify`` runs found at the limit, a = 1/(2**60 - 3) and 7/(2**60 + 31)
+#: in either family at depth 19 (r_19 of 31M bits), take 0.9 s on 2 vCPUs
+#: (CPython 3.11) with GMP's products and 42-46 s with CPython's.
 MAX_NUMERATOR_BITS = 1 << 25
 #: The most levels :func:`check_depth` accepts.  An orbit that stays in
 #: [-2, 2] over the integers (s = 1, such as a = 1 in the second family,

@@ -35,12 +35,24 @@ _MR_DETERMINISTIC_LIMIT = 3_317_044_064_679_887_385_961_981
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
 # Every square is a quadratic residue modulo 64 (read off the low six bits,
-# without a division) and each of these moduli; together they reject all but
-# about 1 in 120 non-squares before the exact root.
+# without a division) and each of these moduli.  Together they reject all but
+# about 1 in 120 random non-squares before the exact root, but on the
+# non-square cofactors of orbit numerators they let 1 in 50 through.
 _SQUARES_MOD_64 = frozenset(k * k % 64 for k in range(64))
 _QR_MODULI = (63, 65, 11)
 _QR_PRODUCT = math.prod(_QR_MODULI)
 _QR_RESIDUES = tuple(frozenset(k * k % m for k in range(m)) for m in _QR_MODULI)
+
+# math.isqrt is quadratic before Python 3.12, so above this many bits a
+# number that passed the screen is reduced once more, modulo the primes
+# 17..199, each of which rejects about half of the non-squares.  Bit j of a
+# prime's mask is set when j is a square modulo that prime.
+_SIEVE_BITS = 1 << 16
+_SIEVE_PRIMES = tuple(p for p in range(17, 200) if all(p % d for d in range(2, 15)))
+_SIEVE_PRODUCT = math.prod(_SIEVE_PRIMES)
+_SIEVE_SQUARES = tuple(
+    sum(1 << j for j in {k * k % p for k in range(p)}) for p in _SIEVE_PRIMES
+)
 
 
 def parse_rational(text: str) -> Fraction:
@@ -50,20 +62,24 @@ def parse_rational(text: str) -> Fraction:
     digits than the interpreter's int/str conversion limit.
     """
     if not _RATIONAL_RE.match(text.strip()):
-        raise UsageError(f"not a rational in r/s form: {text!r}")
+        raise UsageError(f"not a rational in r/s form: {quoted(text)}")
     try:
         return Fraction(text.strip())
     except ZeroDivisionError:
-        raise UsageError(f"zero denominator: {text!r}") from None
+        raise UsageError(f"zero denominator: {quoted(text)}") from None
     except ValueError:  # the digits passed sys.get_int_max_str_digits()
         raise UsageError(digit_limit_message(text)) from None
 
 
+def quoted(text: str) -> str:
+    """An argument as an error message echoes it: repr, cut in the middle past 40 characters."""
+    return repr(text if len(text) <= 40 else f"{text[:20]}...{text[-10:]}")
+
+
 def digit_limit_message(text: str) -> str:
     """The error for an argument holding a number past the interpreter's int/str digit limit."""
-    shown = text if len(text) <= 40 else f"{text[:20]}...{text[-10:]}"
     return (
-        f"{shown!r} ({len(text)} characters) has a number of more than "
+        f"{quoted(text)} ({len(text)} characters) has a number of more than "
         f"{sys.get_int_max_str_digits()} digits, the interpreter's int/str limit"
     )
 
@@ -112,7 +128,8 @@ def is_perfect_square(n: int) -> bool:
     """True iff n = m*m for some integer m, verified by exact squaring.
 
     A residue test modulo the small moduli above screens out most
-    non-squares without taking the integer square root.
+    non-squares without taking the integer square root, and a large n that
+    passes it meets the primes 17..199 as well.
     """
     if n < 0 or n & 63 not in _SQUARES_MOD_64:
         return False
@@ -120,6 +137,11 @@ def is_perfect_square(n: int) -> bool:
     for m, squares in zip(_QR_MODULI, _QR_RESIDUES):
         if residue % m not in squares:
             return False
+    if n.bit_length() > _SIEVE_BITS:
+        residue = n % _SIEVE_PRODUCT
+        for p, squares in zip(_SIEVE_PRIMES, _SIEVE_SQUARES):
+            if not squares >> residue % p & 1:
+                return False
     root = math.isqrt(n)
     return root * root == n
 

@@ -8,19 +8,21 @@ value is a square in the multiquadratic field generated by the square roots
 of earlier values iff some subset product involving it is a rational
 square.
 
-Each value works as one integer key: a reduced p/q lies in the square class
-of p*q, because p/q = p*q/q^2, so numerators and denominators never become
-separate rows.  The reduction to F_2 linear algebra works over a
-pairwise-coprime basis built by one gcd refinement of the keys, never by
+Each value works as one integer key, so numerators and denominators never
+become separate rows: a reduced p/q lies in the square class of p when q
+is a perfect square, and of p*q otherwise, because p/q = p*q/q^2.  Orbit
+values D_n = +-r_n / s^(2^n) are keyed by their numerators, and the primes
+of s never reach the basis.  The reduction to F_2 linear algebra works over
+a pairwise-coprime basis built by one gcd refinement of the keys, never by
 factoring: a product of coprime basis powers is a square iff each
 non-square basis element carries an even total exponent, so composite basis
 elements are perfectly good coordinates and perfect-square ones drop out
 entirely.  A square class is an integer bitmask (sign bit, then one parity
 bit per basis element), and elimination runs on those masks.
 
-Values may be given as integers or Fractions; p*q reads the same from both.
-:func:`two_independent` is the generic decider, used by the CLI's
-``independence`` command.
+Values may be given as integers or Fractions; an integer is keyed by
+itself either way.  :func:`two_independent` is the generic decider, used
+by the CLI's ``independence`` command.
 
 The adjusted orbit needs no coprime base built from scratch, because the
 paper's repeated-prime law supplies one: for a = r/s, a prime dividing two
@@ -32,9 +34,9 @@ whose cofactor is a square go to :func:`two_independent`.  The certifier
 decides every orbit with :func:`factored_orbit_independent`, which takes
 no gcd between levels: ``d_sequence`` builds the numerators in the
 factored form that proves the law and cross-checks them against
-iteration.  :func:`orbit_independent` takes raw values, checks the law on
-them with one running-product gcd per level, and is the oracle for the
-certifier's path.
+iteration.  The tests hold the oracle for that path, ``orbit_independent``
+in ``tests/conftest.py``, which checks the law on raw values with one
+running-product gcd per level.
 """
 
 from __future__ import annotations
@@ -75,13 +77,17 @@ def square_classes(
 ) -> tuple[CoprimeBasis, list[int]]:
     """Express nonzero rationals as square-class bitmasks over one basis.
 
-    A reduced p/q lies in the square class of the integer key p*q, since
-    p/q = p*q/q^2.  The keys of magnitude >= 2 are refined into one shared
-    coprime basis, one input per value; perfect-square basis elements
-    contribute nothing modulo squares and are dropped.  Bit 0 of a mask is
-    the sign and bit j + 1 the parity of basis element j.
+    A reduced p/q lies in the square class of the integer key p when q is a
+    perfect square, and of p*q otherwise, since p/q = p*q/q^2.  The keys of
+    magnitude >= 2 are refined into one shared coprime basis, one input per
+    value; perfect-square basis elements contribute nothing modulo squares
+    and are dropped.  Bit 0 of a mask is the sign and bit j + 1 the parity
+    of basis element j.
     """
-    keys = [v.numerator * v.denominator for v in values]
+    keys = [
+        v.numerator if is_perfect_square(v.denominator) else v.numerator * v.denominator
+        for v in values
+    ]
     if 0 in keys:
         raise UsageError("square classes are undefined for zero")
     basis_all, rows = factor_refine(abs(k) for k in keys if abs(k) >= 2)
@@ -127,29 +133,6 @@ def two_independent(values: Sequence[Fraction | int]) -> IndependenceResult:
     return IndependenceResult(True)
 
 
-def orbit_independent(reps: Sequence[int], r: int) -> IndependenceResult:
-    """Decide 2-independence of raw orbit values, checking the law first.
-
-    Same result as ``two_independent(reps)``, witness included.  ``reps``
-    are nonzero integers in the square classes of D_1..D_N and ``r`` is the
-    numerator of the base point.  Nothing is assumed about where the values
-    came from: one running-product gcd per level requires their cofactors
-    prime to 2r to be pairwise coprime (the repeated-prime law), and a
-    failure raises InvariantViolation.  The rest of the decision is that of
-    :func:`factored_orbit_independent`.
-    """
-    small, cofactors = _split_2r(reps, r)
-    product = 1
-    for n, t in enumerate(cofactors, start=1):
-        if math.gcd(t, product) != 1:
-            raise InvariantViolation(
-                f"level {n} shares a prime outside 2r = {2 * abs(r)} with an "
-                "earlier level, against the repeated-prime law"
-            )
-        product *= t
-    return _decide(reps, small, cofactors)
-
-
 def factored_orbit_independent(reps: Sequence[int], r: int) -> IndependenceResult:
     """Decide 2-independence of an adjusted orbit built by ``d_sequence``.
 
@@ -158,8 +141,9 @@ def factored_orbit_independent(reps: Sequence[int], r: int) -> IndependenceResul
     ``r`` the numerator of its base point.  Those numerators come from the
     factored recursion, are cross-checked against iteration and are prime
     to s, so the repeated-prime law holds for them by construction and no
-    gcd between levels is taken.  Any other values go through
-    :func:`orbit_independent`, which checks the law.
+    gcd between levels is taken.  The tests check this path against
+    ``orbit_independent`` in ``tests/conftest.py``, which takes raw values
+    and checks the law on them first.
 
     Each |v_n| splits as u_n * t_n, where every prime of u_n divides 2r and
     t_n is prime to 2r; by the law the t_n are pairwise coprime.  A t_n

@@ -3,10 +3,11 @@ import math
 import sys
 from typing import NamedTuple
 
-from arborist import _bigmul
+from arborist import _bigmul, independence
 from arborist.critorbit import AdjustedOrbit
 from arborist.dynamics import Family
 from arborist.errors import InvariantViolation
+from arborist.independence import IndependenceResult
 
 
 def current_int_str_limit():
@@ -62,3 +63,27 @@ def decompose1(orbit: AdjustedOrbit, n: int) -> Decomposition1:
             f"r_{n} = {rn} does not decompose as sign * 2^{e} * {r_abs} * odd-coprime"
         )
     return Decomposition1(n=n, sign=1 if rn > 0 else -1, e=e, t=t)
+
+
+def orbit_independent(reps, r) -> IndependenceResult:
+    """Decide 2-independence of raw orbit values, checking the law first.
+
+    The oracle for ``independence.factored_orbit_independent``, with the
+    same result as ``two_independent(reps)``, witness included.  ``reps``
+    are nonzero integers in the square classes of D_1..D_N and ``r`` is the
+    numerator of the base point.  Nothing is assumed about where the values
+    came from: one running-product gcd per level requires their cofactors
+    prime to 2r to be pairwise coprime (the repeated-prime law), and a
+    failure raises InvariantViolation.  The rest of the decision is the
+    certifier's.
+    """
+    small, cofactors = independence._split_2r(reps, r)
+    product = 1
+    for n, t in enumerate(cofactors, start=1):
+        if math.gcd(t, product) != 1:
+            raise InvariantViolation(
+                f"level {n} shares a prime outside 2r = {2 * abs(r)} with an "
+                "earlier level, against the repeated-prime law"
+            )
+        product *= t
+    return independence._decide(reps, small, cofactors)

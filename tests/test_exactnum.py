@@ -97,6 +97,47 @@ class TestPerfectSquare:
         assert is_perfect_square(n) == (n >= 0 and math.isqrt(n) ** 2 == n)
         assert is_perfect_square(n * n)
 
+    @given(
+        bits=st.integers(min_value=-4, max_value=4),
+        seed=st.integers(min_value=0, max_value=2**32),
+        p=st.sampled_from(primes_up_to(211) + [2**61 - 1]),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_matches_isqrt_across_the_sieve_threshold(self, bits, seed, p):
+        # k^2 from just below to just above _SIEVE_BITS bits; k is drawn from
+        # a seed, as hypothesis would search a 4 kB integer poorly
+        bits += exactnum._SIEVE_BITS // 2
+        k = random.Random(seed).getrandbits(bits) | 1 << (bits - 1)
+        for n in (k * k, k * k - 1, k * k + 1, k * k * p):
+            assert is_perfect_square(n) == (math.isqrt(n) ** 2 == n), (bits, p)
+
+    def test_sieve_tables_are_the_quadratic_residues(self):
+        assert exactnum._SIEVE_PRIMES == tuple(p for p in primes_up_to(199) if p >= 17)
+        for p, squares in zip(exactnum._SIEVE_PRIMES, exactnum._SIEVE_SQUARES):
+            assert squares >> p == 0
+            for j in range(p):
+                assert bool(squares >> j & 1) == (jacobi(j, p) != -1), (p, j)
+
+    def test_deep_orbit_cofactors_never_reach_a_large_isqrt(self, monkeypatch):
+        # family 2 at a = 7/(2^60 + 31): the cofactors at levels 11, 13, 15
+        # and 17 (123k to 7.9M bits) are not squares but pass the mod
+        # 64/63/65/11 screen; isqrt took 1.5 s and 22 s on the last two
+        # (Python 3.11)
+        from arborist.verdict import VerdictStatus, certify
+
+        class LargeIsqrtRefused:
+            def __getattr__(self, name):
+                return getattr(math, name)
+
+            def isqrt(self, n):
+                if n.bit_length() > exactnum._SIEVE_BITS:
+                    pytest.fail(f"isqrt of a {n.bit_length()}-bit integer")
+                return math.isqrt(n)
+
+        monkeypatch.setattr(exactnum, "math", LargeIsqrtRefused())
+        verdict = certify(Fraction(7, 2**60 + 31), 2, depth=17)
+        assert verdict.status is VerdictStatus.INDEPENDENT_TO_DEPTH
+
 
 class TestRationalSquare:
     def test_examples(self):

@@ -8,7 +8,6 @@ import arborist
 # Exported on purpose although no other module calls them.
 ALLOWED_UNREACHED = {
     "numerator_recursion": "checked entry of the recursion whose loop d_sequence runs",
-    "orbit_independent": "raw-value entry and law-checking oracle",
 }
 
 

@@ -14,16 +14,23 @@ from arborist.independence import (
     IndependenceResult,
     brute_force_independent,
     factored_orbit_independent,
-    orbit_independent,
     square_classes,
     two_independent,
 )
 from arborist.verdict import VerdictStatus, certify
+from conftest import orbit_independent
 
 nonzero = st.fractions(min_value=-50, max_value=50, max_denominator=50).filter(
     lambda f: f != 0
 )
 value_lists = st.lists(nonzero, min_size=1, max_size=7)
+# p / q^2 reduces to a square denominator whenever q shares no prime with p
+over_squares = st.builds(
+    lambda p, q: Fraction(p, q * q),
+    st.integers(min_value=-50, max_value=50).filter(bool),
+    st.integers(min_value=1, max_value=12),
+)
+mixed_lists = st.lists(nonzero | over_squares, min_size=1, max_size=7)
 
 
 def product_of(values, indices):
@@ -96,8 +103,9 @@ class TestSquareClasses:
 
         monkeypatch.setattr("arborist.independence.factor_refine", recording)
         square_classes([Fraction(2, 3), 5, -1, Fraction(9, 4), Fraction(-7, 12), 1])
-        # keys 6, 5, -1, 36, -84, 1: one input per key of magnitude >= 2
-        assert calls == [[6, 5, 36, 84]]
+        # keys 6, 5, -1, 9, -84, 1 (9/4 has a square denominator): one input
+        # per key of magnitude >= 2
+        assert calls == [[6, 5, 9, 84]]
 
 
 class TestTwoIndependent:
@@ -117,7 +125,7 @@ class TestTwoIndependent:
         assert not result.independent
         assert rational_is_square(product_of(values, result.witness))
 
-    @given(values=value_lists)
+    @given(values=mixed_lists)
     @settings(max_examples=120, deadline=None)
     def test_agrees_with_brute_force(self, values):
         fast = two_independent(values)

@@ -394,6 +394,25 @@ class TestCliVerify:
         assert "internal error" in err and "synthetic internal fault" in err
 
 
+class TestCliVerifyPins:
+    # SHA-256 of `arborist verify` stdout, recorded when a non-square
+    # cofactor that passed the residue screen went to math.isqrt (about 2 s
+    # and 27 s on Python 3.11)
+    PINS = {
+        16: "ad001e8b1c452d887e71f1071a77f3473d0100c75caa72a685b3d75dd6e6de02",
+        17: "bc119748feca63277c5d94e5efb143c1a86a11db29370ec4a2d7da08adc5262a",
+    }
+
+    @pytest.mark.parametrize("depth", list(PINS))
+    def test_output_is_pinned(self, depth, capsys):
+        import hashlib
+
+        argv = ["verify", "--family", "2", "--a", "7/1152921504606847007"]
+        assert main([*argv, "--depth", str(depth)]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == self.PINS[depth]
+
+
 class TestCliUsageErrors:
     @pytest.mark.parametrize(
         "argv",
@@ -503,6 +522,30 @@ class TestCliUsageErrors:
         message = capsys.readouterr().err.splitlines()[-1]
         assert len(message) < 200 and f"more than {limit} digits" in message
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "--family", "1", "--a", "1/3", "--depth", "{junk}"],
+            ["julia", "--c", "{junk}", "--a", "0.5"],
+            ["verify", "--family", "1", "--a", "{junk}"],
+            ["independence", "--values", "2,{junk},3"],
+        ],
+        ids=["verify-depth", "julia-c", "verify-a", "independence-values"],
+    )
+    def test_an_argument_that_is_not_a_number_is_echoed_short(self, argv, capsys):
+        junk = "x" * 5000
+        try:
+            code = main([arg.format(junk=junk) for arg in argv])
+        except SystemExit as exc:  # argparse's own exit
+            code = exc.code
+        assert code == 2
+        lines = capsys.readouterr().err.splitlines()
+        # argparse's usage lines come first; the error is one line
+        errors = [line for line in lines if "error: " in line]
+        assert len(errors) == 1 and errors == lines[-1:]
+        assert len(errors[0].encode()) < 200 and "xxx...xxx" in errors[0]
+        assert all(len(line.encode()) < 200 for line in lines)
+
     def test_foreign_results_file_exits_2(self, tmp_path, capsys):
         out = tmp_path / "rows.jsonl"
         out.write_text('{"schema": "other-v9"}\n')
@@ -604,10 +647,52 @@ class TestCliIndependence:
                 '{"status": "Dependent", "witness_indices": [0, 1], '
                 '"witness_values": ["7/12", "3/28"]}',
             ),
+            # the lists below were recorded while every p/q was keyed by p*q:
+            # orbit values and other values over square denominators, values
+            # over other denominators, and both in one list
+            (
+                [
+                    "--values=1010/841,-448721/707281,-583436145314/500246412961,"
+                    "-171517972884010923745601/250246473680347348787521"
+                ],
+                '{"status": "Independent", "witness_indices": null, '
+                '"witness_values": null}',
+            ),
+            (
+                ["--values=1010/841,-448721/707281,-453208210/9"],
+                '{"status": "Dependent", "witness_indices": [0, 1, 2], '
+                '"witness_values": ["1010/841", "-448721/707281", "-453208210/9"]}',
+            ),
+            (
+                ["--values", "3/4,12/25"],
+                '{"status": "Dependent", "witness_indices": [0, 1], '
+                '"witness_values": ["3/4", "12/25"]}',
+            ),
+            (
+                ["--values=-1/4,-9/49,1/2,8"],
+                '{"status": "Dependent", "witness_indices": [0, 1], '
+                '"witness_values": ["-1/4", "-9/49"]}',
+            ),
+            (
+                ["--values", "5/4,-11/16,-311/256,7/12,21"],
+                '{"status": "Dependent", "witness_indices": [3, 4], '
+                '"witness_values": ["7/12", "21"]}',
+            ),
+            (
+                ["--values", "1/1152921504606847007,1152921504606847007/4,3"],
+                '{"status": "Dependent", "witness_indices": [0, 1], '
+                '"witness_values": ["1/1152921504606847007", "1152921504606847007/4"]}',
+            ),
+            (
+                ["--values=-2/9,3/8,5/49,-7/50,11,13/18"],
+                '{"status": "Independent", "witness_indices": null, '
+                '"witness_values": null}',
+            ),
         ],
     )
     def test_output_is_pinned(self, argv, expected, capsys):
-        # recorded before square classes were keyed by p*q per value
+        # recorded before square classes were keyed by p*q per value, except
+        # where noted
         assert main(["independence", *argv]) == 0
         assert capsys.readouterr().out == expected + "\n"
 
