@@ -31,13 +31,24 @@ BROKEN_PIPE = 141  # 128 + SIGPIPE, as a shell reports a writer killed by it
 _INTEGER_RE = re.compile(r"\s*[+-]?\d+\s*")
 
 
-def _positive_int(text: str) -> int:
+def _int(text: str) -> int:
     try:
-        value = int(text)
+        return int(text)
     except ValueError:
         if _INTEGER_RE.fullmatch(text):  # the digits passed sys.get_int_max_str_digits()
             raise argparse.ArgumentTypeError(digit_limit_message(text)) from None
         raise argparse.ArgumentTypeError(f"not an integer: {quoted(text)}") from None
+
+
+def _float(text: str) -> float:
+    try:
+        return float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {quoted(text)}") from None
+
+
+def _positive_int(text: str) -> int:
+    value = _int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
     return value
@@ -148,13 +159,13 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("verify", help="certify a single base point")
-    p.add_argument("--family", type=int, choices=(1, 2), required=True)
+    p.add_argument("--family", type=_int, choices=(1, 2), required=True)
     p.add_argument("--a", required=True, metavar="R/S")
     p.add_argument("--depth", type=_positive_int, default=DEFAULT_DEPTH)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("orbit", help="adjusted critical orbit report")
-    p.add_argument("--family", type=int, choices=(1, 2), required=True)
+    p.add_argument("--family", type=_int, choices=(1, 2), required=True)
     p.add_argument("--a", required=True, metavar="R/S")
     p.add_argument("--depth", type=_positive_int, default=DEFAULT_DEPTH)
     p.set_defaults(func=cmd_orbit)
@@ -166,7 +177,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("search", help="height-bounded certification sweep")
     p.add_argument("--height", type=_positive_int, required=True)
-    p.add_argument("--family", type=int, choices=(1, 2), action="append")
+    p.add_argument("--family", type=_int, choices=(1, 2), action="append")
     p.add_argument("--depth", type=_positive_int, default=DEFAULT_DEPTH)
     p.add_argument("--out", required=True)
     p.add_argument("--workers", type=_positive_int, default=1)
@@ -176,14 +187,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("julia", help="render a Julia set by backward orbit")
     p.add_argument("--c", required=True, metavar="RE[,IM]")
     p.add_argument("--a", required=True, metavar="RE[,IM]")
-    p.add_argument("--points", type=int, default=defaults.n_points)
-    p.add_argument("--seed", type=int, default=defaults.seed)
-    p.add_argument("--burn-in", type=int, default=defaults.burn_in, dest="burn_in")
-    p.add_argument("--width", type=int, default=defaults.width)
-    p.add_argument("--height", type=int, default=defaults.height)
+    p.add_argument("--points", type=_int, default=defaults.n_points)
+    p.add_argument("--seed", type=_int, default=defaults.seed)
+    p.add_argument("--burn-in", type=_int, default=defaults.burn_in, dest="burn_in")
+    p.add_argument("--width", type=_int, default=defaults.width)
+    p.add_argument("--height", type=_int, default=defaults.height)
     p.add_argument(
         "--bounds",
-        type=float,
+        type=_float,
         nargs=4,
         default=defaults.bounds,
         metavar=("RE_MIN", "RE_MAX", "IM_MIN", "IM_MAX"),

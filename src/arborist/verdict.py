@@ -13,7 +13,11 @@ verdict: it audits every positive certificate, and it is the finite-depth
 fallback when no condition applies.  A fallback "independent to depth N" is
 evidence about the depth-N tree quotient, not a proof for the full tree,
 and the verdict says so.  ``certify`` and the sweep's rows reach every
-verdict through one integer entry, so the decision runs from one site.
+verdict through one integer entry, ``_certify``, whose stages return
+values: the square test on a - c, ``_conditions`` (the fired conditions and
+their detail), ``_orbit_decision`` (the orbit's status), then the verdict.
+Each entry checks the depth once before any stage: ``certify`` itself, and
+``search`` through ``SearchConfig`` over the whole height.
 
 Fixed-point-tail family (c = -a - a^2), certificate number
 m = (-1)**delta * 2**e * |r| where delta is read off the sign law of
@@ -134,12 +138,6 @@ def compute_delta_e(a: Fraction | int) -> DeltaE:
     return DeltaE(delta=delta, e=1 if r % 2 == 0 else 0)
 
 
-def _odd_part(n: int) -> int:
-    while n % 2 == 0:
-        n //= 2
-    return n
-
-
 def _nonresidue_prime_in(m: int, s: int, cutoff: int = TRIAL_DIVISION_CUTOFF):
     """Search s for a prime q with (m|q) = -1.
 
@@ -149,7 +147,7 @@ def _nonresidue_prime_in(m: int, s: int, cutoff: int = TRIAL_DIVISION_CUTOFF):
     undecided = True when neither was found but s did not fully factor
     below the cutoff, so absence was not established either.
     """
-    remaining = _odd_part(s)
+    remaining = s >> ((s & -s).bit_length() - 1)  # the odd part of s
     d = 3
     while d <= cutoff and d * d <= remaining:
         if remaining % d == 0:
@@ -180,47 +178,61 @@ def _prime_3_mod_4_in(s: int, cutoff: int = TRIAL_DIVISION_CUTOFF):
     return _nonresidue_prime_in(-1, s, cutoff)
 
 
-def _witness_search(tag: str, m: int, s: int, fired: list, detail: dict) -> bool:
-    """Fire `tag` on a prime q | s with (m|q) = -1; True when undecided."""
-    q, divisor, undecided = _nonresidue_prime_in(m, s)
-    if q is not None:
-        fired.append(tag)
-        detail["q"] = str(q)
-    elif divisor is not None:
-        fired.append(tag)
-        detail["divisor"] = str(divisor)
-    return undecided
+def _conditions(family: Family, r: int, s: int, delta: int | None, e: int | None):
+    """The family's certificate conditions at a = r/s: (fired, detail).
 
-
-def _conditions1(
-    r: int, s: int, delta: int | None, e: int
-) -> tuple[list[str], dict, str | None]:
-    """T1.1-1..3 on the certificate number m: (fired, detail, undecided note)."""
-    if delta is None:
-        return [], {"reason": "delta is undefined for this base point"}, None
-    m = (-1) ** delta * (1 << e) * abs(r)
+    The family picks m, whose non-residue prime in s is searched for: the
+    certificate number for T1.1-3 (unless delta is undefined), -1 for T1.2-3
+    when r = 2.  The witness is written to ``q`` or ``divisor``; when nothing
+    fires, ``reason`` says why and ``undecided`` names an undecided search.
+    """
     fired: list[str] = []
-    if m % 3 == 2:
-        fired.append("T1.1-1")
-    if m % 4 == 3:
-        fired.append("T1.1-2")
-    detail = {"m": str(m)}
-    if _witness_search("T1.1-3", m, s, fired, detail):
-        return fired, detail, "non-residue search undecided: s did not fully factor"
-    return fired, detail, None
-
-
-def _conditions2(r: int, s: int) -> tuple[list[str], dict, str | None]:
-    """T1.2-1..3 on r and s: (fired, detail, undecided note)."""
-    fired = ["T1.2-1"] if r == 1 and s > 2 and s % 2 == 0 else []
     detail: dict = {}
-    if r == 2:
-        if s > 3 and s % 3 == 1:
-            fired.append("T1.2-2")
-        if _witness_search("T1.2-3", -1, s, fired, detail):
-            note = "prime-witness search undecided: s did not fully factor"
-            return fired, detail, note
-    return fired, detail, None
+    reason, m = "no certificate condition fires", None
+    if family is Family.CYCLE1:
+        tag, search = "T1.1-3", "non-residue"
+        if delta is None:
+            reason = "delta is undefined for this base point"
+        else:
+            m = (-1) ** delta * (1 << e) * abs(r)
+            detail["m"] = str(m)
+            fired = [t for t, holds in (("T1.1-1", m % 3 == 2), ("T1.1-2", m % 4 == 3)) if holds]
+    else:
+        tag, search = "T1.2-3", "prime-witness"
+        if r == 1 and s > 2 and s % 2 == 0:
+            fired.append("T1.2-1")
+        elif r == 2:
+            m = -1
+            if s > 3 and s % 3 == 1:
+                fired.append("T1.2-2")
+    q = divisor = undecided = None
+    if m is not None:
+        q, divisor, undecided = _nonresidue_prime_in(m, s)
+    if q or divisor:  # each is None or an odd number >= 3
+        fired.append(tag)
+        detail["q" if q else "divisor"] = str(q or divisor)
+    if not fired:
+        detail["reason"] = reason
+        if undecided:
+            detail["undecided"] = f"{search} search undecided: s did not fully factor"
+    return fired, detail
+
+
+def _orbit_decision(qmap: QuadMap, depth: int):
+    """The adjusted orbit's (status, witness, detail) to ``depth``: Inapplicable
+    with its ``zero_levels``, IndependentToDepth with the note that this is
+    evidence, or DependentAtLevel with the witness levels and the highest in
+    ``level`` (all 1-based).  ``d_sequence`` checks the depth first."""
+    orbit = d_sequence(qmap, depth)
+    if 0 in orbit.numerators:
+        zero_levels = [i + 1 for i, x in enumerate(orbit.numerators) if x == 0]
+        return VerdictStatus.INAPPLICABLE, None, {"zero_levels": zero_levels}
+    result = factored_orbit_independent(orbit.square_class_reps, qmap.r)
+    if result.independent:
+        note = "finite-depth evidence only, not a proof"
+        return VerdictStatus.INDEPENDENT_TO_DEPTH, None, {"note": note}
+    witness = tuple(i + 1 for i in result.witness)
+    return VerdictStatus.DEPENDENT_AT_LEVEL, witness, {"level": max(witness)}
 
 
 def certify(a: Fraction, family: Family | int, depth: int = DEFAULT_DEPTH) -> Verdict:
@@ -233,68 +245,44 @@ def certify(a: Fraction, family: Family | int, depth: int = DEFAULT_DEPTH) -> Ve
     1-based, and the highest in ``detail["level"]``).  The detail keeps
     every key of the inapplicable outcome, ``undecided`` included; an orbit
     with a zero term stays Inapplicable and lists the zero levels in
-    ``detail["zero_levels"]``.
+    ``detail["zero_levels"]``.  The depth is checked here, once, so a depth
+    that ``check_depth`` refuses raises before any stage, NotSurjective too.
     """
     a = Fraction(a)
+    family = Family(family)
+    check_depth(a.numerator, a.denominator, depth, family)
     return _certify(a.numerator, a.denominator, family, depth)
 
 
 def _certify(r: int, s: int, family: Family | int, depth: int) -> Verdict:
-    """The decision procedure at a = r/s, reduced with s >= 1; only the
-    conditions differ between the families.  ``certify`` and the sweep's
-    rows both enter here, the sweep with no Fraction first.
+    """The decision procedure at a = r/s, reduced with s >= 1, as stages
+    that return values (module docstring); the caller has checked the depth.
 
     Returns Inapplicable when f(0) = a (a - c = 0, so the backward orbit is
     not a regular tree), NotSurjective when a - c is a nonzero rational
     square, and ProvenSurjective with the first firing condition (every
-    firing condition is listed in the detail).  Otherwise the status is the
-    orbit's, as :func:`certify` describes; an undecided witness search says
-    so in ``detail["undecided"]``.  The adjusted orbit to ``depth`` is
-    decided once: it is the audit of a fired condition, which must find it
-    independent (else InvariantViolation, a bug), and the verdict when no
-    condition fires.  A depth that ``check_depth`` refuses raises first.
+    firing condition is listed in the detail); otherwise the orbit's status.
+    The adjusted orbit to ``depth`` is decided once: it is the audit of a
+    fired condition, which must find it independent (else
+    InvariantViolation, a bug), and the verdict when no condition fires.
     """
     family = Family(family)
-    check_depth(r, s, depth, family)
     qmap = QuadMap(family, r, s)
     a = qmap.a
-    cycle1 = family is Family.CYCLE1
-    delta, e = compute_delta_e(a) if cycle1 else (None, None)
-    fired: list[str] = []
+    delta, e = compute_delta_e(a) if family is Family.CYCLE1 else (None, None)
     gap = r * s - qmap.C  # (a - c) * s^2
-    if gap == 0:
-        detail = {"reason": _F0_IS_A}
-    elif is_perfect_square(gap):
-        a_minus_c = str(Fraction(gap, s * s))
-        detail = {"reason": "a - c is a rational square", "a_minus_c": a_minus_c}
+    if gap and is_perfect_square(gap):
+        detail = {"reason": "a - c is a rational square", "a_minus_c": str(Fraction(gap, s * s))}
         return Verdict(a, family, VerdictStatus.NOT_SURJECTIVE, None, None, None, delta, e, detail)
-    else:
-        fired, detail, note = _conditions1(r, s, delta, e) if cycle1 else _conditions2(r, s)
-        if not fired:
-            detail.setdefault("reason", "no certificate condition fires")
-            if note is not None:
-                detail["undecided"] = note
-    orbit = d_sequence(qmap, depth)
-    witness = None
-    if 0 in orbit.numerators:
-        status = VerdictStatus.INAPPLICABLE
-        found = {"zero_levels": [i + 1 for i, x in enumerate(orbit.numerators) if x == 0]}
-    else:
-        result = factored_orbit_independent(orbit.square_class_reps, r)
-        if result.independent:
-            status = VerdictStatus.INDEPENDENT_TO_DEPTH
-            found = {"note": "finite-depth evidence only, not a proof"}
-        else:
-            witness = tuple(i + 1 for i in result.witness)
-            status, found = VerdictStatus.DEPENDENT_AT_LEVEL, {"level": max(witness)}
-    if fired:
-        if status is not VerdictStatus.INDEPENDENT_TO_DEPTH:
-            raise InvariantViolation(
-                f"certified base point {a} fails the independence audit "
-                f"({status.value}, witness levels {witness})"
-            )
-        detail["fired"] = fired
-        status = VerdictStatus.PROVEN_SURJECTIVE
-        return Verdict(a, family, status, fired[0], depth, None, delta, e, detail)
-    detail.update(found)
-    return Verdict(a, family, status, None, depth, witness, delta, e, detail)
+    fired, detail = _conditions(family, r, s, delta, e) if gap else ([], {"reason": _F0_IS_A})
+    status, witness, found = _orbit_decision(qmap, depth)
+    if not fired:
+        return Verdict(a, family, status, None, depth, witness, delta, e, {**detail, **found})
+    if status is not VerdictStatus.INDEPENDENT_TO_DEPTH:
+        raise InvariantViolation(
+            f"certified base point {a} fails the independence audit "
+            f"({status.value}, witness levels {witness})"
+        )
+    detail["fired"] = fired
+    proven = VerdictStatus.PROVEN_SURJECTIVE
+    return Verdict(a, family, proven, fired[0], depth, None, delta, e, detail)

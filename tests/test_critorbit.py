@@ -492,6 +492,12 @@ class TestDepthLimit:
             verdict.certify(Fraction(13, 29), 1, depth=depth)
         with pytest.raises(UsageError, match=f"depth {depth} is too deep"):
             numerator_recursion(Family.CYCLE1, 13, 29, depth)
+        # NotSurjective points need no orbit, and their depth is refused all
+        # the same (both bounds accept them at depth 23)
+        if depth > 23:
+            for a, family in ((Fraction(1, 4), 1), (Fraction(3, 4), 2)):
+                with pytest.raises(UsageError, match=f"depth {depth} is too deep"):
+                    verdict.certify(a, family, depth=depth)
 
     def test_limit_keeps_the_benchmark_and_pinned_depths(self):
         # r_22 of 13/29 has about 20.4M bits; depth 23 would double it

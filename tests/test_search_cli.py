@@ -413,6 +413,59 @@ class TestCliVerifyPins:
         assert hashlib.sha256(out.encode()).hexdigest() == self.PINS[depth]
 
 
+class TestCliVerifyDetailPins:
+    # `arborist verify` stdout at depth 6 for denominators that do not factor
+    # below the trial-division cutoff, recorded while each family had its own
+    # condition function: the witness search is undecided or finds only a
+    # divisor, and the undecided note is written only when nothing fires
+    PINS = {
+        (1, "-10/1000036000099"): (
+            '{"a": "-10/1000036000099", "condition": "T1.1-1", "delta": 0, '
+            '"depth": 6, "detail": {"fired": ["T1.1-1"], "m": "20"}, "e": 1, '
+            '"family": 1, "status": "ProvenSurjective", "witness": null}'
+        ),
+        (1, "-13/1000036000099"): (
+            '{"a": "-13/1000036000099", "condition": "T1.1-3", "delta": 0, '
+            '"depth": 6, "detail": {"divisor": "1000036000099", '
+            '"fired": ["T1.1-3"], "m": "13"}, "e": 0, "family": 1, '
+            '"status": "ProvenSurjective", "witness": null}'
+        ),
+        (1, "-12/1000036000099"): (
+            '{"a": "-12/1000036000099", "condition": null, "delta": 0, '
+            '"depth": 6, "detail": {"m": "24", '
+            '"note": "finite-depth evidence only, not a proof", '
+            '"reason": "no certificate condition fires", '
+            '"undecided": "non-residue search undecided: s did not fully factor"}, '
+            '"e": 1, "family": 1, "status": "IndependentToDepth", '
+            '"witness": null}'
+        ),
+        (2, "2/1000042000117"): (
+            '{"a": "2/1000042000117", "condition": "T1.2-2", "delta": null, '
+            '"depth": 6, "detail": {"fired": ["T1.2-2"]}, "e": null, '
+            '"family": 2, "status": "ProvenSurjective", "witness": null}'
+        ),
+        (2, "2/1000036000099"): (
+            '{"a": "2/1000036000099", "condition": "T1.2-2", "delta": null, '
+            '"depth": 6, "detail": {"divisor": "1000036000099", '
+            '"fired": ["T1.2-2", "T1.2-3"]}, "e": null, "family": 2, '
+            '"status": "ProvenSurjective", "witness": null}'
+        ),
+        (2, "2/1000070001221"): (
+            '{"a": "2/1000070001221", "condition": null, "delta": null, '
+            '"depth": 6, "detail": {"note": "finite-depth evidence only, '
+            'not a proof", "reason": "no certificate condition fires", '
+            '"undecided": "prime-witness search undecided: s did not fully factor"}, '
+            '"e": null, "family": 2, "status": "IndependentToDepth", '
+            '"witness": null}'
+        ),
+    }
+
+    @pytest.mark.parametrize("family, a", list(PINS), ids=lambda v: str(v))
+    def test_output_is_pinned(self, family, a, capsys):
+        assert main(["verify", "--family", str(family), f"--a={a}", "--depth", "6"]) == 0
+        assert capsys.readouterr().out == self.PINS[family, a] + "\n"
+
+
 class TestCliUsageErrors:
     @pytest.mark.parametrize(
         "argv",
@@ -544,6 +597,32 @@ class TestCliUsageErrors:
         errors = [line for line in lines if "error: " in line]
         assert len(errors) == 1 and errors == lines[-1:]
         assert len(errors[0].encode()) < 200 and "xxx...xxx" in errors[0]
+        assert all(len(line.encode()) < 200 for line in lines)
+
+    @pytest.mark.parametrize(
+        "option, argv",
+        [
+            ("--family", ["verify", "--family", "{junk}", "--a", "1/3"]),
+            ("--family", ["orbit", "--family", "{junk}", "--a", "1/3"]),
+            ("--family", ["search", "--height", "3", "--family", "{junk}", "--out", "x"]),
+            *(
+                (option, ["julia", "--c", "-1", "--a", "0", option, "{junk}"])
+                for option in ("--points", "--seed", "--burn-in", "--width", "--height")
+            ),
+            ("--bounds", ["julia", "--c", "-1", "--a", "0", "--bounds", "{junk}", "0", "0", "1"]),
+        ],
+        ids=lambda v: v if isinstance(v, str) else v[0],
+    )
+    def test_a_numeric_option_that_is_not_a_number_is_echoed_short(self, option, argv, capsys):
+        junk = "x" * 5000
+        with pytest.raises(SystemExit) as exc:
+            main([arg.format(junk=junk) for arg in argv])
+        assert exc.value.code == 2
+        lines = capsys.readouterr().err.splitlines()
+        # argparse's usage lines come first; the error is one line
+        errors = [line for line in lines if "error: " in line]
+        assert len(errors) == 1 and errors == lines[-1:]
+        assert f"argument {option}" in errors[0] and "xxx...xxx" in errors[0]
         assert all(len(line.encode()) < 200 for line in lines)
 
     def test_foreign_results_file_exits_2(self, tmp_path, capsys):

@@ -57,11 +57,9 @@ TRUSTED = {
     "arborist.independence.two_independent",
     "arborist.verdict.__new__",
     "arborist.verdict._certify",
-    "arborist.verdict._conditions1",
-    "arborist.verdict._conditions2",
+    "arborist.verdict._conditions",
     "arborist.verdict._nonresidue_prime_in",
-    "arborist.verdict._odd_part",
-    "arborist.verdict._witness_search",
+    "arborist.verdict._orbit_decision",
     "arborist.verdict.certify",
     "arborist.verdict.compute_delta_e",
 }
