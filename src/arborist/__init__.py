@@ -23,7 +23,6 @@ from .dynamics import (
 from .errors import DegenerateBasePoint, InvariantViolation, UsageError
 from .exactnum import (
     factor_refine,
-    format_rational,
     is_perfect_square,
     jacobi,
     parse_rational,
@@ -74,7 +73,6 @@ __all__ = [
     "factor_refine",
     "family1",
     "family2",
-    "format_rational",
     "is_perfect_square",
     "jacobi",
     "numerator_recursion",

@@ -20,7 +20,7 @@ from .backorbit import RenderConfig, points_csv, render, sample_backward
 from .critorbit import DEFAULT_DEPTH, d_sequence, orbit_report
 from .dynamics import family1, family2
 from .errors import InvariantViolation, UsageError, open_named
-from .exactnum import digit_limit_message, parse_rational, quoted
+from .exactnum import digit_limit_message, format_reduced, parse_rational, quoted
 from .independence import brute_force_independent, two_independent
 from .search import SearchConfig, iter_rows, search, tally
 from .verdict import certify
@@ -85,12 +85,11 @@ def cmd_independence(args: argparse.Namespace) -> int:
     values = [parse_rational(piece) for piece in args.values.split(",")]
     checker = brute_force_independent if args.oracle else two_independent
     result = checker(values)
+    witness = [values[i] for i in result.witness or ()]
     payload = {
         "status": "Independent" if result.independent else "Dependent",
         "witness_indices": sorted(result.witness) if result.witness else None,
-        "witness_values": [str(values[i]) for i in result.witness]
-        if result.witness
-        else None,
+        "witness_values": [format_reduced(v.numerator, v.denominator) for v in witness] or None,
     }
     print(json.dumps(payload, sort_keys=True))
     return 0

@@ -95,9 +95,12 @@ from typing import NamedTuple
 from ._bigmul import mul, sqr
 from .dynamics import Family, QuadMap, integer_c
 from .errors import InvariantViolation, UsageError
-from .exactnum import format_rational, format_reduced, primes_up_to, v_int
+from .exactnum import format_reduced, primes_up_to, v_int
 
 DEFAULT_DEPTH = 12
+#: :func:`orbit_report` checks valuations at 2 and at the odd primes up to
+#: this bound that divide r or s.
+REPORT_PRIME_BOUND = 100
 #: The most bits that :func:`check_depth` lets r_N have.  The slowest
 #: ``verify`` runs found at the limit, a = 1/(2**60 - 3) and 7/(2**60 + 31)
 #: in either family at depth 19 (r_19 of 31M bits), take 0.9 s on 2 vCPUs
@@ -474,15 +477,15 @@ def congruence_check(orbit: AdjustedOrbit, modulus: int) -> CongruenceReport:
     return CongruenceReport(modulus, True, True)
 
 
-def orbit_report(orbit: AdjustedOrbit, prime_bound: int = 100) -> dict:
+def orbit_report(orbit: AdjustedOrbit) -> dict:
     """JSON-ready report: the sequence plus every analyzer's verdicts."""
     r, s = orbit.qmap.r, orbit.s
     relevant = [2] + [
-        p for p in primes_up_to(prime_bound) if p != 2 and (r % p == 0 or s % p == 0)
+        p for p in primes_up_to(REPORT_PRIME_BOUND) if p != 2 and (r % p == 0 or s % p == 0)
     ]
     sign = sign_predict(orbit.qmap)
     report = {
-        "a": format_rational(orbit.a),
+        "a": format_reduced(r, s),
         "family": orbit.family.value,
         "N": orbit.depth,
         "D": [  # d_sequence checked gcd(r_i, s) = 1: each D_i is in lowest terms

@@ -6,7 +6,9 @@ numerator and denominator coprime after every operation, denominator
 positive, zero stored as 0/1.  This module adds the predicates built on top
 of them: p-adic valuations of integers, exact square detection, the Jacobi
 symbol, deterministic small-range primality, and gcd-based factor
-refinement into a pairwise-coprime base.
+refinement into a pairwise-coprime base.  ``format_reduced`` writes every
+orbit or base-point integer of the rows and the CLI's JSON, at any length,
+past the interpreter's int/str digit limit.
 
 There is deliberately no general-purpose integer factorization anywhere:
 the quantities this package manipulates have numerators with thousands of
@@ -84,18 +86,13 @@ def digit_limit_message(text: str) -> str:
     )
 
 
-def format_rational(x: Fraction) -> str:
-    """Serialize a rational as ``r/s``, omitting the denominator when 1.
+def format_reduced(numerator: int, denominator: int) -> str:
+    """Serialize a fraction the caller vouches is reduced as ``r/s``, or ``r`` when s = 1.
 
     Numerator and denominator may have any number of digits: the
-    interpreter's ``int_max_str_digits`` limit does not apply.
+    interpreter's ``int_max_str_digits`` limit does not apply, and no gcd
+    is taken.
     """
-    x = Fraction(x)
-    return format_reduced(x.numerator, x.denominator)
-
-
-def format_reduced(numerator: int, denominator: int) -> str:
-    """format_rational of a fraction the caller vouches is reduced, without a gcd."""
     if denominator == 1:
         return _decimal(numerator)
     return f"{_decimal(numerator)}/{_decimal(denominator)}"
@@ -103,10 +100,10 @@ def format_reduced(numerator: int, denominator: int) -> str:
 
 def _decimal(n: int) -> str:
     # Larger values are split at a power of ten into halves converted apart.
-    if n < 0:
-        return "-" + _decimal(-n)
     if n.bit_length() <= _STR_SAFE_BITS:
         return str(n)
+    if n < 0:
+        return "-" + _decimal(-n)
     k = int(n.bit_length() * _LOG10_2) // 2
     high, low = divmod(n, 10**k)
     return _decimal(high) + _decimal(low).zfill(k)
@@ -180,10 +177,11 @@ def jacobi(a: int, n: int) -> int:
     return result if n == 1 else 0
 
 
-def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin primality for n below about 3.3e24."""
+def proven_prime(n: int) -> bool | None:
+    """Deterministic Miller-Rabin primality of n, or None when n is at or
+    above _MR_DETERMINISTIC_LIMIT (about 3.3e24), where it proves nothing."""
     if n >= _MR_DETERMINISTIC_LIMIT:
-        raise ValueError(f"deterministic primality bound exceeded: {n}")
+        return None
     if n < 2:
         return False
     for p in _MR_BASES:
@@ -205,13 +203,6 @@ def is_prime(n: int) -> bool:
         else:
             return False
     return True
-
-
-def proven_prime(n: int) -> bool | None:
-    """is_prime when decidable, None when n is beyond the deterministic range."""
-    if n >= _MR_DETERMINISTIC_LIMIT:
-        return None
-    return is_prime(n)
 
 
 def primes_up_to(limit: int) -> list[int]:

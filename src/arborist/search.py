@@ -9,7 +9,9 @@ certifier's one entry, ``verdict._certify``, and each row, verdict included,
 is built with its keys in sorted order, as ``json.dumps`` writes them.
 
 One streaming reader, ``_Rows``, reads a results file for ``load_rows``,
-``report`` and the resume, which keeps only the (a, family) keys.  A file
+``report`` and the resume, which keeps only the integer (r, s, family) keys
+of the rows, so every row must carry ``r`` and ``s`` as ints; a task is
+skipped by its own (r, s, family), without building its text.  A file
 is extended only when its header records this schema and the run's depth.
 A resume checks the header and every complete row before it changes the
 file, so a refused run leaves it as it was; only then does it drop a row
@@ -28,7 +30,6 @@ import json
 import math
 import sys
 import time
-from fractions import Fraction
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple
 
@@ -155,12 +156,15 @@ class _Rows:
 
 
 def _is_row(row) -> bool:
-    # what search's resume and tally read: a, family, status and condition
+    # what the resume reads, its keys r, s and family (ints), what tally
+    # reads, status and condition, and the row's text a
     if not isinstance(row, dict):
         return False
     family, verdict = row.get("family"), row.get("verdict")
     return (
         isinstance(row.get("a"), str)
+        and type(row.get("r")) is int
+        and type(row.get("s")) is int
         and type(family) is int
         and family in (1, 2)
         and isinstance(verdict, dict)
@@ -177,9 +181,10 @@ def iter_rows(path: str | Path) -> Iterator[dict]:
     still load.  An unterminated last line is a row cut short by a crash:
     it is skipped with a note on stderr, as ``search`` drops it before
     resuming.  Any other line that is not UTF-8 JSON, or is JSON but not a
-    row (an object with a string ``a``, a ``family`` of 1 or 2 and a
-    ``verdict`` object holding a string ``status`` and a ``condition`` that
-    is a string or null), raises UsageError naming ``path:line``.  Files of
+    row (an object with a string ``a``, ints ``r`` and ``s``, a ``family``
+    of 1 or 2 and a ``verdict`` object holding a string ``status`` and a
+    ``condition`` that is a string or null), raises UsageError naming
+    ``path:line``; ``r``, ``s`` and ``family`` are the resume's keys.  Files of
     every schema in READABLE_SCHEMAS load; equal float texts load as one
     shared float object.
     """
@@ -203,7 +208,7 @@ def search(cfg: SearchConfig) -> SearchSummary:
     """
     out = Path(cfg.out_path)
     summary = SearchSummary()
-    done: set[tuple[str, int]] = set()
+    done: set[tuple[int, int, int]] = set()
     mode, cut = "w", None
     if out.exists() and out.stat().st_size > 0:
         with open_named(out, "rb") as fh:
@@ -220,7 +225,7 @@ def search(cfg: SearchConfig) -> SearchSummary:
                     f"{out}: header records {found}, this run asks for depth {cfg.depth}; "
                     "resume at the recorded depth or write a new file"
                 )
-            done = {(row["a"], row["family"]) for row in rows}
+            done = {(row["r"], row["s"], row["family"]) for row in rows}
         mode, cut = "a", rows.cut
 
     degenerate = {fam: DEGENERATE[Family(fam)] for fam in cfg.families}
@@ -229,7 +234,7 @@ def search(cfg: SearchConfig) -> SearchSummary:
         for fam in cfg.families:
             if (r, s) in degenerate[fam]:
                 continue
-            if done and (str(Fraction(r, s)), fam) in done:
+            if (r, s, fam) in done:
                 summary.rows_skipped += 1
                 continue
             tasks.append((r, s, fam, cfg.depth))

@@ -55,7 +55,7 @@ from typing import Mapping, NamedTuple
 from .critorbit import DEFAULT_DEPTH, check_depth, d_sequence, family1_sign
 from .dynamics import Family, QuadMap
 from .errors import InvariantViolation
-from .exactnum import is_perfect_square, jacobi, proven_prime
+from .exactnum import format_reduced, is_perfect_square, jacobi, proven_prime
 from .independence import factored_orbit_independent
 
 TRIAL_DIVISION_CUTOFF = 10**6
@@ -105,7 +105,7 @@ class Verdict(_Verdict):
         the same text.
         """
         return {
-            "a": str(self.a),
+            "a": format_reduced(self.a.numerator, self.a.denominator),
             "condition": self.condition,
             "delta": self.delta,
             "depth": self.depth,
@@ -195,7 +195,7 @@ def _conditions(family: Family, r: int, s: int, delta: int | None, e: int | None
             reason = "delta is undefined for this base point"
         else:
             m = (-1) ** delta * (1 << e) * abs(r)
-            detail["m"] = str(m)
+            detail["m"] = format_reduced(m, 1)
             fired = [t for t, holds in (("T1.1-1", m % 3 == 2), ("T1.1-2", m % 4 == 3)) if holds]
     else:
         tag, search = "T1.2-3", "prime-witness"
@@ -210,7 +210,7 @@ def _conditions(family: Family, r: int, s: int, delta: int | None, e: int | None
         q, divisor, undecided = _nonresidue_prime_in(m, s)
     if q or divisor:  # each is None or an odd number >= 3
         fired.append(tag)
-        detail["q" if q else "divisor"] = str(q or divisor)
+        detail["q" if q else "divisor"] = format_reduced(q or divisor, 1)
     if not fired:
         detail["reason"] = reason
         if undecided:
@@ -272,7 +272,10 @@ def _certify(r: int, s: int, family: Family | int, depth: int) -> Verdict:
     delta, e = compute_delta_e(a) if family is Family.CYCLE1 else (None, None)
     gap = r * s - qmap.C  # (a - c) * s^2
     if gap and is_perfect_square(gap):
-        detail = {"reason": "a - c is a rational square", "a_minus_c": str(Fraction(gap, s * s))}
+        # gap/s^2 is reduced: gap is r(r + 2s) in the first family and
+        # r^2 + s^2 in the second, both prime to s as r is
+        a_minus_c = format_reduced(gap, s * s)
+        detail = {"reason": "a - c is a rational square", "a_minus_c": a_minus_c}
         return Verdict(a, family, VerdictStatus.NOT_SURJECTIVE, None, None, None, delta, e, detail)
     fired, detail = _conditions(family, r, s, delta, e) if gap else ([], {"reason": _F0_IS_A})
     status, witness, found = _orbit_decision(qmap, depth)
@@ -280,7 +283,7 @@ def _certify(r: int, s: int, family: Family | int, depth: int) -> Verdict:
         return Verdict(a, family, status, None, depth, witness, delta, e, {**detail, **found})
     if status is not VerdictStatus.INDEPENDENT_TO_DEPTH:
         raise InvariantViolation(
-            f"certified base point {a} fails the independence audit "
+            f"certified base point {format_reduced(r, s)} fails the independence audit "
             f"({status.value}, witness levels {witness})"
         )
     detail["fired"] = fired

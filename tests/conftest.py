@@ -1,6 +1,7 @@
 import functools
 import math
 import sys
+from contextlib import contextmanager
 from typing import NamedTuple
 
 from arborist import _bigmul, independence
@@ -13,6 +14,19 @@ from arborist.independence import IndependenceResult
 def current_int_str_limit():
     """The interpreter's int/str digit limit; None where it has none."""
     return getattr(sys, "get_int_max_str_digits", lambda: None)()
+
+
+@contextmanager
+def int_str_limit(digits):
+    """Set the int/str digit limit for the block, where the interpreter has one."""
+    saved = current_int_str_limit()
+    if saved is not None:
+        sys.set_int_max_str_digits(digits)
+    try:
+        yield
+    finally:
+        if saved is not None:
+            sys.set_int_max_str_digits(saved)
 
 
 def fresh_cache(monkeypatch, module, name):

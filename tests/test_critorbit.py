@@ -5,7 +5,13 @@ from contextlib import contextmanager
 from fractions import Fraction
 
 import pytest
-from conftest import current_int_str_limit, decompose1, force_python_products, fresh_cache
+from conftest import (
+    current_int_str_limit,
+    decompose1,
+    force_python_products,
+    fresh_cache,
+    int_str_limit,
+)
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -47,19 +53,6 @@ def sample_points(bound):
                 yield Family.CYCLE1, a
             if a != Fraction(1, 2):
                 yield Family.CYCLE2, a
-
-
-@contextmanager
-def int_str_limit(digits):
-    """Set the int/str digit limit for the block, where the interpreter has one."""
-    saved = current_int_str_limit()
-    if saved is not None:
-        sys.set_int_max_str_digits(digits)
-    try:
-        yield
-    finally:
-        if saved is not None:
-            sys.set_int_max_str_digits(saved)
 
 
 def shift_level(level):

@@ -324,16 +324,31 @@ class TestSearch:
             search(SearchConfig(height=3, out_path=out, depth=4))
         assert out.read_bytes() == before
 
+    # each line but the list breaks exactly one clause of a complete row:
+    # {"a": "5", "r": 5, "s": 1, "family": 1,
+    #  "verdict": {"status": "Inapplicable", "condition": null}}
     @pytest.mark.parametrize(
         "line",
         [
-            '{"a": "5", "family": 1}',
+            '{"a": "5", "r": 5, "s": 1, "family": 1}',
             "[1, 2]",
-            '{"a": 5, "family": 1, "verdict": {"status": "Inapplicable", "condition": null}}',
-            '{"a": "5", "family": 3, "verdict": {"status": "Inapplicable", "condition": null}}',
-            '{"a": "5", "family": true, "verdict": {"status": "Inapplicable", "condition": null}}',
-            '{"a": "5", "family": 1, "verdict": {"condition": null}}',
-            '{"a": "5", "family": 1, "verdict": {"status": "Inapplicable", "condition": [1]}}',
+            '{"a": "5", "r": 5, "s": 1, "family": 1, "verdict": "Inapplicable"}',
+            '{"a": 5, "r": 5, "s": 1, "family": 1, "verdict": {"status": "Inapplicable", "condition": null}}',
+            '{"a": "5", "r": 5, "s": 1, "family": 3, "verdict": {"status": "Inapplicable", "condition": null}}',
+            '{"a": "5", "r": 5, "s": 1, "family": true, "verdict": {"status": "Inapplicable", "condition": null}}',
+            '{"a": "5", "r": 5, "s": 1, "family": 1, "verdict": {"condition": null}}',
+            '{"a": "5", "r": 5, "s": 1, "family": 1, "verdict": {"status": "Inapplicable", "condition": [1]}}',
+            # the resume keys a row by its integers (r, s, family)
+            '{"a": "5", "r": "5", "s": 1, "family": 1, "verdict": {"status": "Inapplicable", "condition": null}}',
+            '{"a": "5", "r": 5.0, "s": 1, "family": 1, "verdict": {"status": "Inapplicable", "condition": null}}',
+            '{"a": "5", "r": true, "s": 1, "family": 1, "verdict": {"status": "Inapplicable", "condition": null}}',
+            '{"a": "5", "r": null, "s": 1, "family": 1, "verdict": {"status": "Inapplicable", "condition": null}}',
+            '{"a": "5", "s": 1, "family": 1, "verdict": {"status": "Inapplicable", "condition": null}}',
+            '{"a": "5", "r": 5, "s": "1", "family": 1, "verdict": {"status": "Inapplicable", "condition": null}}',
+            '{"a": "5", "r": 5, "s": 1.0, "family": 1, "verdict": {"status": "Inapplicable", "condition": null}}',
+            '{"a": "5", "r": 5, "s": true, "family": 1, "verdict": {"status": "Inapplicable", "condition": null}}',
+            '{"a": "5", "r": 5, "s": null, "family": 1, "verdict": {"status": "Inapplicable", "condition": null}}',
+            '{"a": "5", "r": 5, "family": 1, "verdict": {"status": "Inapplicable", "condition": null}}',
         ],
     )
     def test_json_line_that_is_not_a_row_raises(self, tmp_path, line):
@@ -344,6 +359,15 @@ class TestSearch:
         lineno = len(out.read_text().splitlines())
         with pytest.raises(ValueError, match=f"{out}:{lineno}: not a result row"):
             load_rows(out)
+
+    def test_complete_row_loads(self, tmp_path):
+        # the row every line above breaks in one place
+        out = tmp_path / "rows.jsonl"
+        search(SearchConfig(height=1, out_path=out, depth=2))
+        line = '{"a": "5", "r": 5, "s": 1, "family": 1, "verdict": {"status": "Inapplicable", "condition": null}}'
+        with open(out, "a", encoding="utf-8") as fh:
+            fh.write(line + "\n")
+        assert load_rows(out)[-1] == json.loads(line)
 
     def test_tally(self, tmp_path):
         out = tmp_path / "rows.jsonl"
@@ -852,7 +876,7 @@ class TestCliSearchAndReport:
         assert f"{out}:{rows_left + 2}: skipped an unterminated last line" in captured.err
         assert len(load_rows(out)) == rows_left
 
-    @pytest.mark.parametrize("line", ['{"a": "5", "family": 1}', "[1,2]"])
+    @pytest.mark.parametrize("line", ['{"a": "5", "r": 5, "s": 1, "family": 1}', "[1,2]"])
     @pytest.mark.parametrize("command", ["report", "search"])
     def test_json_line_that_is_not_a_row_exits_2(self, tmp_path, capsys, command, line):
         out = tmp_path / "rows.jsonl"
@@ -876,7 +900,7 @@ class TestCliSearchAndReport:
         argv = ["search", "--height", "3", "--depth", "4", "--out", str(out)]
         assert main(argv) == 0
         lines = out.read_bytes().splitlines(keepends=True)
-        lines[2] = b'{"a": "5", "family": 1}\n'
+        lines[2] = b'{"a": "5", "r": 5, "s": 1, "family": 1}\n'
         lines[-1] = lines[-1][:20]
         out.write_bytes(b"".join(lines))
         capsys.readouterr()

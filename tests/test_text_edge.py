@@ -1,0 +1,62 @@
+"""Integers of the orbit and the base point become text through
+``exactnum.format_reduced`` alone, which no int/str digit limit stops."""
+
+import ast
+import json
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+from conftest import int_str_limit
+
+import arborist
+from arborist.cli import main
+
+K = 10**1100 + 1
+
+# (family, a) accepted at depth 1 whose witness passes 4300 digits: a - c
+# is a square of 4401 and 4402 digits, and m = 2r has 4301 digits
+POINTS = {
+    "family1-square": (1, Fraction(1, (K * K - 1) // 2)),
+    "family2-square": (2, Fraction(K * K - 4, 4 * K)),
+    "family1-m": (1, Fraction(8 * 10**4299 + 2)),
+}
+
+
+def c_of(family, a):
+    return -a - a * a if family == 1 else -1 + a - a * a
+
+
+@pytest.mark.parametrize("family, a", list(POINTS.values()), ids=list(POINTS))
+def test_verify_writes_a_witness_past_the_digit_limit(family, a, capsys):
+    with int_str_limit(0):
+        text = str(a)
+        a_minus_c = str(a - c_of(family, a))
+    argv = ["verify", "--family", str(family), "--a", text, "--depth", "1"]
+    assert main(argv) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["a"] == text
+    detail = payload["detail"]
+    if payload["status"] == "NotSurjective":
+        assert detail["a_minus_c"] == a_minus_c
+    else:
+        assert payload["condition"] == "T1.1-1"
+        m = (-1) ** payload["delta"] * 2 ** payload["e"] * abs(a.numerator)
+        with int_str_limit(0):
+            assert detail["m"] == str(m)
+        assert len(detail["m"]) > 4300
+
+
+def builtin_calls(path, name):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    return [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == name
+    ]
+
+
+@pytest.mark.parametrize("module", ["verdict", "search", "cli"])
+def test_no_str_call_at_the_text_edge(module):
+    path = Path(arborist.__file__).parent / f"{module}.py"
+    assert builtin_calls(path, "str") == []

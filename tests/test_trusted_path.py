@@ -43,9 +43,10 @@ TRUSTED = {
     "arborist.dynamics.integer_c",
     "arborist.errors.__new__",
     "arborist.exactnum._coprime_basis",
+    "arborist.exactnum._decimal",
     "arborist.exactnum.factor_refine",
+    "arborist.exactnum.format_reduced",
     "arborist.exactnum.is_perfect_square",
-    "arborist.exactnum.is_prime",
     "arborist.exactnum.jacobi",
     "arborist.exactnum.proven_prime",
     "arborist.exactnum.rational_is_square",
