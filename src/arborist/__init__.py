@@ -14,12 +14,7 @@ from .critorbit import (
     orbit_report,
     sign_predict,
 )
-from .dynamics import (
-    Family,
-    QuadMap,
-    family1,
-    family2,
-)
+from .dynamics import QuadMap, family1, family2
 from .errors import DegenerateBasePoint, InvariantViolation, UsageError
 from .exactnum import (
     factor_refine,
@@ -52,7 +47,6 @@ __all__ = [
     "CoprimeBasis",
     "DegenerateBasePoint",
     "DeltaE",
-    "Family",
     "IndependenceResult",
     "InvariantViolation",
     "QuadMap",

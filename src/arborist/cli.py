@@ -50,7 +50,7 @@ def _float(text: str) -> float:
 def _positive_int(text: str) -> int:
     value = _int(text)
     if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {quoted(text)}")
     return value
 
 

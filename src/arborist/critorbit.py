@@ -93,9 +93,9 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from ._bigmul import mul, sqr
-from .dynamics import Family, QuadMap, integer_c
+from .dynamics import QuadMap, integer_c, is_family
 from .errors import InvariantViolation, UsageError
-from .exactnum import format_reduced, primes_up_to, v_int
+from .exactnum import format_reduced, primes_up_to, quoted, v_int
 
 DEFAULT_DEPTH = 12
 #: :func:`orbit_report` checks valuations at 2 and at the odd primes up to
@@ -137,7 +137,7 @@ class AdjustedOrbit(NamedTuple):
         return self.qmap.s
 
     @property
-    def family(self) -> Family:
+    def family(self) -> int:
         return self.qmap.family
 
     @property
@@ -197,7 +197,7 @@ class CongruenceReport(NamedTuple):
     first_failure: int | None = None
 
 
-def check_depth(r: int, s: int, depth: int, family: Family | None = None) -> int:
+def check_depth(r: int, s: int, depth: int, family: int | None = None) -> int:
     """An upper bound on the bits of r_depth for a = r/s.
 
     UsageError for depth < 1, depth > MAX_DEPTH or a bound over
@@ -218,14 +218,15 @@ def check_depth(r: int, s: int, depth: int, family: Family | None = None) -> int
     if bits > MAX_NUMERATOR_BITS and family is not None:
         bits = _bounded_orbit_bits(family, r, s, depth) or bits
     if bits > MAX_NUMERATOR_BITS:
+        r_text, s_text = quoted(format_reduced(abs(r), 1)), quoted(format_reduced(s, 1))
         raise UsageError(
-            f"depth {depth} is too deep for base points with |r| <= {abs(r)} and "
-            f"s <= {s}: r_{depth} may exceed {MAX_NUMERATOR_BITS} bits"
+            f"depth {depth} is too deep for base points with |r| <= {r_text} and "
+            f"s <= {s_text}: r_{depth} may exceed {MAX_NUMERATOR_BITS} bits"
         )
     return bits
 
 
-def _bounded_orbit_bits(family: Family, r: int, s: int, depth: int) -> int | None:
+def _bounded_orbit_bits(family: int, r: int, s: int, depth: int) -> int | None:
     """A bound on the bits of r_depth that does not double with the bits of
     |r| + s, for a map with -2 <= c <= 1/4 (on the integers,
     -8 s^2 <= 4C <= s^2); None for any other map.
@@ -258,7 +259,7 @@ def _odd_powers(s: int, depth: int) -> tuple[int, ...]:
     return (*chain, s * sqr(chain[-1]))
 
 
-def numerator_recursion(family: Family, r: int, s: int, depth: int) -> list[int]:
+def numerator_recursion(family: int, r: int, s: int, depth: int) -> list[int]:
     """Numerators r_1..r_depth of f^n(0) - a for a = r/s, in factored form.
 
     One loop serves both families (module docstring): P_1 = -r^2,
@@ -273,22 +274,23 @@ def numerator_recursion(family: Family, r: int, s: int, depth: int) -> list[int]
     """
     if s < 1 or math.gcd(r, s) != 1:
         raise ValueError("base point must be given as a reduced fraction with s >= 1")
-    if family not in (Family.CYCLE1, Family.CYCLE2):
+    if not is_family(family):
         raise ValueError("numerator recursion requires a known family")
     check_depth(r, s, depth, family)
     return _numerators(family, r, s, _odd_powers(s, depth))
 
 
-def _numerators(family: Family, r: int, s: int, powers: tuple[int, ...]) -> list[int]:
+def _numerators(family: int, r: int, s: int, powers: tuple[int, ...]) -> list[int]:
     # numerator_recursion's loop on checked inputs and the chain (Q_1, ..., Q_N)
-    k = 2 * r if family is Family.CYCLE1 else s  # s (a - f(a))
+    k = 2 * r if family == 1 else s  # s (a - f(a))
     j = 2 * r - k
     q = powers[0]
     p = -r * r  # P_1
     t = p + j * q  # T_1
     if t != -((k - r) ** 2):
         raise InvariantViolation(
-            f"T_1 = P_1 + (2r - k) Q_1 differs from the numerator of c + a for a = {r}/{s}"
+            "T_1 = P_1 + (2r - k) Q_1 differs from the numerator of c + a "
+            f"for a = {quoted(format_reduced(r, s))}"
         )
     rn = p - k * q
     out = [rn]
@@ -323,12 +325,15 @@ def d_sequence(qmap: QuadMap, depth: int = DEFAULT_DEPTH) -> AdjustedOrbit:
         if n > 1:
             even, rem = divmod(q, s)  # s**(2**n - 2), exactly
             if rem:
-                raise InvariantViolation(f"s^(2^{n} - 1) is not a multiple of s = {s}")
+                s_text = quoted(format_reduced(s, 1))
+                raise InvariantViolation(f"s^(2^{n} - 1) is not a multiple of s = {s_text}")
             x = sqr(x) + C * even
         if x - r * q != rn:
-            raise InvariantViolation(f"recursion/iteration mismatch at n = {n}, a = {r}/{s}")
+            raise InvariantViolation(
+                f"recursion/iteration mismatch at n = {n}, a = {quoted(format_reduced(r, s))}"
+            )
         if math.gcd(rn, s) != 1:
-            raise InvariantViolation(f"gcd(r_{n}, s) != 1 for a = {r}/{s}")
+            raise InvariantViolation(f"gcd(r_{n}, s) != 1 for a = {quoted(format_reduced(r, s))}")
 
     return AdjustedOrbit(qmap, tuple(nums))
 
@@ -372,7 +377,7 @@ def check_valuations(orbit: AdjustedOrbit, p: int) -> list[ValuationCheck]:
     else:
         record("denominator_support", True, lambda n, v: v >= 0)
 
-    if orbit.family is Family.CYCLE1:
+    if orbit.family == 1:
         record("unit_2adic_flat", p == 2 and vp_a == 0, lambda n, v: v == 0)
         record(
             "even_2adic_shift",
@@ -402,11 +407,11 @@ def check_valuations(orbit: AdjustedOrbit, p: int) -> list[ValuationCheck]:
     hits = [n for n in n_range if num_v[n - 1] is not None and num_v[n - 1] > 0]
     name = (
         "repeated_prime_divides_numerator"
-        if orbit.family is Family.CYCLE1
+        if orbit.family == 1
         else "repeated_prime_divides_2a"
     )
     if vp_s == 0 and len(hits) >= 2:
-        if orbit.family is Family.CYCLE1:
+        if orbit.family == 1:
             ok = vp_a > 0
         else:
             ok = (vp_r > 0) or (p == 2)
@@ -448,7 +453,7 @@ def sign_predict(qmap: QuadMap) -> SignPrediction:
     r^3 - 2r^2 s + 2rs^2 - 2s^3 < 0.
     """
     r, s = qmap.r, qmap.s
-    if qmap.family is Family.CYCLE1:
+    if qmap.family == 1:
         return family1_sign(r, s)
     if r * r - r * s - s * s > 0:
         return SignPrediction(kind="all_positive", start=2)
@@ -463,7 +468,7 @@ def congruence_check(orbit: AdjustedOrbit, modulus: int) -> CongruenceReport:
     The mod-3 law needs 3 not dividing r and the mod-4 law needs r odd;
     otherwise the report is inapplicable.
     """
-    if orbit.family is not Family.CYCLE1:
+    if orbit.family != 1:
         raise ValueError("congruence laws apply to the fixed-point-tail family only")
     if modulus not in (3, 4):
         raise ValueError("modulus must be 3 or 4")
@@ -486,7 +491,7 @@ def orbit_report(orbit: AdjustedOrbit) -> dict:
     sign = sign_predict(orbit.qmap)
     report = {
         "a": format_reduced(r, s),
-        "family": orbit.family.value,
+        "family": orbit.family,
         "N": orbit.depth,
         "D": [  # d_sequence checked gcd(r_i, s) = 1: each D_i is in lowest terms
             format_reduced(-x if i == 1 else x, s ** (2**i))
@@ -498,7 +503,7 @@ def orbit_report(orbit: AdjustedOrbit) -> dict:
         },
         "congruence_checks": {},
     }
-    if orbit.family is Family.CYCLE1:
+    if orbit.family == 1:
         for modulus in (3, 4):
             rep = congruence_check(orbit, modulus)
             report["congruence_checks"][str(modulus)] = {

@@ -1,7 +1,11 @@
 """Quadratic maps x -> x^2 + c over Q and the two constructors producing
-strictly preperiodic base points (tail length 1 into a fixed point, and
-tail length 1 into a two-cycle).
+strictly preperiodic base points.  A family is the int 1 or 2, the shape of
+the base point's forward orbit:
 
+    1: a -> -a -> -a ...           (one step onto a fixed point)
+    2: a -> a-1 -> -a -> a-1 ...   (one step onto a two-cycle)
+
+:func:`is_family` is the one rule for what is a family; a bool is not one.
 A map holds only its family and the integers of its base point a = r/s
 (reduced, s >= 1).  Its c is C/s^2 with C = -r(r + s) in the first family
 and C = -(r^2 - rs + s^2) in the second.  Neither C shares a prime with s,
@@ -11,7 +15,6 @@ the stored integers on access.
 
 from __future__ import annotations
 
-import enum
 import math
 from fractions import Fraction
 from typing import NamedTuple
@@ -19,30 +22,26 @@ from typing import NamedTuple
 from .errors import DegenerateBasePoint, checked
 
 
-class Family(enum.Enum):
-    """Shape of the base point's forward orbit."""
-
-    #: a -> -a -> -a ...  (one step onto a fixed point)
-    CYCLE1 = 1
-    #: a -> a-1 -> -a -> a-1 ...  (one step onto a two-cycle)
-    CYCLE2 = 2
+def is_family(family) -> bool:
+    """Whether ``family`` is one of the two families, the int 1 or 2 (not a bool)."""
+    return type(family) is int and family in (1, 2)
 
 
 @checked
 class QuadMap(NamedTuple):
     """x -> x^2 + C/s^2 with its family and base point a = r/s.
 
-    Only the families' maps exist: r/s reduced with s >= 1, else ValueError;
-    a degenerate r/s raises DegenerateBasePoint.  C is derived, not stored.
+    Only the families' maps exist: family 1 or 2, r/s reduced with s >= 1, else
+    ValueError; a degenerate r/s raises DegenerateBasePoint.  C is derived, not stored.
     """
 
-    family: Family
+    family: int
     r: int
     s: int
 
     def _check(self) -> None:
         r, s = self.r, self.s
-        if s < 1 or math.gcd(r, s) != 1:
+        if not is_family(self.family) or s < 1 or math.gcd(r, s) != 1:
             raise ValueError(f"not a map of either family: {self}")
         if (r, s) in DEGENERATE[self.family]:
             raise DegenerateBasePoint(f"base point {self.a} is degenerate for this family")
@@ -60,16 +59,16 @@ class QuadMap(NamedTuple):
         return Fraction(self.C, self.s * self.s)
 
 
-def integer_c(family: Family, r: int, s: int) -> int:
+def integer_c(family: int, r: int, s: int) -> int:
     """C = c s^2 of the family's map at a = r/s."""
-    return -r * (r + s) if family is Family.CYCLE1 else -(r * r - r * s + s * s)
+    return -r * (r + s) if family == 1 else -(r * r - r * s + s * s)
 
 
 #: Base points a = r/s, as (r, s) pairs, at which a family's intended orbit
 #: collapses; the constructors reject them and the sweep skips them.
 DEGENERATE = {
-    Family.CYCLE1: frozenset({(0, 1), (-1, 1)}),
-    Family.CYCLE2: frozenset({(0, 1), (1, 2)}),
+    1: frozenset({(0, 1), (-1, 1)}),
+    2: frozenset({(0, 1), (1, 2)}),
 }
 
 
@@ -81,7 +80,7 @@ def family1(a: Fraction | int) -> QuadMap:
     rejected.
     """
     a = Fraction(a)
-    return QuadMap(Family.CYCLE1, a.numerator, a.denominator)
+    return QuadMap(1, a.numerator, a.denominator)
 
 
 def family2(a: Fraction | int) -> QuadMap:
@@ -91,4 +90,4 @@ def family2(a: Fraction | int) -> QuadMap:
     intended orbit; both are rejected.
     """
     a = Fraction(a)
-    return QuadMap(Family.CYCLE2, a.numerator, a.denominator)
+    return QuadMap(2, a.numerator, a.denominator)

@@ -1,14 +1,14 @@
 """Exact integer and rational number-theory primitives.
 
-Rational values throughout the package are stdlib ``fractions.Fraction``
-instances, which already maintain the invariants everything here relies on:
-numerator and denominator coprime after every operation, denominator
-positive, zero stored as 0/1.  This module adds the predicates built on top
-of them: p-adic valuations of integers, exact square detection, the Jacobi
-symbol, deterministic small-range primality, and gcd-based factor
-refinement into a pairwise-coprime base.  ``format_reduced`` writes every
-orbit or base-point integer of the rows and the CLI's JSON, at any length,
-past the interpreter's int/str digit limit.
+The package carries a base point as its reduced integers r and s (s >= 1)
+and an orbit as integer numerators over known denominators; its
+``fractions.Fraction`` values (a map's a and c, an orbit's D_n, a verdict's
+a) are derived from those integers.  This module holds the primitives on
+them: p-adic valuations, exact square detection, the Jacobi symbol,
+deterministic small-range primality, and gcd-based factor refinement into
+a pairwise-coprime base.  ``parse_rational`` reads the wire format ``r/s``,
+and ``format_reduced`` writes every orbit or base-point integer of the rows
+and the CLI's JSON, at any length, past the interpreter's int/str digit limit.
 
 There is deliberately no general-purpose integer factorization anywhere:
 the quantities this package manipulates have numerators with thousands of

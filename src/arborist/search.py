@@ -34,7 +34,7 @@ from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple
 
 from .critorbit import DEFAULT_DEPTH, check_depth
-from .dynamics import DEGENERATE, Family
+from .dynamics import DEGENERATE, is_family
 from .errors import UsageError, checked, open_named
 from .verdict import _certify
 
@@ -58,7 +58,7 @@ class SearchConfig(NamedTuple):
             raise UsageError("height must be positive")
         if self.workers < 1:
             raise UsageError("worker count must be positive")
-        if not self.families or any(f not in (1, 2) for f in self.families):
+        if not self.families or not all(map(is_family, self.families)):
             raise UsageError("families must be a nonempty subset of {1, 2}")
         if len(set(self.families)) != len(self.families):
             raise UsageError(f"families {self.families} repeat a family")
@@ -160,13 +160,12 @@ def _is_row(row) -> bool:
     # reads, status and condition, and the row's text a
     if not isinstance(row, dict):
         return False
-    family, verdict = row.get("family"), row.get("verdict")
+    verdict = row.get("verdict")
     return (
         isinstance(row.get("a"), str)
         and type(row.get("r")) is int
         and type(row.get("s")) is int
-        and type(family) is int
-        and family in (1, 2)
+        and is_family(row.get("family"))
         and isinstance(verdict, dict)
         and isinstance(verdict.get("status"), str)
         and "condition" in verdict
@@ -228,11 +227,10 @@ def search(cfg: SearchConfig) -> SearchSummary:
             done = {(row["r"], row["s"], row["family"]) for row in rows}
         mode, cut = "a", rows.cut
 
-    degenerate = {fam: DEGENERATE[Family(fam)] for fam in cfg.families}
     tasks = []
     for r, s in _reduced_pairs(cfg.height):
         for fam in cfg.families:
-            if (r, s) in degenerate[fam]:
+            if (r, s) in DEGENERATE[fam]:
                 continue
             if (r, s, fam) in done:
                 summary.rows_skipped += 1

@@ -53,7 +53,7 @@ from fractions import Fraction
 from typing import Mapping, NamedTuple
 
 from .critorbit import DEFAULT_DEPTH, check_depth, d_sequence, family1_sign
-from .dynamics import Family, QuadMap
+from .dynamics import QuadMap, is_family
 from .errors import InvariantViolation
 from .exactnum import format_reduced, is_perfect_square, jacobi, proven_prime
 from .independence import factored_orbit_independent
@@ -79,7 +79,7 @@ class DeltaE(NamedTuple):
 
 class _Verdict(NamedTuple):
     a: Fraction
-    family: Family
+    family: int
     status: VerdictStatus
     condition: str | None = None
     depth: int | None = None
@@ -111,7 +111,7 @@ class Verdict(_Verdict):
             "depth": self.depth,
             "detail": dict(sorted(self.detail.items())),
             "e": self.e,
-            "family": self.family.value,
+            "family": self.family,
             "status": self.status.value,
             "witness": list(self.witness) if self.witness is not None else None,
         }
@@ -178,7 +178,7 @@ def _prime_3_mod_4_in(s: int, cutoff: int = TRIAL_DIVISION_CUTOFF):
     return _nonresidue_prime_in(-1, s, cutoff)
 
 
-def _conditions(family: Family, r: int, s: int, delta: int | None, e: int | None):
+def _conditions(family: int, r: int, s: int, delta: int | None, e: int | None):
     """The family's certificate conditions at a = r/s: (fired, detail).
 
     The family picks m, whose non-residue prime in s is searched for: the
@@ -189,7 +189,7 @@ def _conditions(family: Family, r: int, s: int, delta: int | None, e: int | None
     fired: list[str] = []
     detail: dict = {}
     reason, m = "no certificate condition fires", None
-    if family is Family.CYCLE1:
+    if family == 1:
         tag, search = "T1.1-3", "non-residue"
         if delta is None:
             reason = "delta is undefined for this base point"
@@ -235,7 +235,7 @@ def _orbit_decision(qmap: QuadMap, depth: int):
     return VerdictStatus.DEPENDENT_AT_LEVEL, witness, {"level": max(witness)}
 
 
-def certify(a: Fraction, family: Family | int, depth: int = DEFAULT_DEPTH) -> Verdict:
+def certify(a: Fraction, family: int, depth: int = DEFAULT_DEPTH) -> Verdict:
     """Certify a base point, falling back to finite-depth independence.
 
     Runs the family's decision procedure; when no condition fires, the
@@ -245,16 +245,19 @@ def certify(a: Fraction, family: Family | int, depth: int = DEFAULT_DEPTH) -> Ve
     1-based, and the highest in ``detail["level"]``).  The detail keeps
     every key of the inapplicable outcome, ``undecided`` included; an orbit
     with a zero term stays Inapplicable and lists the zero levels in
-    ``detail["zero_levels"]``.  The depth is checked here, once, so a depth
-    that ``check_depth`` refuses raises before any stage, NotSurjective too.
+    ``detail["zero_levels"]``.  The family and then the depth are checked
+    here, once: a family that is not the int 1 or 2 raises ValueError, and a
+    depth that ``check_depth`` refuses UsageError, before any stage,
+    NotSurjective too.
     """
     a = Fraction(a)
-    family = Family(family)
+    if not is_family(family):
+        raise ValueError("family must be the int 1 or 2")
     check_depth(a.numerator, a.denominator, depth, family)
     return _certify(a.numerator, a.denominator, family, depth)
 
 
-def _certify(r: int, s: int, family: Family | int, depth: int) -> Verdict:
+def _certify(r: int, s: int, family: int, depth: int) -> Verdict:
     """The decision procedure at a = r/s, reduced with s >= 1, as stages
     that return values (module docstring); the caller has checked the depth.
 
@@ -266,10 +269,9 @@ def _certify(r: int, s: int, family: Family | int, depth: int) -> Verdict:
     fired condition, which must find it independent (else
     InvariantViolation, a bug), and the verdict when no condition fires.
     """
-    family = Family(family)
     qmap = QuadMap(family, r, s)
     a = qmap.a
-    delta, e = compute_delta_e(a) if family is Family.CYCLE1 else (None, None)
+    delta, e = compute_delta_e(a) if family == 1 else (None, None)
     gap = r * s - qmap.C  # (a - c) * s^2
     if gap and is_perfect_square(gap):
         # gap/s^2 is reduced: gap is r(r + 2s) in the first family and

@@ -6,7 +6,6 @@ from typing import NamedTuple
 
 from arborist import _bigmul, independence
 from arborist.critorbit import AdjustedOrbit
-from arborist.dynamics import Family
 from arborist.errors import InvariantViolation
 from arborist.independence import IndependenceResult
 
@@ -64,7 +63,7 @@ def decompose1(orbit: AdjustedOrbit, n: int) -> Decomposition1:
     exactly when the base point numerator is even, and the division must be
     exact with t odd and coprime to r, else InvariantViolation.
     """
-    if orbit.family is not Family.CYCLE1:
+    if orbit.family != 1:
         raise ValueError("decomposition applies to the fixed-point-tail family only")
     if not 2 <= n <= orbit.depth:
         raise ValueError(f"index {n} outside 2..{orbit.depth}")

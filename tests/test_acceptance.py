@@ -22,7 +22,7 @@ from arborist.critorbit import (
     numerator_recursion,
     sign_predict,
 )
-from arborist.dynamics import Family, family1, family2
+from arborist.dynamics import family1, family2
 from arborist.exactnum import primes_up_to, rational_is_square
 from arborist.independence import brute_force_independent, two_independent
 from arborist.search import SearchConfig, load_rows, search
@@ -39,13 +39,13 @@ def _admissible_points():
                 continue
             a = Fraction(r, s)
             if a not in (0, -1):
-                yield Family.CYCLE1, a
+                yield 1, a
             if a != Fraction(1, 2):
-                yield Family.CYCLE2, a
+                yield 2, a
 
 
 def _build(family, a, depth=SAMPLE_DEPTH):
-    ctor = family1 if family is Family.CYCLE1 else family2
+    ctor = family1 if family == 1 else family2
     return d_sequence(ctor(a), depth)
 
 
@@ -142,7 +142,7 @@ def test_criterion_3_valuation_sign_congruence_suites(sample_orbits):
             bad = [n for n in range(1, SAMPLE_DEPTH + 1) if orbit.r(n) >= 0]
             if bad:
                 violations.append((family, a, "sign", bad))
-        if family is Family.CYCLE1:
+        if family == 1:
             # odd-cofactor pairwise coprimality
             parts = {n: decompose1(orbit, n).t for n in range(2, SAMPLE_DEPTH + 1)}
             for i in parts:
@@ -205,7 +205,7 @@ def test_criterion_5_consistency_audit_at_height_50(tmp_path):
         if verdict["status"] != "ProvenSurjective":
             continue
         proven += 1
-        family = Family(row["family"])
+        family = row["family"]
         orbit = _build(family, Fraction(row["a"]), depth=10)
         result = two_independent(orbit.d_values)
         if not result.independent:
@@ -226,7 +226,7 @@ def test_criterion_6_repeated_prime_law(sample_orbits):
             hits = [n for n in range(1, SAMPLE_DEPTH + 1) if orbit.r(n) % p == 0]
             if len(hits) < 2:
                 continue
-            if family is Family.CYCLE1:
+            if family == 1:
                 ok = (p != 2 and a.numerator % p == 0) or (
                     p == 2 and a.numerator % 2 == 0
                 )

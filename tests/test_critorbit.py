@@ -27,7 +27,7 @@ from arborist.critorbit import (
     orbit_report,
     sign_predict,
 )
-from arborist.dynamics import DEGENERATE, Family, QuadMap, family1, family2
+from arborist.dynamics import DEGENERATE, QuadMap, family1, family2
 from arborist.errors import InvariantViolation, UsageError
 from arborist.exactnum import primes_up_to, v_int
 
@@ -50,9 +50,9 @@ def sample_points(bound):
                 continue
             a = Fraction(r, s)
             if a not in (0, -1):
-                yield Family.CYCLE1, a
+                yield 1, a
             if a != Fraction(1, 2):
-                yield Family.CYCLE2, a
+                yield 2, a
 
 
 def shift_level(level):
@@ -115,13 +115,13 @@ def forge_chain(monkeypatch, s, chain):
 
 
 def build(family, a, depth):
-    qmap = family1(a) if family is Family.CYCLE1 else family2(a)
+    qmap = family1(a) if family == 1 else family2(a)
     return d_sequence(qmap, depth)
 
 
 class TestDSequence:
     def test_family1_half(self):
-        orbit = build(Family.CYCLE1, Fraction(1, 2), 3)
+        orbit = build(1, Fraction(1, 2), 3)
         assert orbit.d_values == (
             Fraction(5, 4),
             Fraction(-11, 16),
@@ -131,11 +131,11 @@ class TestDSequence:
         assert orbit.square_class_reps == (5, -11, -311)
 
     def test_family1_fifth(self):
-        orbit = build(Family.CYCLE1, Fraction(1, 5), 2)
+        orbit = build(1, Fraction(1, 5), 2)
         assert orbit.d_values == (Fraction(11, 25), Fraction(-239, 625))
 
     def test_family2_quarter(self):
-        orbit = build(Family.CYCLE2, Fraction(1, 4), 2)
+        orbit = build(2, Fraction(1, 4), 2)
         assert orbit.d_values == (Fraction(17, 16), Fraction(-103, 256))
 
     def test_first_term_is_negated_first_offset(self):
@@ -146,7 +146,7 @@ class TestDSequence:
             assert orbit.D(2) == offsets[1]
 
     def test_index_outside_depth_raises(self):
-        orbit = build(Family.CYCLE1, Fraction(1, 2), 3)
+        orbit = build(1, Fraction(1, 2), 3)
         for i in (0, -1, 4):
             with pytest.raises(ValueError):
                 orbit.r(i)
@@ -185,7 +185,7 @@ class TestDSequence:
             return nums
 
         monkeypatch.setattr(critorbit, "_numerators", perturbed)
-        for family, a in [(Family.CYCLE1, Fraction(13, 29)), (Family.CYCLE2, Fraction(2, 3))]:
+        for family, a in [(1, Fraction(13, 29)), (2, Fraction(2, 3))]:
             with pytest.raises(InvariantViolation):
                 build(family, a, 5)
         # certify takes no gcd between levels, so the cross-check must stop a
@@ -196,24 +196,45 @@ class TestDSequence:
                 certify(a, family, depth=5)
 
 
+    def test_invariant_messages_write_a_long_base_point_short(self, monkeypatch):
+        # s has 5001 digits, past the interpreter's int/str digit limit, and
+        # each message still names a = r/s, cut in the middle
+        s = 10**5000 + 1
+        short = r"a = '1/10{17}\.\.\.0{9}1'$"
+        with pytest.raises(InvariantViolation, match=short) as exc:
+            critorbit._numerators(2, 1, s, (s + 1,))  # a wrong Q_1
+        messages = [str(exc.value)]
+        honest = critorbit._numerators
+        monkeypatch.setattr(critorbit, "_numerators", lambda *args: [x + 1 for x in honest(*args)])
+        with pytest.raises(InvariantViolation, match="mismatch at n = 1, " + short) as exc:
+            d_sequence(family1(Fraction(1, s)), 2)
+        messages.append(str(exc.value))
+        monkeypatch.setattr(critorbit, "_numerators", honest)
+        monkeypatch.setattr(critorbit, "_odd_powers", lambda s, depth: (s, s**3 + 1))
+        with pytest.raises(InvariantViolation, match="not a multiple of s = '1000") as exc:
+            d_sequence(family1(Fraction(1, s)), 2)
+        messages.append(str(exc.value))
+        assert all(len(message) < 200 for message in messages)
+
+
 class TestNumeratorRecursion:
     def test_family1_half(self):
-        assert numerator_recursion(Family.CYCLE1, 1, 2, 3) == [-5, -11, -311]
+        assert numerator_recursion(1, 1, 2, 3) == [-5, -11, -311]
 
     def test_family2_examples(self):
-        assert numerator_recursion(Family.CYCLE2, 2, 3, 2) == [-13, -68]
-        assert numerator_recursion(Family.CYCLE2, 1, 4, 1) == [-17]
+        assert numerator_recursion(2, 2, 3, 2) == [-13, -68]
+        assert numerator_recursion(2, 1, 4, 1) == [-17]
 
     def test_rejects_unreduced_input(self):
         with pytest.raises(ValueError):
-            numerator_recursion(Family.CYCLE1, 2, 4, 3)
+            numerator_recursion(1, 2, 4, 3)
 
     def test_agrees_with_iteration_oracle(self):
         depth = 6
         for family, a in sample_points(12):
             r, s = a.numerator, a.denominator
             nums = numerator_recursion(family, r, s, depth)
-            qmap = family1(a) if family is Family.CYCLE1 else family2(a)
+            qmap = family1(a) if family == 1 else family2(a)
             for n, offset in enumerate(oracle_offsets(qmap.c, a, depth), start=1):
                 assert offset == Fraction(nums[n - 1], s ** (2**n)), (family, a, n)
                 if nums[n - 1] != 0:
@@ -230,10 +251,10 @@ class TestSharedPowerChain:
         # certify reaches d_sequence through its audit (ProvenSurjective) or
         # its fallback (IndependentToDepth); both read the shared chain
         for a, family, path in [
-            (Fraction(13, 29), Family.CYCLE1, proven),
-            (Fraction(3, 19), Family.CYCLE1, fallback),
-            (Fraction(2, 27), Family.CYCLE2, proven),
-            (Fraction(13, 29), Family.CYCLE2, fallback),
+            (Fraction(13, 29), 1, proven),
+            (Fraction(3, 19), 1, fallback),
+            (Fraction(2, 27), 2, proven),
+            (Fraction(13, 29), 2, fallback),
         ]:
             assert certify(a, family, depth=5).status is path
             r, s = a.numerator, a.denominator
@@ -247,14 +268,14 @@ class TestSharedPowerChain:
     @given(
         r=st.integers(-40, 40),
         s=st.integers(1, 40),
-        family=st.sampled_from([Family.CYCLE1, Family.CYCLE2]),
+        family=st.sampled_from([1, 2]),
         depth=st.integers(1, 9),
         others=st.lists(st.tuples(st.integers(1, 40), st.integers(1, 9)), max_size=40),
     )
     def test_warm_chains_give_the_cold_orbit(self, r, s, family, depth, others):
         assume(math.gcd(r, s) == 1 and (r, s) not in DEGENERATE[family])
         a = Fraction(r, s)
-        qmap = family1(a) if family is Family.CYCLE1 else family2(a)
+        qmap = family1(a) if family == 1 else family2(a)
         with fresh_chains():
             cold = d_sequence(qmap, depth).numerators
         # warm the cache with a shorter chain for s, then with other
@@ -274,7 +295,7 @@ class TestSharedPowerChain:
         # a depth-4 chain takes 4 entries: three times what the cache holds
         newest = 3 * bound // 4
         for s in range(1, newest + 1):
-            build(Family.CYCLE1, Fraction(1, s), 4)
+            build(1, Fraction(1, s), 4)
             assert chains.cache_info().currsize <= bound
         before = chains.cache_info()
         assert before.currsize == bound
@@ -320,15 +341,15 @@ class TestSharedPowerChain:
         assert max(sizes) <= bound and chains.cache_info().currsize <= bound
 
     def test_deeper_request_extends_the_chain(self, chains):
-        build(Family.CYCLE1, Fraction(2, 7), 3)
+        build(1, Fraction(2, 7), 3)
         short = chains(7, 3)
         misses = chains.cache_info().misses
-        build(Family.CYCLE2, Fraction(3, 7), 9)
+        build(2, Fraction(3, 7), 9)
         assert chains.cache_info().misses == misses + 6
         deep = chains(7, 9)
         assert all(old is new for old, new in zip(short, deep))
         assert deep == tuple(7 ** (2**n - 1) for n in range(1, 10))
-        build(Family.CYCLE1, Fraction(2, 7), 5)
+        build(1, Fraction(2, 7), 5)
         assert chains.cache_info().misses == misses + 6
 
 
@@ -391,20 +412,20 @@ class TestOneProductRecursion:
     @given(
         r=st.integers(-(10**6), 10**6),
         s=st.integers(1, 10**6),
-        family=st.sampled_from([Family.CYCLE1, Family.CYCLE2]),
+        family=st.sampled_from([1, 2]),
         depth=st.integers(2, 9),
     )
     def test_both_divisibility_routes(self, r, s, family, depth):
         assume(math.gcd(r, s) == 1 and (r, s) not in DEGENERATE[family])
         a = Fraction(r, s)
-        qmap = family1(a) if family is Family.CYCLE1 else family2(a)
+        qmap = family1(a) if family == 1 else family2(a)
         nums = d_sequence(qmap, depth).numerators
         q = [None, *(s ** (2**n - 1) for n in range(1, depth + 1))]
-        k = 2 * r if family is Family.CYCLE1 else s
+        k = 2 * r if family == 1 else s
         for n in range(2, depth + 1):
             # r_{n-1} divides P_n
             assert divides(nums[n - 2], nums[n - 1] + k * q[n]), n
-            if family is Family.CYCLE2:
+            if family == 2:
                 # P_{n-1} divides T_n, so r_{n-2} does too
                 p_prev, t_n = nums[n - 2] + s * q[n - 1], nums[n - 1] + 2 * r * q[n]
                 assert divides(p_prev, t_n), n
@@ -457,7 +478,7 @@ class TestDepthLimit:
     def test_bounded_orbit_is_accepted_at_any_depth_up_to_the_cap(self):
         # a = 1 in the second family: c = -1, period 2, |r_n| <= 2
         qmap = family2(1)
-        assert check_depth(1, 1, 30, Family.CYCLE2) == 2
+        assert check_depth(1, 1, 30, 2) == 2
         assert d_sequence(qmap, 30).numerators == (-2, -1) * 15
         assert d_sequence(qmap, MAX_DEPTH).depth == MAX_DEPTH
         # without the family (search's bound for every base point) it is refused
@@ -465,7 +486,7 @@ class TestDepthLimit:
             check_depth(1, 1, 30)
         for depth in (MAX_DEPTH + 1, 10**9):
             with pytest.raises(UsageError, match=f"depth {depth} is too deep"):
-                check_depth(1, 1, depth, Family.CYCLE2)
+                check_depth(1, 1, depth, 2)
             with pytest.raises(UsageError, match=f"depth {depth} is too deep"):
                 check_depth(1, 1, depth)
 
@@ -484,13 +505,31 @@ class TestDepthLimit:
         with pytest.raises(UsageError, match=f"depth {depth} is too deep"):
             verdict.certify(Fraction(13, 29), 1, depth=depth)
         with pytest.raises(UsageError, match=f"depth {depth} is too deep"):
-            numerator_recursion(Family.CYCLE1, 13, 29, depth)
+            numerator_recursion(1, 13, 29, depth)
         # NotSurjective points need no orbit, and their depth is refused all
         # the same (both bounds accept them at depth 23)
         if depth > 23:
             for a, family in ((Fraction(1, 4), 1), (Fraction(3, 4), 2)):
                 with pytest.raises(UsageError, match=f"depth {depth} is too deep"):
                     verdict.certify(a, family, depth=depth)
+
+    def test_refusal_writes_a_long_base_point_short(self):
+        # a denominator past the interpreter's int/str digit limit is refused
+        # as too deep, with r and s quoted and cut in the middle
+        from arborist.verdict import certify
+
+        a = Fraction(1, 10**5000 + 1)
+        refusals = [
+            lambda: certify(a, 1, depth=20),
+            lambda: numerator_recursion(2, a.numerator, a.denominator, 20),
+            lambda: check_depth(a.numerator, a.denominator, 20),
+        ]
+        for refuse in refusals:
+            with pytest.raises(UsageError, match="depth 20 is too deep") as exc:
+                refuse()
+            message = str(exc.value)
+            assert len(message) < 200
+            assert "|r| <= '1' and s <= '10000000000000000000...0000000001'" in message
 
     def test_limit_keeps_the_benchmark_and_pinned_depths(self):
         # r_22 of 13/29 has about 20.4M bits; depth 23 would double it
@@ -504,24 +543,24 @@ class TestDepthLimit:
 
 class TestDecompose1:
     def test_half(self):
-        orbit = build(Family.CYCLE1, Fraction(1, 2), 3)
+        orbit = build(1, Fraction(1, 2), 3)
         dec = decompose1(orbit, 2)
         assert (dec.sign, dec.e, dec.t) == (-1, 0, 11)
         assert decompose1(orbit, 3).t == 311
 
     def test_minus_six_sevenths(self):
-        orbit = build(Family.CYCLE1, Fraction(-6, 7), 2)
+        orbit = build(1, Fraction(-6, 7), 2)
         dec = decompose1(orbit, 2)
         assert orbit.r(2) == 2388
         assert (dec.sign, dec.e, dec.t) == (1, 1, 199)
 
     def test_fifth(self):
-        orbit = build(Family.CYCLE1, Fraction(1, 5), 2)
+        orbit = build(1, Fraction(1, 5), 2)
         assert decompose1(orbit, 2).t == 239
 
     def test_reconstruction_over_sample(self):
         for family, a in sample_points(10):
-            if family is not Family.CYCLE1:
+            if family != 1:
                 continue
             orbit = build(family, a, 5)
             for n in range(2, 6):
@@ -531,10 +570,10 @@ class TestDecompose1:
                 assert math.gcd(dec.t, a.numerator) == 1
 
     def test_rejects_wrong_family_and_index(self):
-        orbit = build(Family.CYCLE2, Fraction(1, 4), 3)
+        orbit = build(2, Fraction(1, 4), 3)
         with pytest.raises(ValueError):
             decompose1(orbit, 2)
-        orbit1 = build(Family.CYCLE1, Fraction(1, 2), 3)
+        orbit1 = build(1, Fraction(1, 2), 3)
         with pytest.raises(ValueError):
             decompose1(orbit1, 1)
         with pytest.raises(ValueError):
@@ -548,17 +587,17 @@ class TestCheckValuations:
         return match[0]
 
     def test_family1_even_shift(self):
-        orbit = build(Family.CYCLE1, Fraction(-6, 7), 6)
+        orbit = build(1, Fraction(-6, 7), 6)
         check = self.passed(check_valuations(orbit, 2), "even_2adic_shift")
         assert check.applicable and check.passed
 
     def test_family2_alternation(self):
-        orbit = build(Family.CYCLE2, Fraction(2, 3), 6)
+        orbit = build(2, Fraction(2, 3), 6)
         check = self.passed(check_valuations(orbit, 2), "exact_two_adic_jump")
         assert check.applicable and check.passed
 
     def test_denominator_support(self):
-        orbit = build(Family.CYCLE1, Fraction(1, 5), 4)
+        orbit = build(1, Fraction(1, 5), 4)
         check = self.passed(check_valuations(orbit, 5), "denominator_support")
         assert check.applicable and check.passed
         # and explicitly: v_5(f^n(0) - a) = -2^n
@@ -623,28 +662,28 @@ class TestSignPredict:
 
 class TestCongruenceCheck:
     def test_half_passes_both(self):
-        orbit = build(Family.CYCLE1, Fraction(1, 2), 3)
+        orbit = build(1, Fraction(1, 2), 3)
         for modulus in (3, 4):
             report = congruence_check(orbit, modulus)
             assert report.applicable and report.passed
 
     def test_inapplicable_hypotheses(self):
-        orbit = build(Family.CYCLE1, Fraction(3, 5), 3)
+        orbit = build(1, Fraction(3, 5), 3)
         assert congruence_check(orbit, 3).applicable is False
-        orbit2 = build(Family.CYCLE1, Fraction(2, 5), 3)
+        orbit2 = build(1, Fraction(2, 5), 3)
         assert congruence_check(orbit2, 4).applicable is False
 
     def test_rejects_wrong_family_or_modulus(self):
-        orbit = build(Family.CYCLE2, Fraction(1, 4), 2)
+        orbit = build(2, Fraction(1, 4), 2)
         with pytest.raises(ValueError):
             congruence_check(orbit, 3)
-        orbit1 = build(Family.CYCLE1, Fraction(1, 2), 2)
+        orbit1 = build(1, Fraction(1, 2), 2)
         with pytest.raises(ValueError):
             congruence_check(orbit1, 5)
 
     def test_sample_wide_congruences(self):
         for family, a in sample_points(10):
-            if family is not Family.CYCLE1:
+            if family != 1:
                 continue
             orbit = build(family, a, 6)
             for modulus in (3, 4):
@@ -660,7 +699,7 @@ class TestRepeatedPrimeLaw:
                 hits = [n for n in range(1, 7) if orbit.r(n) % p == 0]
                 if len(hits) < 2 or orbit.s % p == 0:
                     continue
-                if family is Family.CYCLE1:
+                if family == 1:
                     assert a.numerator % p == 0, (a, p)
                 else:
                     assert (2 * a.numerator) % p == 0, (a, p)
@@ -669,7 +708,7 @@ class TestRepeatedPrimeLaw:
 class TestPairwiseCoprimality:
     def test_family1_odd_parts(self):
         for family, a in sample_points(8):
-            if family is not Family.CYCLE1:
+            if family != 1:
                 continue
             orbit = build(family, a, 6)
             parts = [decompose1(orbit, n).t for n in range(2, 7)]
@@ -683,7 +722,7 @@ class TestPairwiseCoprimality:
         points = [Fraction(1, s) for s in (4, 6, 8, 10)]
         points += [Fraction(2, s) for s in (3, 5, 7, 9, 13)]
         for a in points:
-            orbit = build(Family.CYCLE2, a, 6)
+            orbit = build(2, a, 6)
             assert all(rn < 0 for rn in orbit.numerators), a
             parts = [abs(rn) >> v_int(rn, 2) for rn in orbit.numerators]
             for i in range(len(parts)):
@@ -695,7 +734,7 @@ class TestOrbitReport:
     def test_shape_and_serialization(self):
         import json
 
-        orbit = build(Family.CYCLE1, Fraction(-6, 7), 4)
+        orbit = build(1, Fraction(-6, 7), 4)
         report = orbit_report(orbit)
         assert report["a"] == "-6/7"
         assert report["family"] == 1
@@ -707,7 +746,7 @@ class TestOrbitReport:
         json.dumps(report)  # must be JSON-clean
 
     def test_family2_has_no_congruence_laws(self):
-        orbit = build(Family.CYCLE2, Fraction(2, 3), 3)
+        orbit = build(2, Fraction(2, 3), 3)
         assert orbit_report(orbit)["congruence_checks"] == {}
 
     def test_deep_report_ignores_int_str_limit(self):
@@ -715,7 +754,7 @@ class TestOrbitReport:
         # 4300 that str() enforces since Python 3.11 (and 3.10.7)
         import json
 
-        orbit = build(Family.CYCLE1, Fraction(13, 29), 12)
+        orbit = build(1, Fraction(13, 29), 12)
         with int_str_limit(4300):
             report = orbit_report(orbit)
             json.dumps(report)

@@ -4,8 +4,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from arborist.dynamics import Family, QuadMap, family1, family2
+from arborist.critorbit import numerator_recursion
+from arborist.dynamics import QuadMap, family1, family2
 from arborist.errors import DegenerateBasePoint
+from arborist.verdict import certify
 
 
 def apply(f, x):
@@ -104,7 +106,7 @@ class TestQuadMapBasics:
 
     def test_integers_are_stored_and_rationals_derived(self):
         f = family2(Fraction(-6, 14))
-        assert (f.family, f.r, f.s, f.C) == (Family.CYCLE2, -3, 7, -79)
+        assert (f.family, f.r, f.s, f.C) == (2, -3, 7, -79)
         assert (f.a, f.c) == (Fraction(-3, 7), Fraction(-79, 49))
         g = family1(2)
         assert (g.r, g.s, g.C, g.c) == (2, 1, -6, Fraction(-6))
@@ -112,9 +114,9 @@ class TestQuadMapBasics:
     @pytest.mark.parametrize(
         "family, r, s",
         [
-            (Family.CYCLE1, 2, 4),  # r/s not reduced
-            (Family.CYCLE1, 1, -2),  # s < 1
-            (Family.CYCLE2, 1, 0),
+            (1, 2, 4),  # r/s not reduced
+            (1, 1, -2),  # s < 1
+            (2, 1, 0),
         ],
     )
     def test_only_the_families_maps_can_be_built(self, family, r, s):
@@ -123,4 +125,15 @@ class TestQuadMapBasics:
 
     def test_degenerate_map_cannot_be_built(self):
         with pytest.raises(DegenerateBasePoint):
-            QuadMap(Family.CYCLE1, -1, 1)
+            QuadMap(1, -1, 1)
+
+    def test_a_family_is_the_int_1_or_2(self):
+        # True == 1, but a bool is not a family: the rows write ints
+        assert QuadMap(1, 1, 3) == (1, 1, 3) and QuadMap(2, 1, 3).C == -7
+        for family in (True, False, 0, 3, 1.0):
+            with pytest.raises(ValueError, match="not a map of either family"):
+                QuadMap(family, 1, 3)
+        with pytest.raises(ValueError, match="family must be the int 1 or 2"):
+            certify(Fraction(1, 3), True)
+        with pytest.raises(ValueError, match="requires a known family"):
+            numerator_recursion(True, 1, 3, 2)

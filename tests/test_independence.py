@@ -6,7 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from arborist.critorbit import d_sequence
-from arborist.dynamics import Family, family1, family2
+from arborist.dynamics import family1, family2
 from arborist.errors import InvariantViolation
 from arborist.exactnum import factor_refine, rational_is_square
 from arborist.independence import (
@@ -190,12 +190,12 @@ class TestDSequenceOracleAgreement:
                 if r == 0 or math.gcd(abs(r), s) != 1:
                     continue
                 a = Fraction(r, s)
-                for family in (Family.CYCLE1, Family.CYCLE2):
-                    if family is Family.CYCLE1 and a in (0, -1):
+                for family in (1, 2):
+                    if family == 1 and a in (0, -1):
                         continue
-                    if family is Family.CYCLE2 and a == Fraction(1, 2):
+                    if family == 2 and a == Fraction(1, 2):
                         continue
-                    qmap = family1(a) if family is Family.CYCLE1 else family2(a)
+                    qmap = family1(a) if family == 1 else family2(a)
                     orbit = d_sequence(qmap, 4)
                     values = [d for d in orbit.d_values if d != 0]
                     fast = two_independent(values)
@@ -212,9 +212,9 @@ class TestIntegerRepresentatives:
                 if r == 0 or math.gcd(abs(r), s) != 1:
                     continue
                 a = Fraction(r, s)
-                for family, ctor in ((Family.CYCLE1, family1), (Family.CYCLE2, family2)):
-                    if (family is Family.CYCLE1 and a == -1) or (
-                        family is Family.CYCLE2 and a == Fraction(1, 2)
+                for family, ctor in ((1, family1), (2, family2)):
+                    if (family == 1 and a == -1) or (
+                        family == 2 and a == Fraction(1, 2)
                     ):
                         continue
                     orbit = d_sequence(ctor(a), depth)

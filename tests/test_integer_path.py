@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from arborist.critorbit import family1_sign, sign_predict
-from arborist.dynamics import DEGENERATE, Family, family1, family2
+from arborist.dynamics import DEGENERATE, family1, family2
 from arborist.errors import DegenerateBasePoint
 from arborist.exactnum import rational_is_square
 from arborist.search import _reduced_pairs
@@ -116,7 +116,7 @@ def test_integer_entry_gives_certify_json():
     zero_rows = []
     for r, s in _reduced_pairs(30):
         for family in (1, 2):
-            if (r, s) in DEGENERATE[Family(family)]:
+            if (r, s) in DEGENERATE[family]:
                 continue
             row = json.dumps(_certify(r, s, family, 8).to_json_dict())
             reference = certify(Fraction(r, s), family, depth=8).to_json_dict()

@@ -14,7 +14,6 @@ from conftest import decompose1
 import arborist
 from arborist import (
     CoprimeBasis,
-    Family,
     QuadMap,
     RenderConfig,
     SearchConfig,
@@ -103,8 +102,8 @@ def test_checked_records_refuse_bad_values_on_every_path(good, bad, error, match
 
 
 def test_verdicts_built_without_detail_share_no_dict():
-    first = Verdict(Fraction(1, 2), Family.CYCLE1, VerdictStatus.INAPPLICABLE)
-    second = Verdict(Fraction(1, 2), Family.CYCLE1, VerdictStatus.INAPPLICABLE)
+    first = Verdict(Fraction(1, 2), 1, VerdictStatus.INAPPLICABLE)
+    second = Verdict(Fraction(1, 2), 1, VerdictStatus.INAPPLICABLE)
     assert first.detail == {} and first.detail is not second.detail
     first.detail["reason"] = "set on one verdict"
     assert second.detail == {}
@@ -115,9 +114,9 @@ def test_verdicts_built_without_detail_share_no_dict():
     "record",
     [
         family1(Fraction(-6, 7)),
-        QuadMap(Family.CYCLE2, 13, 29),
+        QuadMap(2, 13, 29),
         certify(Fraction(13, 29), 2, depth=6),
-        Verdict(Fraction(1, 2), Family.CYCLE1, VerdictStatus.INAPPLICABLE),
+        Verdict(Fraction(1, 2), 1, VerdictStatus.INAPPLICABLE),
     ],
 )
 def test_records_survive_a_pickle_round_trip(record):
@@ -126,7 +125,7 @@ def test_records_survive_a_pickle_round_trip(record):
 
 
 def test_records_compare_and_unpack_as_tuples():
-    assert family1(Fraction(1, 2)) == (Family.CYCLE1, 1, 2)
+    assert family1(Fraction(1, 2)) == (1, 1, 2)
     delta, e = compute_delta_e(Fraction(1, 2))
     assert (delta, e) == (1, 0)
 

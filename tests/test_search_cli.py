@@ -301,6 +301,9 @@ class TestSearch:
             SearchConfig(height=0, out_path=tmp_path / "x.jsonl")
         with pytest.raises(ValueError):
             SearchConfig(height=1, out_path="x", families=(3,))
+        # True == 1, but a bool is not a family: its rows would not load
+        with pytest.raises(UsageError, match="families must be"):
+            SearchConfig(height=1, out_path="x", families=(True,))
         # a repeated family would write each of its rows twice
         for families in [(1, 1), (2, 1, 2)]:
             with pytest.raises(UsageError, match="repeat"):
@@ -622,6 +625,31 @@ class TestCliUsageErrors:
         assert len(errors) == 1 and errors == lines[-1:]
         assert len(errors[0].encode()) < 200 and "xxx...xxx" in errors[0]
         assert all(len(line.encode()) < 200 for line in lines)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "--family", "1", "--a", "1/{sevens}", "--depth", "20"],
+            ["verify", "--family", "1", "--a", "1/3", "--depth", "-{sevens}"],
+            ["search", "--height", "3", "--workers", "-{sevens}", "--out", "unused.jsonl"],
+        ],
+        ids=["verify-a", "verify-depth", "search-workers"],
+    )
+    def test_a_long_number_that_is_refused_is_echoed_short(
+        self, tmp_path, monkeypatch, argv, capsys
+    ):
+        # 4000 digits parse as an int, and the refusal cuts them in the middle
+        monkeypatch.chdir(tmp_path)
+        sevens = "7" * 4000
+        try:
+            code = main([arg.format(sevens=sevens) for arg in argv])
+        except SystemExit as exc:  # argparse's own exit
+            code = exc.code
+        assert code == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert "7777777777...7777777777" in lines[-1]
+        assert all(len(line.encode()) < 200 for line in lines)
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize(
         "option, argv",

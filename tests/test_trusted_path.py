@@ -41,6 +41,7 @@ TRUSTED = {
     "arborist.dynamics._check",
     "arborist.dynamics.a",
     "arborist.dynamics.integer_c",
+    "arborist.dynamics.is_family",
     "arborist.errors.__new__",
     "arborist.exactnum._coprime_basis",
     "arborist.exactnum._decimal",
