@@ -29,13 +29,19 @@ import functools
 import sys
 
 #: Operand size from which the orbit's products go to GMP.  Measured on
-#: CPython 3.11 (x * y against mpn_mul through ctypes, best of 7): 2k bits
-#: 5.3 against 6.6 us, 4k 18.6 against 10.6 us, 8k 72.9 against 18.3 us,
-#: 80k 1869 against 259 us.  The crossover lies between 2k and 4k bits; the
-#: cutoff sits above it so that a depth-10 row of height <= 30 (r_10 at
-#: most 5654 bits) stays on ``*`` and never imports ctypes.  Only this
-#: module compares an operand's bit length with it.
-CUTOFF_BITS = 8192
+#: CPython 3.11, best of 9, ``*`` against mpn_mul/mpn_sqr through ctypes,
+#: in us:
+#:
+#:     operand bits   mul *     mul GMP   sqr *     sqr GMP
+#:     2048           7.4-9.3   7.0-7.1   4.6-4.7   5.3-5.6
+#:     4096           18.0      7.4       11.2      5.2
+#:     8192           54.7      14.1      35.2      9.8
+#:
+#: At 2048 bits the two are about even, so the cutoff sits at 4096.  The
+#: largest operand of a depth-10 sweep of height <= 30 has 2827 bits (r_9
+#: and X_9), so that sweep stays on ``*`` and never imports ctypes.  Only
+#: this module compares an operand's bit length with it.
+CUTOFF_BITS = 4096
 
 _SONAMES = ("libgmp.so.10", "libgmp.so")
 
@@ -115,10 +121,12 @@ def _agrees(gmp_mul, gmp_sqr) -> bool:
     limb boundaries, signs and GMP's Toom thresholds."""
     for m, n in ((1, 1), (2, 1), (3, 3), (9, 4), (40, 39), (130, 2), (150, 150)):
         y = -_filled(n, 5)
+        yy = y * y
         for x in ((1 << 64 * m) - 1, _filled(m, 7)):
-            if gmp_mul(x, y) != x * y or gmp_mul(y, -x) != -x * y:
+            xy = x * y  # y * -x is its negation
+            if gmp_mul(x, y) != xy or gmp_mul(y, -x) != -xy:
                 return False
-            if gmp_sqr(x) != x * x or gmp_sqr(y) != y * y:
+            if gmp_sqr(x) != x * x or gmp_sqr(y) != yy:
                 return False
     return True
 

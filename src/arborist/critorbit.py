@@ -95,7 +95,7 @@ from typing import NamedTuple
 from ._bigmul import mul, sqr
 from .dynamics import QuadMap, integer_c, is_family
 from .errors import InvariantViolation, UsageError
-from .exactnum import format_reduced, primes_up_to, quoted, v_int
+from .exactnum import format_reduced, proven_prime, quoted, v_int
 
 DEFAULT_DEPTH = 12
 #: :func:`orbit_report` checks valuations at 2 and at the odd primes up to
@@ -129,18 +129,6 @@ class AdjustedOrbit(NamedTuple):
         return len(self.numerators)
 
     @property
-    def a(self) -> Fraction:
-        return self.qmap.a
-
-    @property
-    def s(self) -> int:
-        return self.qmap.s
-
-    @property
-    def family(self) -> int:
-        return self.qmap.family
-
-    @property
     def d_values(self) -> tuple[Fraction, ...]:
         """(D_1, ..., D_N), rebuilt from the numerators on every access."""
         return tuple(self.D(i) for i in range(1, self.depth + 1))
@@ -157,7 +145,7 @@ class AdjustedOrbit(NamedTuple):
     def D(self, i: int) -> Fraction:
         """D_i, 1-based; ValueError outside 1..depth."""
         rn = self.r(i)
-        return Fraction(-rn if i == 1 else rn, self.s ** (2**i))
+        return Fraction(-rn if i == 1 else rn, self.qmap.s ** (2**i))
 
     def r(self, i: int) -> int:
         """r_i, the reduced numerator of f^i(0) - a, 1-based; ValueError outside 1..depth."""
@@ -346,7 +334,7 @@ def check_valuations(orbit: AdjustedOrbit, p: int) -> list[ValuationCheck]:
     are skipped inside the per-index checks; no law's hypothesis can put a
     claim on them.
     """
-    r, s = orbit.qmap.r, orbit.s
+    family, r, s = orbit.qmap
     vp_r = v_int(r, p)
     vp_s = v_int(s, p)
     vp_a = vp_r - vp_s
@@ -377,7 +365,7 @@ def check_valuations(orbit: AdjustedOrbit, p: int) -> list[ValuationCheck]:
     else:
         record("denominator_support", True, lambda n, v: v >= 0)
 
-    if orbit.family == 1:
+    if family == 1:
         record("unit_2adic_flat", p == 2 and vp_a == 0, lambda n, v: v == 0)
         record(
             "even_2adic_shift",
@@ -407,11 +395,11 @@ def check_valuations(orbit: AdjustedOrbit, p: int) -> list[ValuationCheck]:
     hits = [n for n in n_range if num_v[n - 1] is not None and num_v[n - 1] > 0]
     name = (
         "repeated_prime_divides_numerator"
-        if orbit.family == 1
+        if family == 1
         else "repeated_prime_divides_2a"
     )
     if vp_s == 0 and len(hits) >= 2:
-        if orbit.family == 1:
+        if family == 1:
             ok = vp_a > 0
         else:
             ok = (vp_r > 0) or (p == 2)
@@ -468,11 +456,11 @@ def congruence_check(orbit: AdjustedOrbit, modulus: int) -> CongruenceReport:
     The mod-3 law needs 3 not dividing r and the mod-4 law needs r odd;
     otherwise the report is inapplicable.
     """
-    if orbit.family != 1:
+    family, r, _ = orbit.qmap
+    if family != 1:
         raise ValueError("congruence laws apply to the fixed-point-tail family only")
     if modulus not in (3, 4):
         raise ValueError("modulus must be 3 or 4")
-    r = orbit.qmap.r
     applicable = (r % 3 != 0) if modulus == 3 else (r % 2 != 0)
     if not applicable:
         return CongruenceReport(modulus, False, None)
@@ -484,14 +472,13 @@ def congruence_check(orbit: AdjustedOrbit, modulus: int) -> CongruenceReport:
 
 def orbit_report(orbit: AdjustedOrbit) -> dict:
     """JSON-ready report: the sequence plus every analyzer's verdicts."""
-    r, s = orbit.qmap.r, orbit.s
-    relevant = [2] + [
-        p for p in primes_up_to(REPORT_PRIME_BOUND) if p != 2 and (r % p == 0 or s % p == 0)
-    ]
+    family, r, s = orbit.qmap
+    odd = range(3, REPORT_PRIME_BOUND + 1, 2)
+    relevant = [2] + [p for p in odd if (r % p == 0 or s % p == 0) and proven_prime(p)]
     sign = sign_predict(orbit.qmap)
     report = {
         "a": format_reduced(r, s),
-        "family": orbit.family,
+        "family": family,
         "N": orbit.depth,
         "D": [  # d_sequence checked gcd(r_i, s) = 1: each D_i is in lowest terms
             format_reduced(-x if i == 1 else x, s ** (2**i))
@@ -503,7 +490,7 @@ def orbit_report(orbit: AdjustedOrbit) -> dict:
         },
         "congruence_checks": {},
     }
-    if orbit.family == 1:
+    if family == 1:
         for modulus in (3, 4):
             rep = congruence_check(orbit, modulus)
             report["congruence_checks"][str(modulus)] = {

@@ -20,6 +20,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .errors import DegenerateBasePoint, checked
+from .exactnum import format_reduced, quoted
 
 
 def is_family(family) -> bool:
@@ -41,8 +42,14 @@ class QuadMap(NamedTuple):
 
     def _check(self) -> None:
         r, s = self.r, self.s
-        if not is_family(self.family) or s < 1 or math.gcd(r, s) != 1:
-            raise ValueError(f"not a map of either family: {self}")
+        if not is_family(self.family):
+            raise ValueError("not a map of either family: the family must be the int 1 or 2")
+        if math.gcd(r, s) != 1 or s < 1:  # gcd refuses a non-integer first
+            r_text, s_text = quoted(format_reduced(r, 1)), quoted(format_reduced(s, 1))
+            raise ValueError(
+                f"not a map of either family: r = {r_text} and s = {s_text} "
+                "are not a reduced fraction with s >= 1"
+            )
         if (r, s) in DEGENERATE[self.family]:
             raise DegenerateBasePoint(f"base point {self.a} is degenerate for this family")
 

@@ -5,8 +5,9 @@ and an orbit as integer numerators over known denominators; its
 ``fractions.Fraction`` values (a map's a and c, an orbit's D_n, a verdict's
 a) are derived from those integers.  This module holds the primitives on
 them: p-adic valuations, exact square detection, the Jacobi symbol,
-deterministic small-range primality, and gcd-based factor refinement into
-a pairwise-coprime base.  ``parse_rational`` reads the wire format ``r/s``,
+``proven_prime`` (deterministic Miller-Rabin below about 3.3e24, the one
+primality test of the package), and gcd-based factor refinement into a
+pairwise-coprime base.  ``parse_rational`` reads the wire format ``r/s``,
 and ``format_reduced`` writes every orbit or base-point integer of the rows
 and the CLI's JSON, at any length, past the interpreter's int/str digit limit.
 
@@ -44,17 +45,6 @@ _SQUARES_MOD_64 = frozenset(k * k % 64 for k in range(64))
 _QR_MODULI = (63, 65, 11)
 _QR_PRODUCT = math.prod(_QR_MODULI)
 _QR_RESIDUES = tuple(frozenset(k * k % m for k in range(m)) for m in _QR_MODULI)
-
-# math.isqrt is quadratic before Python 3.12, so above this many bits a
-# number that passed the screen is reduced once more, modulo the primes
-# 17..199, each of which rejects about half of the non-squares.  Bit j of a
-# prime's mask is set when j is a square modulo that prime.
-_SIEVE_BITS = 1 << 16
-_SIEVE_PRIMES = tuple(p for p in range(17, 200) if all(p % d for d in range(2, 15)))
-_SIEVE_PRODUCT = math.prod(_SIEVE_PRIMES)
-_SIEVE_SQUARES = tuple(
-    sum(1 << j for j in {k * k % p for k in range(p)}) for p in _SIEVE_PRIMES
-)
 
 
 def parse_rational(text: str) -> Fraction:
@@ -162,7 +152,8 @@ def jacobi(a: int, n: int) -> int:
     non-residue, 0 iff n divides a.
     """
     if n <= 0 or n % 2 == 0:
-        raise ValueError(f"jacobi symbol needs odd positive n, got {n}")
+        n_text = quoted(format_reduced(n, 1))
+        raise ValueError(f"jacobi symbol needs odd positive n, got {n_text}")
     a %= n
     result = 1
     while a != 0:
@@ -205,16 +196,17 @@ def proven_prime(n: int) -> bool | None:
     return True
 
 
-def primes_up_to(limit: int) -> list[int]:
-    """All primes <= limit (simple sieve; intended for small limits)."""
-    if limit < 2:
-        return []
-    sieve = bytearray([1]) * (limit + 1)
-    sieve[0] = sieve[1] = 0
-    for p in range(2, math.isqrt(limit) + 1):
-        if sieve[p]:
-            sieve[p * p :: p] = bytearray(len(sieve[p * p :: p]))
-    return [i for i, flag in enumerate(sieve) if flag]
+# math.isqrt is quadratic before Python 3.12, so above this many bits a
+# number that passed is_perfect_square's screen is reduced once more, modulo
+# the primes 17..199 (picked by proven_prime), each of which rejects about
+# half of the non-squares.  Bit j of a prime's mask is set when j is a square
+# modulo that prime.
+_SIEVE_BITS = 1 << 16
+_SIEVE_PRIMES = tuple(p for p in range(17, 200) if proven_prime(p))
+_SIEVE_PRODUCT = math.prod(_SIEVE_PRIMES)
+_SIEVE_SQUARES = tuple(
+    sum(1 << j for j in {k * k % p for k in range(p)}) for p in _SIEVE_PRIMES
+)
 
 
 def _coprime_basis(work: list[int]) -> list[int]:

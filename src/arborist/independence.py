@@ -46,7 +46,7 @@ from fractions import Fraction
 from typing import NamedTuple, Sequence
 
 from .errors import InvariantViolation, UsageError, checked
-from .exactnum import factor_refine, is_perfect_square, rational_is_square
+from .exactnum import factor_refine, format_reduced, is_perfect_square, quoted, rational_is_square
 
 BRUTE_FORCE_LIMIT = 20
 
@@ -60,10 +60,11 @@ class CoprimeBasis(NamedTuple):
     def _check(self) -> None:
         for i, b in enumerate(self.elements):
             if b < 2 or is_perfect_square(b):
-                raise ValueError(f"invalid basis element {b}")
+                raise ValueError(f"invalid basis element {quoted(format_reduced(b, 1))}")
             for other in self.elements[i + 1 :]:
                 if math.gcd(b, other) != 1:
-                    raise ValueError(f"basis elements {b}, {other} not coprime")
+                    b_text, other_text = (quoted(format_reduced(x, 1)) for x in (b, other))
+                    raise ValueError(f"basis elements {b_text}, {other_text} not coprime")
 
 
 class IndependenceResult(NamedTuple):

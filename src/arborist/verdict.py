@@ -77,26 +77,18 @@ class DeltaE(NamedTuple):
     e: int
 
 
-class _Verdict(NamedTuple):
+class Verdict(NamedTuple):
+    """A base point's status, with every field given where it is built."""
+
     a: Fraction
     family: int
     status: VerdictStatus
-    condition: str | None = None
-    depth: int | None = None
-    witness: tuple[int, ...] | None = None
-    delta: int | None = None
-    e: int | None = None
-    detail: Mapping | None = None
-
-
-class Verdict(_Verdict):
-    """A base point's status; one built without ``detail`` gets an empty dict of its own."""
-
-    __slots__ = ()
-
-    def __new__(cls, *args, **kwargs):
-        verdict = super().__new__(cls, *args, **kwargs)
-        return verdict if verdict.detail is not None else verdict._replace(detail={})
+    condition: str | None
+    depth: int | None
+    witness: tuple[int, ...] | None
+    delta: int | None
+    e: int | None
+    detail: Mapping
 
     def to_json_dict(self) -> dict:
         """The verdict as JSON values, its keys and the detail's in sorted order.

@@ -28,6 +28,18 @@ def int_str_limit(digits):
             sys.set_int_max_str_digits(saved)
 
 
+def primes_up_to(limit):
+    """All primes <= limit, by a sieve: the oracle that ``proven_prime`` is checked against."""
+    if limit < 2:
+        return []
+    sieve = bytearray([1]) * (limit + 1)
+    sieve[0] = sieve[1] = 0
+    for p in range(2, math.isqrt(limit) + 1):
+        if sieve[p]:
+            sieve[p * p :: p] = bytearray(len(sieve[p * p :: p]))
+    return [i for i, flag in enumerate(sieve) if flag]
+
+
 def fresh_cache(monkeypatch, module, name):
     """An empty cache of the same size in place of ``module.name``'s for the
     test; monkeypatch restores the old one, and what it holds, afterwards."""
@@ -63,7 +75,7 @@ def decompose1(orbit: AdjustedOrbit, n: int) -> Decomposition1:
     exactly when the base point numerator is even, and the division must be
     exact with t odd and coprime to r, else InvariantViolation.
     """
-    if orbit.family != 1:
+    if orbit.qmap.family != 1:
         raise ValueError("decomposition applies to the fixed-point-tail family only")
     if not 2 <= n <= orbit.depth:
         raise ValueError(f"index {n} outside 2..{orbit.depth}")

@@ -12,7 +12,7 @@ import time
 from fractions import Fraction
 
 import pytest
-from conftest import decompose1
+from conftest import decompose1, primes_up_to
 
 from arborist.backorbit import RenderConfig, render, sample_backward
 from arborist.critorbit import (
@@ -23,7 +23,7 @@ from arborist.critorbit import (
     sign_predict,
 )
 from arborist.dynamics import family1, family2
-from arborist.exactnum import primes_up_to, rational_is_square
+from arborist.exactnum import rational_is_square
 from arborist.independence import brute_force_independent, two_independent
 from arborist.search import SearchConfig, load_rows, search
 from arborist.verdict import VerdictStatus, certify
@@ -122,7 +122,7 @@ def test_criterion_3_valuation_sign_congruence_suites(sample_orbits):
     for family, a, orbit in sample_orbits:
         # valuation laws at 2 and at every small prime meeting the base point
         primes = {2} | {
-            p for p in small_primes if a.numerator % p == 0 or orbit.s % p == 0
+            p for p in small_primes if a.numerator % p == 0 or orbit.qmap.s % p == 0
         }
         for p in primes:
             for check in check_valuations(orbit, p):
@@ -221,7 +221,7 @@ def test_criterion_6_repeated_prime_law(sample_orbits):
     small_primes = primes_up_to(100)
     for family, a, orbit in sample_orbits:
         for p in small_primes:
-            if orbit.s % p == 0:
+            if orbit.qmap.s % p == 0:
                 continue
             hits = [n for n in range(1, SAMPLE_DEPTH + 1) if orbit.r(n) % p == 0]
             if len(hits) < 2:

@@ -160,13 +160,15 @@ def test_threads_multiplying_above_the_cutoff_agree(gmp):
 
 
 def test_a_sweep_of_small_orbits_never_imports_ctypes(tmp_path):
-    # no product of a height-6, depth-10 search reaches the cutoff, so
-    # libgmp and ctypes stay unloaded
+    # no product of a depth-10 search reaches the cutoff at height 6, nor at
+    # the benchmark's sweep point, height 30 (operands of at most 2827 bits),
+    # so libgmp and ctypes stay unloaded
     src = Path(arborist.__file__).resolve().parent.parent
     code = (
         "import sys, arborist, arborist.cli\n"
         "from arborist.search import SearchConfig, search\n"
         f"search(SearchConfig(height=6, out_path={str(tmp_path / 'rows.jsonl')!r}, depth=10))\n"
+        f"search(SearchConfig(height=30, out_path={str(tmp_path / 'sweep.jsonl')!r}, depth=10))\n"
         "print('ctypes' in sys.modules)"
     )
     proc = subprocess.run(

@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from conftest import primes_up_to
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -14,7 +15,6 @@ from arborist.exactnum import (
     is_perfect_square,
     jacobi,
     parse_rational,
-    primes_up_to,
     proven_prime,
     rational_is_square,
     v_int,

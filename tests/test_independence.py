@@ -280,10 +280,10 @@ class TestOrbitIndependent:
         checked = dependent = 0
         for orbit in orbits(30, 10):
             reps = orbit.square_class_reps
-            by_law = orbit_independent(reps, orbit.a.numerator)
-            assert by_law == two_independent(reps), orbit.a
+            by_law = orbit_independent(reps, orbit.qmap.r)
+            assert by_law == two_independent(reps), orbit.qmap.a
             # the certifier's path, which takes no gcd between levels
-            assert factored_orbit_independent(reps, orbit.a.numerator) == by_law, orbit.a
+            assert factored_orbit_independent(reps, orbit.qmap.r) == by_law, orbit.qmap.a
             checked += 1
             dependent += not by_law.independent
         assert checked == 2217
@@ -360,7 +360,7 @@ class TestOrbitIndependent:
         for orbit in orbits(7, 4):
             reps = orbit.square_class_reps
             kernels = [kernel(v) for v in reps]
-            result = orbit_independent(reps, orbit.a.numerator)
+            result = orbit_independent(reps, orbit.qmap.r)
             subsets = [
                 [i for i in range(len(reps)) if mask >> i & 1]
                 for mask in range(1, 1 << len(reps))

@@ -101,22 +101,13 @@ def test_checked_records_refuse_bad_values_on_every_path(good, bad, error, match
         good._replace(**bad)
 
 
-def test_verdicts_built_without_detail_share_no_dict():
-    first = Verdict(Fraction(1, 2), 1, VerdictStatus.INAPPLICABLE)
-    second = Verdict(Fraction(1, 2), 1, VerdictStatus.INAPPLICABLE)
-    assert first.detail == {} and first.detail is not second.detail
-    first.detail["reason"] = "set on one verdict"
-    assert second.detail == {}
-    assert second.to_json_dict()["detail"] == {}
-
-
 @pytest.mark.parametrize(
     "record",
     [
         family1(Fraction(-6, 7)),
         QuadMap(2, 13, 29),
         certify(Fraction(13, 29), 2, depth=6),
-        Verdict(Fraction(1, 2), 1, VerdictStatus.INAPPLICABLE),
+        Verdict(Fraction(1, 2), 1, VerdictStatus.INAPPLICABLE, None, 3, None, 1, 0, {}),
     ],
 )
 def test_records_survive_a_pickle_round_trip(record):

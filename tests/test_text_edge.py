@@ -11,6 +11,9 @@ from conftest import int_str_limit
 
 import arborist
 from arborist.cli import main
+from arborist.dynamics import QuadMap
+from arborist.exactnum import jacobi
+from arborist.independence import CoprimeBasis
 
 K = 10**1100 + 1
 
@@ -47,6 +50,23 @@ def test_verify_writes_a_witness_past_the_digit_limit(family, a, capsys):
         assert len(detail["m"]) > 4300
 
 
+# a refusal of a number past the digit limit, with its own message
+BIG = 10**5000
+REFUSALS = {
+    "QuadMap": (lambda: QuadMap(1, 2 * BIG, 4 * BIG), "not a map of either family"),
+    "CoprimeBasis-element": (lambda: CoprimeBasis((BIG * BIG,)), "invalid basis element"),
+    "CoprimeBasis-pair": (lambda: CoprimeBasis((3 * BIG + 3,) * 2), "not coprime"),
+    "jacobi": (lambda: jacobi(1, 2 * BIG), "jacobi symbol needs odd positive n"),
+}
+
+
+@pytest.mark.parametrize("build, match", list(REFUSALS.values()), ids=list(REFUSALS))
+def test_a_refusal_writes_a_long_number_cut_in_the_middle(build, match):
+    with pytest.raises(ValueError, match=match) as refused:
+        build()
+    assert all(len(line.encode()) < 200 for line in str(refused.value).splitlines())
+
+
 def builtin_calls(path, name):
     tree = ast.parse(path.read_text(encoding="utf-8"))
     return [
@@ -56,7 +76,7 @@ def builtin_calls(path, name):
     ]
 
 
-@pytest.mark.parametrize("module", ["verdict", "search", "cli"])
+@pytest.mark.parametrize("module", ["verdict", "search", "cli", "dynamics", "independence"])
 def test_no_str_call_at_the_text_edge(module):
     path = Path(arborist.__file__).parent / f"{module}.py"
     assert builtin_calls(path, "str") == []

@@ -57,7 +57,6 @@ TRUSTED = {
     "arborist.independence.factored_orbit_independent",
     "arborist.independence.square_classes",
     "arborist.independence.two_independent",
-    "arborist.verdict.__new__",
     "arborist.verdict._certify",
     "arborist.verdict._conditions",
     "arborist.verdict._nonresidue_prime_in",
