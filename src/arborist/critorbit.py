@@ -8,12 +8,12 @@ controls, through its square classes, whether the arboreal representation
 attached to (f, a) is surjective.  Writing f^n(0) - a = r_n / s_n reduced,
 both families satisfy s_n = s**(2**n) exactly.  The numerators are built
 in the factored form that proves the paper's repeated-prime law, from
-f(x) - f(y) = (x - y)(x + y) at y = a.  With Q_n = s**(2**n - 1) and
+f(x) - f(y) = (x - y)(x + y) at y = a.  With E_n = s**(2**n - 2) and
 k = s (a - f(a)), one recursion serves both families:
 
     P_1 = -r^2,   P_n = r_{n-1} T_{n-1}   (numerator of f^n(0) - f(a))
-    r_n = P_n - k Q_n
-    T_n = P_n + (2r - k) Q_n               (numerator of f^n(0) + a)
+    r_n = P_n - k s E_n
+    T_n = P_n + (2r - k) s E_n             (numerator of f^n(0) + a)
 
     tail-into-fixed-point family (c = -a - a^2, f(a) = f(-a) = -a):
         k = 2r, so T_n = P_n, and r_m divides every later P_n.
@@ -21,19 +21,19 @@ k = s (a - f(a)), one recursion serves both families:
     tail-into-two-cycle family (c = -1 + a - a^2, cycle {a - 1, -a}):
         k = s; P_n is the numerator of f^n(0) - (a - 1), and T_1 must be
         the numerator -(r - s)^2 of c + a.  For n >= 2, with
-        T_{n-1} - P_{n-1} = (2r - s) Q_{n-1} and Q_n = s Q_{n-1}^2,
-        T_n = r_{n-1} T_{n-1} + (2r - s) s Q_{n-1}^2
-            = P_{n-1} (T_{n-1} - s Q_{n-1}),
+        T_{n-1} - P_{n-1} = (2r - s) s E_{n-1} and E_n = (s E_{n-1})^2,
+        T_n = r_{n-1} T_{n-1} + (2r - s) s E_n
+            = P_{n-1} (T_{n-1} - s^2 E_{n-1}),
         the product f(x) + a = (x - (a - 1))(x + a - 1) at x = f^(n-1)(0).
         So r_m divides P_n when n - m is odd and T_n when it is even.
 
-Either way, a prime dividing r_m and r_n (m < n) also divides k Q_n or
-2r Q_n, and given gcd(r_m, s) = 1 it divides 2r (k Q_n is s**(2**n) in
-the second family).  Each level costs one full-size product; T_n is a
+Either way, a prime dividing r_m and r_n (m < n) also divides k s E_n or
+2r s E_n, and given gcd(r_m, s) = 1 it divides 2r (k s E_n is s**(2**n)
+in the second family).  Each level costs one full-size product; T_n is a
 linear step, not a second product.  The family-2 identity holds for the
-integers computed because the cross-check below pins Q_n = s Q_{n-1}^2.
+integers computed because the cross-check below pins E_n = (s E_{n-1})^2.
 That product, the iteration's square X_n^2 and the chain's square
-Q_{n-1}^2 are the level's full-size work, and they go through
+(s E_{n-1})^2 are the level's full-size work, and they go through
 ``_bigmul.mul`` and ``_bigmul.sqr``, which alone choose by operand size
 between CPython's ``*`` and GMP's mpn layer (same integers, so every check
 below is unchanged).
@@ -43,35 +43,31 @@ form of the orbit; every D_n is derived from them on demand.  As a
 cross-check the module also iterates the map on integers: with c = C/s^2
 (the map's own integer C), f^n(0) = X_n / s**(2**n) where
 
-    X_1 = C,   X_{n+1} = X_n^2 + C s**(2**(n+1) - 2),
+    X_1 = C,   X_n = X_{n-1}^2 + C E_n,
 
-so r_n = X_n - r s**(2**n - 1).  Besides the inputs, the two computations
-share one chain of odd powers Q_n = s**(2**n - 1) (Q_1 = s,
-Q_n = s Q_{n-1}^2), read once per orbit from a ``functools.lru_cache`` of
-128 (s, depth) entries, where a deeper chain extends a shorter one (about
-12 denominators at depth 10): the recursion reads Q_n and
-s Q_n = s**(2**n), the iteration reads Q_n and the exact quotient
-Q_n / s = s**(2**n - 2), and a nonzero remainder raises
-InvariantViolation.  Agreement at every level pins the chain, for r != 0
-(a = 0 is degenerate in both families):
+so r_n = X_n - r s E_n.  Besides the inputs, the two computations share
+one chain of even powers E_n = s**(2**n - 2) (E_1 = 1,
+E_n = (s E_{n-1})^2), read once per orbit from a ``functools.lru_cache``
+of 128 (s, depth) entries, where a deeper chain extends a shorter one
+(about 12 denominators at depth 10).  Both read E_n times a small
+multiplier, and nothing divides.  Agreement at every level pins the
+chain, for r != 0 (a = 0 is degenerate in both families):
 
     n = 1: X_1 = C reads no power.  In the first family (C = -rs - r^2)
-        P_1 - 2r Q_1 = C - r Q_1 forces Q_1 = s.  In the second
-        (C = -s^2 + rs - r^2) P_1 - s Q_1 = C - r Q_1 forces it unless
-        r = s, and the check T_1 = P_1 + (2r - s) Q_1 = -(r - s)^2 forces
+        P_1 - 2rs E_1 = C - rs E_1 forces E_1 = 1.  In the second
+        (C = -s^2 + rs - r^2) P_1 - s^2 E_1 = C - rs E_1 forces it unless
+        r = s, and the check T_1 = P_1 + (2r - s) s E_1 = -(r - s)^2 forces
         it unless 2r = s; both cannot hold, so at a = 1 the T_1 check
-        alone pins Q_1.
+        alone pins E_1.
 
-    n >= 2: T_{n-1} = r_{n-1} + 2r Q_{n-1} by construction, and agreement
-        at n - 1 gives r_{n-1} = X_{n-1} - r Q_{n-1}, so P_n is
-        r_{n-1} (X_{n-1} + r Q_{n-1}) = X_{n-1}^2 - r^2 Q_{n-1}^2, while
-        X_n = X_{n-1}^2 + C Q_n / s.  Agreement at n is
-        P_n - X_n = (k - r) Q_n; with (k - r) s + C = -r^2 in both
-        families it reads r^2 Q_n / s = r^2 Q_{n-1}^2, so Q_n = s Q_{n-1}^2.
+    n >= 2: T_{n-1} - r_{n-1} = 2rs E_{n-1} by construction, and agreement
+        at n - 1 gives r_{n-1} = X_{n-1} - rs E_{n-1}, so P_n is
+        r_{n-1} (X_{n-1} + rs E_{n-1}) = X_{n-1}^2 - r^2 (s E_{n-1})^2,
+        while X_n = X_{n-1}^2 + C E_n.  Agreement at n reads
+        (C + (k - r) s) E_n = -r^2 (s E_{n-1})^2; with (k - r) s + C = -r^2
+        in both families, E_n = (s E_{n-1})^2.
 
-This needs the quotient to be exact: with floor division the first family
-would accept Q_n = s Q_{n-1}^2 + j (s + r) for any j with 0 <= rj < s.
-With every Q_n the true power, X_n is f^n(0)'s numerator, so the
+With every E_n the true power, X_n is f^n(0)'s numerator, so the
 recursion's integers are the orbit; together with the law gcd(r_n, s) = 1
 the repeated-prime law then holds for the numerators of every
 :class:`AdjustedOrbit` that :func:`d_sequence` returns, without a gcd
@@ -104,7 +100,8 @@ REPORT_PRIME_BOUND = 100
 #: The most bits that :func:`check_depth` lets r_N have.  The slowest
 #: ``verify`` runs found at the limit, a = 1/(2**60 - 3) and 7/(2**60 + 31)
 #: in either family at depth 19 (r_19 of 31M bits), take 0.9 s on 2 vCPUs
-#: (CPython 3.11) with GMP's products and 42-46 s with CPython's.
+#: (CPython 3.11) with GMP's products and 42-46 s with CPython's; ``orbit``
+#: at the same points, the slowest accepted, writes 38 MB of text in 25-28 s.
 MAX_NUMERATOR_BITS = 1 << 25
 #: The most levels :func:`check_depth` accepts.  An orbit that stays in
 #: [-2, 2] over the integers (s = 1, such as a = 1 in the second family,
@@ -193,8 +190,8 @@ def check_depth(r: int, s: int, depth: int, family: int | None = None) -> int:
     bound holds in both families for every base point with
     |r'| + s' <= |r| + s: either family's C has |C| <= (|r| + s)^2, so with
     M = 2 bits(|r| + s), X_1 = C and |X_{n+1}| <= X_n^2 + |C| s**(2**(n+1) - 2)
-    give bits(X_n) <= 2**(n-1) (M + 2) - 2 by induction, and r Q_n has at
-    most 2**(n-1) M bits, so r_n = X_n - r Q_n has at most one bit more.
+    give bits(X_n) <= 2**(n-1) (M + 2) - 2 by induction, and r s E_n has at
+    most 2**(n-1) M bits, so r_n = X_n - r s E_n has at most one bit more.
     Where it passes the limit and the family is given, the orbit's own
     bound (:func:`_bounded_orbit_bits`) is taken if it has one.
     """
@@ -231,20 +228,20 @@ def _bounded_orbit_bits(family: int, r: int, s: int, depth: int) -> int | None:
 
 
 @functools.lru_cache(maxsize=128)
-def _odd_powers(s: int, depth: int) -> tuple[int, ...]:
-    """(Q_1, ..., Q_depth) with Q_n = s**(2**n - 1), so Q_1 = s, Q_n = s Q_{n-1}^2.
+def _even_powers(s: int, depth: int) -> tuple[int, ...]:
+    """(E_1, ..., E_depth) with E_n = s**(2**n - 2), so E_1 = 1, E_n = (s E_{n-1})^2.
 
     Each (s, depth) is one cache entry, built by extending the entry one
     level shorter, so a deeper chain shares the integers of the shorter
     ones.  The 128 entries hold the chains of about 12 denominators at
     depth 10 and 9 at depth 14, least recently used dropped first.  Nothing
-    here is trusted: :func:`d_sequence`'s cross-check pins every Q_n it
+    here is trusted: :func:`d_sequence`'s cross-check pins every E_n it
     reads (module docstring).
     """
     if depth == 1:
-        return (s,)
-    chain = _odd_powers(s, depth - 1)
-    return (*chain, s * sqr(chain[-1]))
+        return (1,)
+    chain = _even_powers(s, depth - 1)
+    return (*chain, sqr(s * chain[-1]))
 
 
 def numerator_recursion(family: int, r: int, s: int, depth: int) -> list[int]:
@@ -252,10 +249,10 @@ def numerator_recursion(family: int, r: int, s: int, depth: int) -> list[int]:
 
     One loop serves both families (module docstring): P_1 = -r^2,
     P_n = r_{n-1} T_{n-1} (the one full-size product per level),
-    r_n = P_n - k Q_n and T_n = P_n + (2r - k) Q_n, with k = 2r or s, so
-    the repeated-prime law holds for the returned integers.  T_1 must be
+    r_n = P_n - k s E_n and T_n = P_n + (2r - k) s E_n, with k = 2r or s,
+    so the repeated-prime law holds for the returned integers.  T_1 must be
     -(k - r)^2, the numerator of c + a, else InvariantViolation; at a = 1
-    in the second family this check alone pins Q_1.  Q_n comes from the
+    in the second family this check alone pins E_1.  E_n comes from the
     s-power chain that :func:`d_sequence`'s iteration reads too; that
     cross-check, not this function, proves the chain right.  A depth that
     :func:`check_depth` refuses raises before any arithmetic.
@@ -265,27 +262,28 @@ def numerator_recursion(family: int, r: int, s: int, depth: int) -> list[int]:
     if not is_family(family):
         raise ValueError("numerator recursion requires a known family")
     check_depth(r, s, depth, family)
-    return _numerators(family, r, s, _odd_powers(s, depth))
+    return _numerators(family, r, s, _even_powers(s, depth))
 
 
 def _numerators(family: int, r: int, s: int, powers: tuple[int, ...]) -> list[int]:
-    # numerator_recursion's loop on checked inputs and the chain (Q_1, ..., Q_N)
+    # numerator_recursion's loop on checked inputs and the chain (E_1, ..., E_N)
     k = 2 * r if family == 1 else s  # s (a - f(a))
     j = 2 * r - k
-    q = powers[0]
+    ks, js = k * s, j * s
+    e = powers[0]
     p = -r * r  # P_1
-    t = p + j * q  # T_1
+    t = p + js * e  # T_1
     if t != -((k - r) ** 2):
         raise InvariantViolation(
-            "T_1 = P_1 + (2r - k) Q_1 differs from the numerator of c + a "
+            "T_1 = P_1 + (2r - k) s E_1 differs from the numerator of c + a "
             f"for a = {quoted(format_reduced(r, s))}"
         )
-    rn = p - k * q
+    rn = p - ks * e
     out = [rn]
-    for q in powers[1:]:
+    for e in powers[1:]:
         p = mul(rn, t)
-        t = p + j * q if j else p  # T_n = P_n in the first family
-        rn = p - k * q
+        t = p + js * e if js else p  # T_n = P_n in the first family
+        rn = p - ks * e
         out.append(rn)
     return out
 
@@ -296,27 +294,24 @@ def d_sequence(qmap: QuadMap, depth: int = DEFAULT_DEPTH) -> AdjustedOrbit:
     The numerators come from the factored recursion (one product per level
     in either family) and from integer iteration of the map over the
     denominators s**(2**n), started from the map's integer C = c s^2.  Both
-    read one chain of Q_n = s**(2**n - 1), fetched once; the iteration
-    takes s**(2**n - 2) as the exact quotient Q_n / s.  Any disagreement, a
-    nonzero remainder, or a numerator sharing a factor with s (the
-    denominator law) raises InvariantViolation.  Agreement at every level,
-    with the recursion's T_1 check, pins the chain to the true powers, and
-    with it the identities behind the repeated-prime law (module docstring).
-    A depth that :func:`check_depth` refuses raises before any arithmetic.
+    read one chain of E_n = s**(2**n - 2), fetched once, times small
+    multipliers.  Any disagreement, or a numerator sharing a factor with s
+    (the denominator law), raises InvariantViolation.  Agreement at every
+    level, with the recursion's T_1 check, pins the chain to the true
+    powers, and with it the identities behind the repeated-prime law
+    (module docstring).  A depth that :func:`check_depth` refuses raises
+    before any arithmetic.
     """
     r, s, C = qmap.r, qmap.s, qmap.C
     check_depth(r, s, depth, qmap.family)
-    powers = _odd_powers(s, depth)
+    powers = _even_powers(s, depth)
     nums = _numerators(qmap.family, r, s, powers)
+    rs = r * s
     x = C  # X_n, the numerator of f^n(0) over s**(2**n)
-    for n, (rn, q) in enumerate(zip(nums, powers, strict=True), start=1):
+    for n, (rn, e) in enumerate(zip(nums, powers, strict=True), start=1):
         if n > 1:
-            even, rem = divmod(q, s)  # s**(2**n - 2), exactly
-            if rem:
-                s_text = quoted(format_reduced(s, 1))
-                raise InvariantViolation(f"s^(2^{n} - 1) is not a multiple of s = {s_text}")
-            x = sqr(x) + C * even
-        if x - r * q != rn:
+            x = sqr(x) + C * e
+        if x - rs * e != rn:
             raise InvariantViolation(
                 f"recursion/iteration mismatch at n = {n}, a = {quoted(format_reduced(r, s))}"
             )
@@ -480,9 +475,11 @@ def orbit_report(orbit: AdjustedOrbit) -> dict:
         "a": format_reduced(r, s),
         "family": family,
         "N": orbit.depth,
-        "D": [  # d_sequence checked gcd(r_i, s) = 1: each D_i is in lowest terms
-            format_reduced(-x if i == 1 else x, s ** (2**i))
-            for i, x in enumerate(orbit.numerators, start=1)
+        # d_sequence checked gcd(r_i, s) = 1: each D_i is in lowest terms over
+        # s**(2**i) = s^2 E_i, from the chain that its cross-check pinned
+        "D": [
+            format_reduced(-x if i == 1 else x, s * s * e)
+            for i, (x, e) in enumerate(zip(orbit.numerators, _even_powers(s, orbit.depth)), 1)
         ],
         "sign_class": {"kind": sign.kind, "from": sign.start},
         "valuation_checks": {

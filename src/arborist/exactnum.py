@@ -9,7 +9,8 @@ them: p-adic valuations, exact square detection, the Jacobi symbol,
 primality test of the package), and gcd-based factor refinement into a
 pairwise-coprime base.  ``parse_rational`` reads the wire format ``r/s``,
 and ``format_reduced`` writes every orbit or base-point integer of the rows
-and the CLI's JSON, at any length, past the interpreter's int/str digit limit.
+and the CLI's JSON, at any length, past the interpreter's int/str digit limit,
+in subquadratic time.
 
 There is deliberately no general-purpose integer factorization anywhere:
 the quantities this package manipulates have numerators with thousands of
@@ -18,6 +19,7 @@ digits, and every algorithm reduces to gcds, exact roots, and congruences.
 
 from __future__ import annotations
 
+import decimal
 import math
 import re
 import sys
@@ -31,7 +33,6 @@ _RATIONAL_RE = re.compile(r"^[+-]?\d+(?:/\d+)?$")
 # Up to 2000 bits (603 decimal digits) str() stays below the smallest
 # int_max_str_digits setting the interpreter accepts, 640 digits.
 _STR_SAFE_BITS = 2000
-_LOG10_2 = math.log10(2)
 
 # Below this bound, Miller-Rabin with the first 13 prime bases is a proof.
 _MR_DETERMINISTIC_LIMIT = 3_317_044_064_679_887_385_961_981
@@ -89,14 +90,27 @@ def format_reduced(numerator: int, denominator: int) -> str:
 
 
 def _decimal(n: int) -> str:
-    # Larger values are split at a power of ten into halves converted apart.
+    # Larger values are built as an exact Decimal, whose products are
+    # subquadratic, and written by it; no rounding can pass unnoticed.
     if n.bit_length() <= _STR_SAFE_BITS:
         return str(n)
-    if n < 0:
-        return "-" + _decimal(-n)
-    k = int(n.bit_length() * _LOG10_2) // 2
-    high, low = divmod(n, 10**k)
-    return _decimal(high) + _decimal(low).zfill(k)
+    with decimal.localcontext() as ctx:
+        ctx.prec, ctx.Emax = decimal.MAX_PREC, decimal.MAX_EMAX
+        ctx.traps[decimal.Inexact] = ctx.traps[decimal.Rounded] = True
+        text = str(_joined(abs(n), n.bit_length(), {}))
+    return "-" + text if n < 0 else text
+
+
+def _joined(n: int, bits: int, powers: dict[int, decimal.Decimal]) -> decimal.Decimal:
+    # 0 <= n < 2**bits split at bit ``bits // 2``, its halves joined by
+    # 2**(bits // 2) from ``powers``
+    if bits <= _STR_SAFE_BITS:
+        return decimal.Decimal(n)
+    half = bits >> 1
+    if half not in powers:
+        powers[half] = decimal.Decimal(2) ** half
+    low = _joined(n & ((1 << half) - 1), half, powers)
+    return _joined(n >> half, bits - half, powers) * powers[half] + low
 
 
 def v_int(n: int, p: int) -> int:
@@ -151,6 +165,8 @@ def jacobi(a: int, n: int) -> int:
     For prime n this is the Legendre symbol: -1 iff a is a quadratic
     non-residue, 0 iff n divides a.
     """
+    if not isinstance(n, int):
+        raise ValueError(f"jacobi symbol needs an int n, got a {type(n).__name__}")
     if n <= 0 or n % 2 == 0:
         n_text = quoted(format_reduced(n, 1))
         raise ValueError(f"jacobi symbol needs odd positive n, got {n_text}")

@@ -59,6 +59,8 @@ class CoprimeBasis(NamedTuple):
 
     def _check(self) -> None:
         for i, b in enumerate(self.elements):
+            if not isinstance(b, int):
+                raise ValueError(f"basis element is a {type(b).__name__}, not an int")
             if b < 2 or is_perfect_square(b):
                 raise ValueError(f"invalid basis element {quoted(format_reduced(b, 1))}")
             for other in self.elements[i + 1 :]:

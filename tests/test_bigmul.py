@@ -70,12 +70,12 @@ def numerators(pairs, depth):
 
 
 def test_fallback_gives_the_same_deep_numerators(gmp, monkeypatch):
-    fresh_cache(monkeypatch, critorbit, "_odd_powers")
+    fresh_cache(monkeypatch, critorbit, "_even_powers")
     through_gmp = numerators(DEEP_PAIRS, 14)
     # r_14 crosses the cutoff in every pair, so both paths are exercised
     assert all(nums[-1].bit_length() > CUTOFF_BITS for nums in through_gmp.values())
     force_python_products(monkeypatch)
-    fresh_cache(monkeypatch, critorbit, "_odd_powers")
+    fresh_cache(monkeypatch, critorbit, "_even_powers")
     assert not _bigmul.uses_gmp()
     assert numerators(DEEP_PAIRS, 14) == through_gmp
 

@@ -72,23 +72,20 @@ def share_prime_1009(nums):
 
 
 def corrupted_chain(r, s, depth, level, corrupt):
-    """Q_n = s**(2**n - 1) for n = 1..depth, Q_level corrupted, later levels rebuilt from it."""
+    """E_n = s**(2**n - 2) for n = 1..depth, E_level corrupted, later levels rebuilt from it."""
     chain = []
     for n in range(1, depth + 1):
-        q = s * chain[-1] ** 2 if chain else s
-        chain.append(corrupt(r, s, q) if n == level else q)
+        e = (s * chain[-1]) ** 2 if chain else 1
+        chain.append(corrupt(r, s, e) if n == level else e)
     return tuple(chain)
 
 
 POWER_CORRUPTIONS = {
-    # Q_n // s is unchanged when 0 < r < s, and in the first family the
-    # recursion and the iteration then still agree: only the exact quotient
-    # Q_n / s rejects it
-    "floor-blind": lambda r, s, q: q + s + r,
-    "plus-one": lambda r, s, q: q + 1,
-    "minus-one": lambda r, s, q: q - 1,
-    "plus-s": lambda r, s, q: q + s,
-    "doubled": lambda r, s, q: 2 * q,
+    "plus-s-plus-r": lambda r, s, e: e + s + r,
+    "plus-one": lambda r, s, e: e + 1,
+    "minus-one": lambda r, s, e: e - 1,
+    "plus-s": lambda r, s, e: e + s,
+    "doubled": lambda r, s, e: 2 * e,
 }
 
 
@@ -96,8 +93,8 @@ POWER_CORRUPTIONS = {
 def fresh_chains():
     """An empty s-power cache for the block; the previous one is restored after."""
     with pytest.MonkeyPatch.context() as mp:
-        fresh_cache(mp, critorbit, "_odd_powers")
-        yield critorbit._odd_powers
+        fresh_cache(mp, critorbit, "_even_powers")
+        yield critorbit._even_powers
 
 
 @pytest.fixture
@@ -109,9 +106,9 @@ def chains():
 
 def forge_chain(monkeypatch, s, chain):
     """d_sequence reads ``chain``, cut to its depth, as the s-power chain of s."""
-    real = critorbit._odd_powers
+    real = critorbit._even_powers
     monkeypatch.setattr(
-        critorbit, "_odd_powers", lambda t, depth: chain[:depth] if t == s else real(t, depth)
+        critorbit, "_even_powers", lambda t, depth: chain[:depth] if t == s else real(t, depth)
     )
 
 
@@ -203,16 +200,11 @@ class TestDSequence:
         s = 10**5000 + 1
         short = r"a = '1/10{17}\.\.\.0{9}1'$"
         with pytest.raises(InvariantViolation, match=short) as exc:
-            critorbit._numerators(2, 1, s, (s + 1,))  # a wrong Q_1
+            critorbit._numerators(2, 1, s, (2,))  # a wrong E_1
         messages = [str(exc.value)]
         honest = critorbit._numerators
         monkeypatch.setattr(critorbit, "_numerators", lambda *args: [x + 1 for x in honest(*args)])
         with pytest.raises(InvariantViolation, match="mismatch at n = 1, " + short) as exc:
-            d_sequence(family1(Fraction(1, s)), 2)
-        messages.append(str(exc.value))
-        monkeypatch.setattr(critorbit, "_numerators", honest)
-        monkeypatch.setattr(critorbit, "_odd_powers", lambda s, depth: (s, s**3 + 1))
-        with pytest.raises(InvariantViolation, match="not a multiple of s = '1000") as exc:
             d_sequence(family1(Fraction(1, s)), 2)
         messages.append(str(exc.value))
         assert all(len(message) < 200 for message in messages)
@@ -291,6 +283,13 @@ class TestSharedPowerChain:
         for n, offset in enumerate(oracle_offsets(qmap.c, a, depth), start=1):
             assert offset == Fraction(cold[n - 1], s ** (2**n)), n
 
+    @settings(max_examples=60, deadline=None)
+    @given(s=st.integers(1, 10**6), depth=st.integers(1, 10))
+    def test_chain_holds_the_even_powers(self, s, depth):
+        with fresh_chains() as cached:
+            chain = cached(s, depth)
+        assert chain == tuple(s ** (2**n - 2) for n in range(1, depth + 1))
+
     def test_memo_holds_at_most_its_bound(self, chains):
         bound = chains.cache_parameters()["maxsize"]
         # a depth-4 chain takes 4 entries: three times what the cache holds
@@ -301,7 +300,7 @@ class TestSharedPowerChain:
         before = chains.cache_info()
         assert before.currsize == bound
         # the most recent chain is a hit, the oldest one a miss
-        assert chains(newest, 4) == tuple(newest ** (2**n - 1) for n in range(1, 5))
+        assert chains(newest, 4) == tuple(newest ** (2**n - 2) for n in range(1, 5))
         after = chains.cache_info()
         assert (after.hits, after.misses) == (before.hits + 1, before.misses)
         assert chains(1, 4) == (1, 1, 1, 1)
@@ -313,7 +312,7 @@ class TestSharedPowerChain:
         import threading
 
         bound = chains.cache_parameters()["maxsize"]
-        expected = {s: tuple(s ** (2**n - 1) for n in range(1, 7)) for s in range(1, bound)}
+        expected = {s: tuple(s ** (2**n - 2) for n in range(1, 7)) for s in range(1, bound)}
         errors, sizes = [], []
 
         def worker(seed):
@@ -321,7 +320,7 @@ class TestSharedPowerChain:
             try:
                 for _ in range(4000):
                     s, depth = rng.randrange(1, bound), rng.randrange(1, 7)
-                    if critorbit._odd_powers(s, depth) != expected[s][:depth]:
+                    if critorbit._even_powers(s, depth) != expected[s][:depth]:
                         errors.append((s, depth))
                     sizes.append(chains.cache_info().currsize)
             except Exception as exc:  # reported below, with the thread's seed
@@ -349,7 +348,7 @@ class TestSharedPowerChain:
         assert chains.cache_info().misses == misses + 6
         deep = chains(7, 9)
         assert all(old is new for old, new in zip(short, deep))
-        assert deep == tuple(7 ** (2**n - 1) for n in range(1, 10))
+        assert deep == tuple(7 ** (2**n - 2) for n in range(1, 10))
         build(1, Fraction(2, 7), 5)
         assert chains.cache_info().misses == misses + 6
 
@@ -397,14 +396,14 @@ DEPTH16_VERDICTS = {
 
 
 class TestOneProductRecursion:
-    @pytest.mark.parametrize("q1", [2, 5, -3, -1])
-    def test_corrupted_first_power_at_one_is_caught(self, monkeypatch, q1):
+    @pytest.mark.parametrize("e1", [2, 5, -3, -1])
+    def test_corrupted_first_power_at_one_is_caught(self, monkeypatch, e1):
         from arborist.verdict import certify
 
         # at a = 1 (r = s = 1) recursion and iteration both give
-        # r_1 = -1 - Q_1 for any Q_1, and they agree at every later level on
-        # a chain rebuilt from it; only the recursion's T_1 check ties Q_1 to s
-        forge_chain(monkeypatch, 1, corrupted_chain(1, 1, 6, 1, lambda r, s, q: q1))
+        # r_1 = -1 - E_1 for any E_1, and they agree at every later level on
+        # a chain rebuilt from it; only the recursion's T_1 check ties E_1 to 1
+        forge_chain(monkeypatch, 1, corrupted_chain(1, 1, 6, 1, lambda r, s, e: e1))
         for run in (lambda: d_sequence(family2(1), 6), lambda: certify(1, 2, depth=6)):
             with pytest.raises(InvariantViolation):
                 run()
@@ -498,7 +497,7 @@ class TestDepthLimit:
         def computed(*args):
             raise AssertionError("a refused depth reached the orbit arithmetic")
 
-        for name in ("_odd_powers", "_numerators"):
+        for name in ("_even_powers", "_numerators"):
             monkeypatch.setattr(critorbit, name, computed)
         monkeypatch.setattr(verdict, "_nonresidue_prime_in", computed)
         with pytest.raises(UsageError, match=f"depth {depth} is too deep"):

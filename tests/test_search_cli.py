@@ -720,6 +720,8 @@ class TestCliOrbitPins:
         ("3/19", 1, 14): "067733c3c9b9090d4d8a5420c96ac9aadc2aa75dcd989e82a4ffcc9ff8b781b4",
         ("11/27", 2, 14): "097999949a3eeb415d11871cbef5095b50cc9ebdcdc71983e5970ccc88f93c09",
         ("1", 2, 14): "9d6299e1bb7e6a3d8341a550836ca329bc13a5e6590c4de6b1fdd4f712bc9de7",
+        # r_19 has 2.5M bits: the numbers pass the decimal converter's splits
+        ("13/29", 2, 19): "0b9d6796eb501b814aea588c4aa7dc81ccbe231ca67d347375ae05373e8eec50",
         # s = 99 and r = 97, the largest prime up to REPORT_PRIME_BOUND:
         # valuation checks at 2, 3, 11 and 97
         ("97/99", 1, 6): "73dd48257f3deff306838c2a854bbceda615ae0a7e6a00ec92b3e05d2c028544",

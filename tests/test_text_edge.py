@@ -3,6 +3,7 @@
 
 import ast
 import json
+import random
 from fractions import Fraction
 from pathlib import Path
 
@@ -10,6 +11,7 @@ import pytest
 from conftest import int_str_limit
 
 import arborist
+from arborist import exactnum
 from arborist.cli import main
 from arborist.dynamics import QuadMap
 from arborist.exactnum import jacobi
@@ -65,6 +67,30 @@ def test_a_refusal_writes_a_long_number_cut_in_the_middle(build, match):
     with pytest.raises(ValueError, match=match) as refused:
         build()
     assert all(len(line.encode()) < 200 for line in str(refused.value).splitlines())
+
+
+# a non-int refused by its own check, not by the formatting of its message
+NON_INTS = {
+    "jacobi": (lambda: jacobi(3, 4.0), "jacobi symbol needs an int n, got a float"),
+    "CoprimeBasis": (lambda: CoprimeBasis((1.5,)), "basis element is a float, not an int"),
+}
+
+
+@pytest.mark.parametrize("build, match", list(NON_INTS.values()), ids=list(NON_INTS))
+def test_a_non_int_is_refused_with_a_value_error(build, match):
+    with pytest.raises(ValueError, match=match):
+        build()
+
+
+# 0, either side of the converter's split above 2000 bits, a number whose
+# upper half splits again (4001 bits), and the size of r_18 at a = 13/29
+@pytest.mark.parametrize("bits", [0, 2000, 2001, 4001, 1_270_000])
+def test_the_converter_writes_what_str_writes(bits):
+    n = random.Random(bits).getrandbits(bits) | (1 << bits >> 1)  # exactly ``bits`` bits
+    with int_str_limit(0):
+        text = str(n)
+    assert exactnum._decimal(n) == text
+    assert exactnum._decimal(-n) == ("-" + text if n else text)
 
 
 def builtin_calls(path, name):

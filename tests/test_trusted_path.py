@@ -31,8 +31,8 @@ TRUSTED = {
     "arborist._bigmul._gmp",
     "arborist._bigmul.mul",
     "arborist._bigmul.sqr",
+    "arborist.critorbit._even_powers",
     "arborist.critorbit._numerators",
-    "arborist.critorbit._odd_powers",
     "arborist.critorbit.check_depth",
     "arborist.critorbit.d_sequence",
     "arborist.critorbit.family1_sign",
@@ -114,5 +114,5 @@ def test_certify_reaches_exactly_the_listed_functions(products, monkeypatch):
     # a fresh binding and power-chain cache, so the load and the chain's
     # growth are on the path in every run
     fresh_cache(monkeypatch, _bigmul, "_gmp")
-    fresh_cache(monkeypatch, critorbit, "_odd_powers")
+    fresh_cache(monkeypatch, critorbit, "_even_powers")
     assert reached_by_certify() == TRUSTED | ON_PATH[products]
