@@ -4,9 +4,8 @@ quadratic maps x^2 + c over Q with strictly preperiodic base points."""
 from .backorbit import RenderConfig, points_csv, render, sample_backward
 from .critorbit import (
     AdjustedOrbit,
-    CongruenceReport,
+    LawCheck,
     SignPrediction,
-    ValuationCheck,
     check_valuations,
     congruence_check,
     d_sequence,
@@ -43,19 +42,18 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AdjustedOrbit",
-    "CongruenceReport",
     "CoprimeBasis",
     "DegenerateBasePoint",
     "DeltaE",
     "IndependenceResult",
     "InvariantViolation",
+    "LawCheck",
     "QuadMap",
     "RenderConfig",
     "SearchConfig",
     "SearchSummary",
     "SignPrediction",
     "UsageError",
-    "ValuationCheck",
     "Verdict",
     "VerdictStatus",
     "brute_force_independent",

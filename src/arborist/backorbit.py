@@ -9,10 +9,14 @@ decoupled from the exact certification core.
 from __future__ import annotations
 
 import cmath
+import math
 import random
 from typing import NamedTuple
 
 from .errors import UsageError, checked
+
+#: The most pixels an image may have, width times height (256 MiB of PGM).
+MAX_PIXELS = 1 << 28
 
 
 @checked
@@ -29,12 +33,24 @@ class RenderConfig(NamedTuple):
         re_min, re_max, im_min, im_max = self.bounds
         if self.width < 1 or self.height < 1:
             raise UsageError("image dimensions must be positive")
+        if self.width * self.height > MAX_PIXELS:
+            raise UsageError(f"width * height must be at most MAX_PIXELS = 2**28 = {MAX_PIXELS}")
+        if not all(map(math.isfinite, self.bounds)):
+            raise UsageError("bounds must be finite")
         if not (re_max > re_min and im_max > im_min):
             raise UsageError("bounds must have positive area")
+        if not all(0 < x < math.inf for x in self.scale):
+            raise UsageError("bounds are too narrow or too far apart for a finite pixel scale")
         if self.n_points < 1:
             raise UsageError("need at least one point")
         if self.burn_in < 0:
             raise UsageError("burn-in must be nonnegative")
+
+    @property
+    def scale(self) -> tuple[float, float]:
+        """Pixels per unit along the real and the imaginary axis."""
+        re_min, re_max, im_min, im_max = self.bounds
+        return self.width / (re_max - re_min), self.height / (im_max - im_min)
 
 
 def sample_backward(c: complex, a: complex, cfg: RenderConfig) -> list[complex]:
@@ -60,17 +76,18 @@ def sample_backward(c: complex, a: complex, cfg: RenderConfig) -> list[complex]:
 def render(points: list[complex], cfg: RenderConfig) -> bytes:
     """Bin points into a binary PGM (P5) image, one byte per pixel.
 
-    Hit pixels are 255, the rest 0; points outside the bounds are dropped.
+    Hit pixels are 255, the rest 0; points outside the bounds are dropped,
+    and so is a point whose scaled coordinate is infinite or NaN.
     """
-    re_min, re_max, im_min, im_max = cfg.bounds
-    re_scale = cfg.width / (re_max - re_min)
-    im_scale = cfg.height / (im_max - im_min)
+    re_min, _, _, im_max = cfg.bounds
+    re_scale, im_scale = cfg.scale
     pixels = bytearray(cfg.width * cfg.height)
     for z in points:
-        ix = int((z.real - re_min) * re_scale)
-        iy = int((im_max - z.imag) * im_scale)  # image row 0 is the top
-        if 0 <= ix < cfg.width and 0 <= iy < cfg.height:
-            pixels[iy * cfg.width + ix] = 255
+        x = (z.real - re_min) * re_scale
+        y = (im_max - z.imag) * im_scale  # image row 0 is the top
+        # int() truncates toward 0, so -1 < x < width is 0 <= int(x) < width
+        if -1 < x < cfg.width and -1 < y < cfg.height:
+            pixels[int(y) * cfg.width + int(x)] = 255
     header = f"P5\n{cfg.width} {cfg.height}\n255\n".encode("ascii")
     return header + bytes(pixels)
 

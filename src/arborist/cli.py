@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import re
 import sys
@@ -57,13 +58,14 @@ def _positive_int(text: str) -> int:
 def _parse_complex(text: str) -> complex:
     parts = text.split(",")
     try:
-        if len(parts) == 1:
-            return complex(float(parts[0]), 0.0)
-        if len(parts) == 2:
-            return complex(float(parts[0]), float(parts[1]))
+        values = [float(part) for part in parts]
     except ValueError:
-        pass
-    raise UsageError(f"expected RE or RE,IM, got {quoted(text)}")
+        values = []
+    if len(values) not in (1, 2):
+        raise UsageError(f"expected RE or RE,IM, got {quoted(text)}")
+    if not all(map(math.isfinite, values)):
+        raise UsageError(f"expected finite parts, got {quoted(text)}")
+    return complex(*values)
 
 
 def cmd_verify(args: argparse.Namespace) -> int:

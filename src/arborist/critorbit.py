@@ -73,12 +73,14 @@ the repeated-prime law then holds for the numerators of every
 :class:`AdjustedOrbit` that :func:`d_sequence` returns, without a gcd
 between levels.
 
-The module also hosts the valuation, sign and congruence analyzers that
-:func:`orbit_report` collects.  Note D_1 = -(f(0) - a) = -r_1/s^2: sign
-statements below are always about f^n(0) - a, whose sign at n = 1 is the
-opposite of D_1's.  Since every denominator is an even power of s, the
-square class of D_n is that of the integer -r_1 (n = 1) or r_n (n >= 2);
-see :attr:`AdjustedOrbit.square_class_reps`.
+The module also hosts the orbit's laws and the sign analyzer that
+:func:`orbit_report` collects.  Each family's valuation laws are rows of
+one table, ``_VALUATION_LAWS``, and every law's outcome is a
+:class:`LawCheck`.  Note D_1 = -(f(0) - a) = -r_1/s^2: sign statements
+below are always about f^n(0) - a, whose sign at n = 1 is the opposite of
+D_1's.  That flip is written once, in :attr:`AdjustedOrbit.square_class_reps`
+= (-r_1, r_2, ..., r_N), the numerators of the D_n over s**(2**n) = s^2 E_n;
+each is in the square class of its D_n, since s^2 E_n is a square.
 """
 
 from __future__ import annotations
@@ -99,9 +101,10 @@ DEFAULT_DEPTH = 12
 REPORT_PRIME_BOUND = 100
 #: The most bits that :func:`check_depth` lets r_N have.  The slowest
 #: ``verify`` runs found at the limit, a = 1/(2**60 - 3) and 7/(2**60 + 31)
-#: in either family at depth 19 (r_19 of 31M bits), take 0.9 s on 2 vCPUs
-#: (CPython 3.11) with GMP's products and 42-46 s with CPython's; ``orbit``
-#: at the same points, the slowest accepted, writes 38 MB of text in 25-28 s.
+#: in either family at depth 19 (r_19 of 31M bits), take 0.75-1.2 s on
+#: 2 vCPUs with GMP's products (CPython 3.10-3.13) and 42-46 s with
+#: CPython's (3.11); ``orbit`` at the same points, the slowest accepted,
+#: writes 38 MB of text in 19-29 s on 3.10-3.13, at 139-156 MB peak RSS.
 MAX_NUMERATOR_BITS = 1 << 25
 #: The most levels :func:`check_depth` accepts.  An orbit that stays in
 #: [-2, 2] over the integers (s = 1, such as a = 1 in the second family,
@@ -140,9 +143,10 @@ class AdjustedOrbit(NamedTuple):
         return (-self.numerators[0], *self.numerators[1:])
 
     def D(self, i: int) -> Fraction:
-        """D_i, 1-based; ValueError outside 1..depth."""
-        rn = self.r(i)
-        return Fraction(-rn if i == 1 else rn, self.qmap.s ** (2**i))
+        """D_i, 1-based, over s**(2**i) = s^2 E_i; ValueError outside 1..depth."""
+        self.r(i)  # ValueError outside 1..depth
+        s = self.qmap.s
+        return Fraction(self.square_class_reps[i - 1], s * s * _even_powers(s, self.depth)[i - 1])
 
     def r(self, i: int) -> int:
         """r_i, the reduced numerator of f^i(0) - a, 1-based; ValueError outside 1..depth."""
@@ -151,10 +155,12 @@ class AdjustedOrbit(NamedTuple):
         return self.numerators[i - 1]
 
 
-class ValuationCheck(NamedTuple):
-    """Outcome of one valuation law at one prime.
+class LawCheck(NamedTuple):
+    """Outcome of one law of the orbit: a valuation law at one prime, the
+    repeated-prime law or a congruence.
 
-    ``passed`` is None when the law's hypothesis does not hold for (a, p).
+    ``passed`` is None when the law's hypothesis does not hold; otherwise
+    ``first_failure`` is the first level n at which the law fails, if any.
     """
 
     name: str
@@ -173,13 +179,6 @@ class SignPrediction(NamedTuple):
 
     kind: str
     start: int | None = None
-
-
-class CongruenceReport(NamedTuple):
-    modulus: int
-    applicable: bool
-    passed: bool | None
-    first_failure: int | None = None
 
 
 def check_depth(r: int, s: int, depth: int, family: int | None = None) -> int:
@@ -321,86 +320,73 @@ def d_sequence(qmap: QuadMap, depth: int = DEFAULT_DEPTH) -> AdjustedOrbit:
     return AdjustedOrbit(qmap, tuple(nums))
 
 
-def check_valuations(orbit: AdjustedOrbit, p: int) -> list[ValuationCheck]:
-    """Evaluate every valuation law of the orbit's family at the prime p.
+#: Each family's valuation laws in report order: the name, the hypothesis on
+#: (p, k = v_p(a)) and the law on (n, v = v_p(f^n(0) - a), k).  Both start
+#: with denominator support: p divides s iff every f^n(0) - a has negative
+#: valuation, and no term does otherwise.
+_DENOMINATOR_SUPPORT = (
+    "denominator_support", lambda p, k: True, lambda n, v, k: (v < 0) == (k < 0)
+)
+_VALUATION_LAWS = {
+    1: (
+        _DENOMINATOR_SUPPORT,
+        ("unit_2adic_flat", lambda p, k: p == 2 and k == 0, lambda n, v, k: v == 0),
+        ("even_2adic_shift", lambda p, k: p == 2 and k >= 1, lambda n, v, k: n < 2 or v == k + 1),
+        ("odd_prime_locked", lambda p, k: p != 2 and k > 0, lambda n, v, k: v == k),
+    ),
+    2: (
+        _DENOMINATOR_SUPPORT,
+        ("even_2adic_alternation", lambda p, k: p == 2 and k > 0,
+         lambda n, v, k: v > 0 if n % 2 == 0 else v == 0),
+        ("exact_two_adic_jump", lambda p, k: p == 2 and k == 1,
+         lambda n, v, k: v == (2 if n % 2 == 0 else 0)),
+        ("unit_2adic_alternation", lambda p, k: p == 2 and k == 0,
+         lambda n, v, k: v == (1 if n % 2 == 1 else 0)),
+    ),
+}
+
+
+def _scan(name: str, applicable: bool, failures) -> LawCheck:
+    """The law's outcome from the levels at which it fails, in order; they
+    are not read when its hypothesis does not hold."""
+    if not applicable:
+        return LawCheck(name, False, None)
+    first = next(failures, None)
+    return LawCheck(name, True, first is None, first)
+
+
+def check_valuations(orbit: AdjustedOrbit, p: int) -> list[LawCheck]:
+    """Evaluate every valuation law of the orbit's family at the prime p,
+    then the repeated-prime law.
 
     Laws whose hypothesis on (a, p) fails are reported inapplicable rather
     than failed.  Zero numerators (which occur only for a = -2, where s = 1)
-    are skipped inside the per-index checks; no law's hypothesis can put a
-    claim on them.
+    are skipped; no law's hypothesis can put a claim on them.
     """
     family, r, s = orbit.qmap
     vp_r = v_int(r, p)
     vp_s = v_int(s, p)
-    vp_a = vp_r - vp_s
-    n_range = range(1, orbit.depth + 1)
-    num_v = [v_int(rn, p) if rn != 0 else None for rn in orbit.numerators]
-
-    checks: list[ValuationCheck] = []
-
-    def record(name: str, applicable: bool, pred=None) -> None:
-        if not applicable:
-            checks.append(ValuationCheck(name, False, None))
-            return
-        fail_at = None
-        for n in n_range:
-            v = num_v[n - 1]
-            if v is None:
-                continue
-            # valuation of the full rational f^n(0) - a
-            if not pred(n, v - (2**n) * vp_s):
-                fail_at = n
-                break
-        checks.append(ValuationCheck(name, True, fail_at is None, fail_at))
-
-    # Denominator support: p divides s iff every f^n(0) - a has negative
-    # valuation, and no term does otherwise.
-    if vp_a < 0:
-        record("denominator_support", True, lambda n, v: v < 0)
-    else:
-        record("denominator_support", True, lambda n, v: v >= 0)
-
-    if family == 1:
-        record("unit_2adic_flat", p == 2 and vp_a == 0, lambda n, v: v == 0)
-        record(
-            "even_2adic_shift",
-            p == 2 and vp_a >= 1,
-            lambda n, v: n < 2 or v == vp_a + 1,
-        )
-        record("odd_prime_locked", p != 2 and vp_a > 0, lambda n, v: v == vp_a)
-    else:
-        record(
-            "even_2adic_alternation",
-            p == 2 and vp_a > 0,
-            lambda n, v: v > 0 if n % 2 == 0 else v == 0,
-        )
-        record(
-            "exact_two_adic_jump",
-            p == 2 and vp_a == 1,
-            lambda n, v: v == (2 if n % 2 == 0 else 0),
-        )
-        record(
-            "unit_2adic_alternation",
-            p == 2 and vp_a == 0,
-            lambda n, v: v == (1 if n % 2 == 1 else 0),
-        )
+    k = vp_r - vp_s
+    # (n, v_p(f^n(0) - a)) at the nonzero levels, over s**(2**n)
+    levels = [(n, v_int(rn, p) - (vp_s << n)) for n, rn in enumerate(orbit.numerators, 1) if rn]
+    checks = [
+        _scan(name, hypothesis(p, k), (n for n, v in levels if not law(n, v, k)))
+        for name, hypothesis, law in _VALUATION_LAWS[family]
+    ]
 
     # Repeated prime law: a prime hitting two distinct numerators must come
-    # from the base point (through 2a for the two-cycle family).
-    hits = [n for n in n_range if num_v[n - 1] is not None and num_v[n - 1] > 0]
-    name = (
-        "repeated_prime_divides_numerator"
-        if family == 1
-        else "repeated_prime_divides_2a"
-    )
+    # from the base point (through 2a for the two-cycle family).  Where p
+    # does not divide s, v is v_p(r_n).
+    hits = [n for n, v in levels if v > 0]
+    name = "repeated_prime_divides_numerator" if family == 1 else "repeated_prime_divides_2a"
     if vp_s == 0 and len(hits) >= 2:
         if family == 1:
-            ok = vp_a > 0
+            ok = k > 0
         else:
             ok = (vp_r > 0) or (p == 2)
-        checks.append(ValuationCheck(name, True, ok, None if ok else hits[1]))
+        checks.append(LawCheck(name, True, ok, None if ok else hits[1]))
     else:
-        checks.append(ValuationCheck(name, False, None))
+        checks.append(LawCheck(name, False, None))
 
     return checks
 
@@ -445,11 +431,11 @@ def sign_predict(qmap: QuadMap) -> SignPrediction:
     return SignPrediction(kind="mixed")
 
 
-def congruence_check(orbit: AdjustedOrbit, modulus: int) -> CongruenceReport:
+def congruence_check(orbit: AdjustedOrbit, modulus: int) -> LawCheck:
     """Check r_n = 1 (mod 3 or mod 4) for n >= 2, fixed-point-tail family.
 
     The mod-3 law needs 3 not dividing r and the mod-4 law needs r odd;
-    otherwise the report is inapplicable.
+    otherwise the check is inapplicable.
     """
     family, r, _ = orbit.qmap
     if family != 1:
@@ -457,12 +443,10 @@ def congruence_check(orbit: AdjustedOrbit, modulus: int) -> CongruenceReport:
     if modulus not in (3, 4):
         raise ValueError("modulus must be 3 or 4")
     applicable = (r % 3 != 0) if modulus == 3 else (r % 2 != 0)
-    if not applicable:
-        return CongruenceReport(modulus, False, None)
-    for n in range(2, orbit.depth + 1):
-        if orbit.r(n) % modulus != 1:
-            return CongruenceReport(modulus, True, False, n)
-    return CongruenceReport(modulus, True, True)
+    levels = enumerate(orbit.numerators[1:], 2)
+    return _scan(
+        f"congruence_mod_{modulus}", applicable, (n for n, rn in levels if rn % modulus != 1)
+    )
 
 
 def orbit_report(orbit: AdjustedOrbit) -> dict:
@@ -478,8 +462,8 @@ def orbit_report(orbit: AdjustedOrbit) -> dict:
         # d_sequence checked gcd(r_i, s) = 1: each D_i is in lowest terms over
         # s**(2**i) = s^2 E_i, from the chain that its cross-check pinned
         "D": [
-            format_reduced(-x if i == 1 else x, s * s * e)
-            for i, (x, e) in enumerate(zip(orbit.numerators, _even_powers(s, orbit.depth)), 1)
+            format_reduced(x, s * s * e)
+            for x, e in zip(orbit.square_class_reps, _even_powers(s, orbit.depth))
         ],
         "sign_class": {"kind": sign.kind, "from": sign.start},
         "valuation_checks": {

@@ -114,7 +114,9 @@ def _joined(n: int, bits: int, powers: dict[int, decimal.Decimal]) -> decimal.De
 
 
 def v_int(n: int, p: int) -> int:
-    """Exponent of p in n != 0 (no primality check; p >= 2)."""
+    """Exponent of p in n != 0 (no primality check; ValueError for p < 2)."""
+    if p < 2:
+        raise ValueError("the valuation needs a base p >= 2")
     if n == 0:
         raise ValueError("the valuation of 0 is not an integer")
     count = 0

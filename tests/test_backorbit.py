@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from arborist.backorbit import RenderConfig, points_csv, render, sample_backward
+from arborist.backorbit import MAX_PIXELS, RenderConfig, points_csv, render, sample_backward
 
 BASILICA = complex(-0.75, 0.0)
 HALF = complex(0.5, 0.0)
@@ -22,6 +22,21 @@ class TestRenderConfig:
             RenderConfig(n_points=0)
         with pytest.raises(ValueError):
             RenderConfig(burn_in=-1)
+
+    @pytest.mark.parametrize(
+        "kwargs, match",
+        [
+            ({"bounds": (-math.inf, 1.0, 0.0, 1.0)}, "finite"),
+            ({"bounds": (0.0, 1.0, 0.0, math.nan)}, "finite"),
+            ({"width": 4, "bounds": (0.0, 1e-320, 0.0, 1.0)}, "too narrow"),
+            ({"bounds": (-1e308, 1e308, 0.0, 1.0)}, "too far apart"),
+            ({"width": MAX_PIXELS, "height": 2}, "MAX_PIXELS"),
+        ],
+        ids=["inf-bound", "nan-bound", "scale-overflow", "scale-zero", "too-many-pixels"],
+    )
+    def test_rejects_what_cannot_be_drawn(self, kwargs, match):
+        with pytest.raises(ValueError, match=match):
+            RenderConfig(**kwargs)
 
 
 class TestSampler:
@@ -72,6 +87,12 @@ class TestRender:
         image = render([complex(0, 0)], cfg)
         pixels = image[len(b"P5\n9 9\n255\n") :]
         assert pixels.count(255) == 1
+
+    def test_points_that_do_not_scale_to_a_number_are_dropped(self):
+        # 1e150 pixels-per-unit times 4e300 overflows to inf; NaN compares false
+        cfg = RenderConfig(width=4, height=4, bounds=(0.0, 1e-300, 0.0, 1.0))
+        points = [complex(1e150, 0.5), complex(math.nan, 0.5), complex(0.0, -math.inf)]
+        assert render(points, cfg).endswith(bytes(16))
 
     def test_out_of_bounds_points_dropped(self):
         cfg = RenderConfig(width=4, height=4, bounds=(-1.0, 1.0, -1.0, 1.0))

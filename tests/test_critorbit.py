@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 import arborist.critorbit as critorbit
 from arborist.critorbit import (
     MAX_DEPTH,
+    AdjustedOrbit,
     MAX_NUMERATOR_BITS,
     check_depth,
     check_valuations,
@@ -615,6 +616,66 @@ class TestCheckValuations:
             for p in primes:
                 for check in check_valuations(orbit, p):
                     assert check.passed is not False, (family, a, p, check)
+
+
+    @pytest.mark.parametrize("p", [1, 0, -2])
+    def test_refuses_a_base_below_two(self, p):
+        with pytest.raises(ValueError, match="p >= 2"):
+            v_int(6, p)
+        with pytest.raises(ValueError, match="p >= 2"):
+            check_valuations(build(1, Fraction(1, 3), 3), p)
+
+
+def times(*factors):
+    """A corruption of the orbit: r_n times factors[n - 1], the rest kept."""
+    return lambda nums: tuple(rn * f for rn, f in zip(nums, (*factors, *[1] * len(nums))))
+
+
+#: A law's name -> (a, the prime for the valuation laws, a corruption of the
+#: numerators under which the law fails first at n = 2).
+LAW_FAILURES = {
+    "denominator_support": (Fraction(1, 5), 5, times(1, 5**4)),
+    "unit_2adic_flat": (Fraction(1, 3), 2, times(1, 2)),
+    "even_2adic_shift": (Fraction(2, 3), 2, times(1, 2)),
+    "odd_prime_locked": (Fraction(3, 5), 3, times(1, 3)),
+    "even_2adic_alternation": (Fraction(2, 3), 2, lambda nums: (nums[0], nums[1] | 1, *nums[2:])),
+    "exact_two_adic_jump": (Fraction(2, 3), 2, times(1, 2)),
+    "unit_2adic_alternation": (Fraction(1, 3), 2, times(1, 2)),
+    "repeated_prime_divides_numerator": (Fraction(1, 4), 7, times(7, 7)),
+    "repeated_prime_divides_2a": (Fraction(1, 4), 7, times(7, 7)),
+    "congruence_mod_3": (Fraction(1, 2), 2, lambda nums: (nums[0], nums[1] + 1, *nums[2:])),
+    "congruence_mod_4": (Fraction(1, 2), 2, lambda nums: (nums[0], nums[1] + 1, *nums[2:])),
+}
+
+
+def every_law():
+    """(family, name) for every row of the valuation table and every other law."""
+    for family, rows in critorbit._VALUATION_LAWS.items():
+        yield from ((family, name) for name, _, _ in rows)
+    yield 1, "repeated_prime_divides_numerator"
+    yield 2, "repeated_prime_divides_2a"
+    yield 1, "congruence_mod_3"
+    yield 1, "congruence_mod_4"
+
+
+@pytest.mark.parametrize("family, name", list(every_law()))
+def test_every_law_can_fail(family, name):
+    a, p, corrupt = LAW_FAILURES[name]
+
+    def law(orbit):
+        checks = check_valuations(orbit, p)
+        if family == 1:
+            checks += [congruence_check(orbit, 3), congruence_check(orbit, 4)]
+        (check,) = [c for c in checks if c.name == name]
+        return check
+
+    orbit = build(family, a, 4)
+    # no prime outside 2a divides two numerators of a true orbit, so the
+    # repeated-prime laws do not apply to it at p = 7
+    held = None if name.startswith("repeated_prime") else True
+    assert law(orbit).passed is held
+    check = law(AdjustedOrbit(orbit.qmap, corrupt(orbit.numerators)))
+    assert check.applicable and check.passed is False and check.first_failure == 2
 
 
 class TestSignPredict:

@@ -24,7 +24,6 @@ from arborist import (
     certify,
     check_valuations,
     compute_delta_e,
-    congruence_check,
     d_sequence,
     family1,
     sign_predict,
@@ -37,7 +36,6 @@ def one_of_each_record():
     orbit = d_sequence(qmap, 3)
     return [
         orbit,
-        congruence_check(orbit, 3),
         CoprimeBasis((2, 3)),
         decompose1(orbit, 2),
         compute_delta_e(Fraction(1, 2)),

@@ -515,6 +515,23 @@ class TestCliUsageErrors:
     @pytest.mark.parametrize(
         "argv",
         [
+            ["--c=-1", "--a=inf"],
+            ["--c=-1", "--a=nan"],
+            ["--c=nan", "--a=0", "--csv"],
+            ["--c=-1", "--a=0", "--width", "4", "--height", "4"]
+            + ["--bounds", "0", "1e-320", "0", "1"],
+            ["--c=-1", "--a=0", "--width", "1000000000", "--height", "1000000000"],
+        ],
+        ids=["a-inf", "a-nan", "c-nan-csv", "scale-overflow", "too-many-pixels"],
+    )
+    def test_julia_refuses_what_it_cannot_draw(self, argv, capsys):
+        assert main(["julia", "--points", "3", *argv]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
             ["verify", "--family", "1", "--a", "1/5", "--depth", "0"],
             ["orbit", "--family", "1", "--a", "1/5", "--depth", "-3"],
             ["search", "--height", "0", "--out", "unused.jsonl"],
