@@ -30,6 +30,10 @@ USAGE_ERROR = 2
 INTERNAL_ERROR = 1
 BROKEN_PIPE = 141  # 128 + SIGPIPE, as a shell reports a writer killed by it
 _INTEGER_RE = re.compile(r"\s*[+-]?\d+\s*")
+# argparse reads an argument as an option unless it looks like a negative
+# number, which by its own rule excludes -1e-3 and -inf; julia's parser
+# takes every argument that starts as a negative float does for a value
+_NEGATIVE_FLOAT_RE = re.compile(r"-\.?\d|-inf|-nan", re.IGNORECASE)
 
 
 def _int(text: str) -> int:
@@ -71,7 +75,7 @@ def _parse_complex(text: str) -> complex:
 def cmd_verify(args: argparse.Namespace) -> int:
     a = parse_rational(args.a)
     verdict = certify(a, args.family, depth=args.depth)
-    print(json.dumps(verdict.to_json_dict(), sort_keys=True))
+    print(json.dumps(verdict.to_json_dict()))
     return 0
 
 
@@ -186,6 +190,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     defaults = RenderConfig()
     p = sub.add_parser("julia", help="render a Julia set by backward orbit")
+    p._negative_number_matcher = _NEGATIVE_FLOAT_RE
     p.add_argument("--c", required=True, metavar="RE[,IM]")
     p.add_argument("--a", required=True, metavar="RE[,IM]")
     p.add_argument("--points", type=_int, default=defaults.n_points)

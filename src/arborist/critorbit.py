@@ -91,7 +91,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from ._bigmul import mul, sqr
-from .dynamics import QuadMap, integer_c, is_family
+from .dynamics import QuadMap, integer_c
 from .errors import InvariantViolation, UsageError
 from .exactnum import format_reduced, proven_prime, quoted, v_int
 
@@ -118,7 +118,7 @@ class AdjustedOrbit(NamedTuple):
 
     ``numerators[i-1]`` is r_i, the reduced numerator of f^i(0) - a over
     denominator s**(2**i); it is the only stored form of the orbit.  The
-    depth, D_i and ``d_values`` are derived from it on each access.
+    depth, the D_i and ``d_values`` are derived from it on each access.
     """
 
     qmap: QuadMap
@@ -131,7 +131,7 @@ class AdjustedOrbit(NamedTuple):
     @property
     def d_values(self) -> tuple[Fraction, ...]:
         """(D_1, ..., D_N), rebuilt from the numerators on every access."""
-        return tuple(self.D(i) for i in range(1, self.depth + 1))
+        return tuple(Fraction(x, d) for x, d in self._d_terms())
 
     @property
     def square_class_reps(self) -> tuple[int, ...]:
@@ -142,17 +142,12 @@ class AdjustedOrbit(NamedTuple):
         """
         return (-self.numerators[0], *self.numerators[1:])
 
-    def D(self, i: int) -> Fraction:
-        """D_i, 1-based, over s**(2**i) = s^2 E_i; ValueError outside 1..depth."""
-        self.r(i)  # ValueError outside 1..depth
+    def _d_terms(self) -> zip[tuple[int, int]]:
+        """(numerator, denominator) of each D_i in lowest terms: d_sequence
+        checked gcd(r_i, s) = 1, and s**(2**i) = s^2 E_i comes from the chain
+        that its cross-check pinned."""
         s = self.qmap.s
-        return Fraction(self.square_class_reps[i - 1], s * s * _even_powers(s, self.depth)[i - 1])
-
-    def r(self, i: int) -> int:
-        """r_i, the reduced numerator of f^i(0) - a, 1-based; ValueError outside 1..depth."""
-        if not 1 <= i <= self.depth:
-            raise ValueError(f"index {i} outside 1..{self.depth}")
-        return self.numerators[i - 1]
+        return zip(self.square_class_reps, (s * s * e for e in _even_powers(s, self.depth)))
 
 
 class LawCheck(NamedTuple):
@@ -253,13 +248,12 @@ def numerator_recursion(family: int, r: int, s: int, depth: int) -> list[int]:
     -(k - r)^2, the numerator of c + a, else InvariantViolation; at a = 1
     in the second family this check alone pins E_1.  E_n comes from the
     s-power chain that :func:`d_sequence`'s iteration reads too; that
-    cross-check, not this function, proves the chain right.  A depth that
+    cross-check, not this function, proves the chain right.  The inputs
+    must make the :class:`QuadMap` that :func:`d_sequence` takes (else
+    ValueError, or DegenerateBasePoint), and a depth that
     :func:`check_depth` refuses raises before any arithmetic.
     """
-    if s < 1 or math.gcd(r, s) != 1:
-        raise ValueError("base point must be given as a reduced fraction with s >= 1")
-    if not is_family(family):
-        raise ValueError("numerator recursion requires a known family")
+    QuadMap(family, r, s)  # the one check of a base point
     check_depth(r, s, depth, family)
     return _numerators(family, r, s, _even_powers(s, depth))
 
@@ -459,12 +453,7 @@ def orbit_report(orbit: AdjustedOrbit) -> dict:
         "a": format_reduced(r, s),
         "family": family,
         "N": orbit.depth,
-        # d_sequence checked gcd(r_i, s) = 1: each D_i is in lowest terms over
-        # s**(2**i) = s^2 E_i, from the chain that its cross-check pinned
-        "D": [
-            format_reduced(x, s * s * e)
-            for x, e in zip(orbit.square_class_reps, _even_powers(s, orbit.depth))
-        ],
+        "D": [format_reduced(x, d) for x, d in orbit._d_terms()],
         "sign_class": {"kind": sign.kind, "from": sign.start},
         "valuation_checks": {
             str(p): [check._asdict() for check in check_valuations(orbit, p)] for p in relevant

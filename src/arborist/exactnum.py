@@ -38,15 +38,6 @@ _STR_SAFE_BITS = 2000
 _MR_DETERMINISTIC_LIMIT = 3_317_044_064_679_887_385_961_981
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
-# Every square is a quadratic residue modulo 64 (read off the low six bits,
-# without a division) and each of these moduli.  Together they reject all but
-# about 1 in 120 random non-squares before the exact root, but on the
-# non-square cofactors of orbit numerators they let 1 in 50 through.
-_SQUARES_MOD_64 = frozenset(k * k % 64 for k in range(64))
-_QR_MODULI = (63, 65, 11)
-_QR_PRODUCT = math.prod(_QR_MODULI)
-_QR_RESIDUES = tuple(frozenset(k * k % m for k in range(m)) for m in _QR_MODULI)
-
 
 def parse_rational(text: str) -> Fraction:
     """Parse the exact wire format ``r/s`` (or a bare integer ``r``).
@@ -130,20 +121,20 @@ def v_int(n: int, p: int) -> int:
 def is_perfect_square(n: int) -> bool:
     """True iff n = m*m for some integer m, verified by exact squaring.
 
-    A residue test modulo the small moduli above screens out most
-    non-squares without taking the integer square root, and a large n that
-    passes it meets the primes 17..199 as well.
+    The square screens below reject most non-squares without taking the
+    integer square root: n mod 64, then n mod 63, 65 and 11, and for a
+    large n the primes 17..199 as well.
     """
-    if n < 0 or n & 63 not in _SQUARES_MOD_64:
+    if n < 0 or not _SQUARES_MOD_64 >> (n & 63) & 1:
         return False
     residue = n % _QR_PRODUCT
-    for m, squares in zip(_QR_MODULI, _QR_RESIDUES):
-        if residue % m not in squares:
+    for m, squares in _QR_SCREEN:
+        if not squares >> residue % m & 1:
             return False
     if n.bit_length() > _SIEVE_BITS:
         residue = n % _SIEVE_PRODUCT
-        for p, squares in zip(_SIEVE_PRIMES, _SIEVE_SQUARES):
-            if not squares >> residue % p & 1:
+        for m, squares in _SIEVE_SCREEN:
+            if not squares >> residue % m & 1:
                 return False
     root = math.isqrt(n)
     return root * root == n
@@ -214,17 +205,25 @@ def proven_prime(n: int) -> bool | None:
     return True
 
 
-# math.isqrt is quadratic before Python 3.12, so above this many bits a
-# number that passed is_perfect_square's screen is reduced once more, modulo
-# the primes 17..199 (picked by proven_prime), each of which rejects about
-# half of the non-squares.  Bit j of a prime's mask is set when j is a square
-# modulo that prime.
+def _square_mask(m: int) -> int:
+    """The mask whose bit j is set when j is a square modulo m."""
+    return sum(1 << j for j in {k * k % m for k in range(m)})
+
+
+# is_perfect_square's screens: every square is a square modulo 64 (read off
+# the low six bits, without a division) and modulo each m of a (m, mask)
+# pair.  The mod 64/63/65/11 screen rejects all but about 1 in 120 random
+# non-squares, but on the non-square cofactors of orbit numerators it lets
+# 1 in 50 through.  math.isqrt is quadratic before Python 3.12, so above
+# _SIEVE_BITS bits a number that passed is reduced once more, modulo the
+# primes 17..199 (picked by proven_prime), each of which rejects about half
+# of the non-squares.
+_SQUARES_MOD_64 = _square_mask(64)
+_QR_SCREEN = tuple((m, _square_mask(m)) for m in (63, 65, 11))
+_QR_PRODUCT = math.prod(m for m, _ in _QR_SCREEN)
 _SIEVE_BITS = 1 << 16
-_SIEVE_PRIMES = tuple(p for p in range(17, 200) if proven_prime(p))
-_SIEVE_PRODUCT = math.prod(_SIEVE_PRIMES)
-_SIEVE_SQUARES = tuple(
-    sum(1 << j for j in {k * k % p for k in range(p)}) for p in _SIEVE_PRIMES
-)
+_SIEVE_SCREEN = tuple((p, _square_mask(p)) for p in range(17, 200) if proven_prime(p))
+_SIEVE_PRODUCT = math.prod(p for p, _ in _SIEVE_SCREEN)
 
 
 def _coprime_basis(work: list[int]) -> list[int]:

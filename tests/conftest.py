@@ -81,7 +81,7 @@ def decompose1(orbit: AdjustedOrbit, n: int) -> Decomposition1:
         raise ValueError(f"index {n} outside 2..{orbit.depth}")
     r_abs = abs(orbit.qmap.r)
     e = 1 if orbit.qmap.r % 2 == 0 else 0
-    rn = orbit.r(n)
+    rn = orbit.numerators[n - 1]
     t, rem = divmod(abs(rn), (1 << e) * r_abs)
     if rem != 0 or t % 2 == 0 or math.gcd(t, r_abs) != 1:
         raise InvariantViolation(

@@ -134,12 +134,12 @@ def test_criterion_3_valuation_sign_congruence_suites(sample_orbits):
             bad = [
                 n
                 for n in range(prediction.start, SAMPLE_DEPTH + 1)
-                if orbit.r(n) <= 0
+                if orbit.numerators[n - 1] <= 0
             ]
             if bad:
                 violations.append((family, a, "sign", bad))
         elif prediction.kind == "all_negative":
-            bad = [n for n in range(1, SAMPLE_DEPTH + 1) if orbit.r(n) >= 0]
+            bad = [n for n in range(1, SAMPLE_DEPTH + 1) if orbit.numerators[n - 1] >= 0]
             if bad:
                 violations.append((family, a, "sign", bad))
         if family == 1:
@@ -223,7 +223,7 @@ def test_criterion_6_repeated_prime_law(sample_orbits):
         for p in small_primes:
             if orbit.qmap.s % p == 0:
                 continue
-            hits = [n for n in range(1, SAMPLE_DEPTH + 1) if orbit.r(n) % p == 0]
+            hits = [n for n in range(1, SAMPLE_DEPTH + 1) if orbit.numerators[n - 1] % p == 0]
             if len(hits) < 2:
                 continue
             if family == 1:

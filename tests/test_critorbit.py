@@ -30,7 +30,7 @@ from arborist.critorbit import (
     sign_predict,
 )
 from arborist.dynamics import DEGENERATE, QuadMap, family1, family2
-from arborist.errors import InvariantViolation, UsageError
+from arborist.errors import DegenerateBasePoint, InvariantViolation, UsageError
 from arborist.exactnum import v_int
 
 
@@ -141,18 +141,8 @@ class TestDSequence:
         for family, a in sample_points(5):
             orbit = build(family, a, 2)
             offsets = oracle_offsets(orbit.qmap.c, a, 2)
-            assert orbit.D(1) == a - orbit.qmap.c == -offsets[0]
-            assert orbit.D(2) == offsets[1]
-
-    def test_index_outside_depth_raises(self):
-        orbit = build(1, Fraction(1, 2), 3)
-        for i in (0, -1, 4):
-            with pytest.raises(ValueError):
-                orbit.r(i)
-            with pytest.raises(ValueError):
-                orbit.D(i)
-        assert [orbit.r(i) for i in (1, 2, 3)] == [-5, -11, -311]
-        assert orbit.D(3) == Fraction(-311, 256)
+            assert orbit.d_values[0] == a - orbit.qmap.c == -offsets[0]
+            assert orbit.d_values[1] == offsets[1]
 
     def test_rejects_custom_maps_and_bad_depth(self):
         from arborist.dynamics import QuadMap
@@ -222,6 +212,13 @@ class TestNumeratorRecursion:
     def test_rejects_unreduced_input(self):
         with pytest.raises(ValueError):
             numerator_recursion(1, 2, 4, 3)
+
+    def test_rejects_degenerate_base_points(self):
+        # a = 1/2 in the second family and a = -1 in the first pass the T_1
+        # check, but QuadMap, which checks every entry, refuses them
+        for family, r, s in ((2, 1, 2), (1, -1, 1)):
+            with pytest.raises(DegenerateBasePoint):
+                numerator_recursion(family, r, s, 3)
 
     def test_agrees_with_iteration_oracle(self):
         depth = 6
@@ -552,7 +549,7 @@ class TestDecompose1:
     def test_minus_six_sevenths(self):
         orbit = build(1, Fraction(-6, 7), 2)
         dec = decompose1(orbit, 2)
-        assert orbit.r(2) == 2388
+        assert orbit.numerators[1] == 2388
         assert (dec.sign, dec.e, dec.t) == (1, 1, 199)
 
     def test_fifth(self):
@@ -566,7 +563,7 @@ class TestDecompose1:
             orbit = build(family, a, 5)
             for n in range(2, 6):
                 dec = decompose1(orbit, n)
-                assert dec.sign * 2**dec.e * abs(a.numerator) * dec.t == orbit.r(n)
+                assert dec.sign * 2**dec.e * abs(a.numerator) * dec.t == orbit.numerators[n - 1]
                 assert dec.t % 2 == 1 and dec.t > 0
                 assert math.gcd(dec.t, a.numerator) == 1
 
@@ -603,7 +600,7 @@ class TestCheckValuations:
         assert check.applicable and check.passed
         # and explicitly: v_5(f^n(0) - a) = -2^n
         for n in range(1, 5):
-            assert orbit.r(n) % 5 != 0
+            assert orbit.numerators[n - 1] % 5 != 0
 
     def test_all_laws_over_sample(self):
         for family, a in sample_points(8):
@@ -716,9 +713,9 @@ class TestSignPredict:
             orbit = build(family, a, 6)
             pred = sign_predict(orbit.qmap)
             if pred.kind == "all_positive":
-                assert all(orbit.r(n) > 0 for n in range(pred.start, 7)), (family, a)
+                assert all(orbit.numerators[n - 1] > 0 for n in range(pred.start, 7)), (family, a)
             elif pred.kind == "all_negative":
-                assert all(orbit.r(n) < 0 for n in range(1, 7)), (family, a)
+                assert all(orbit.numerators[n - 1] < 0 for n in range(1, 7)), (family, a)
 
 
 class TestCongruenceCheck:
@@ -757,7 +754,7 @@ class TestRepeatedPrimeLaw:
         for family, a in sample_points(10):
             orbit = build(family, a, 6)
             for p in primes_up_to(50):
-                hits = [n for n in range(1, 7) if orbit.r(n) % p == 0]
+                hits = [n for n in range(1, 7) if orbit.numerators[n - 1] % p == 0]
                 if len(hits) < 2 or orbit.qmap.s % p == 0:
                     continue
                 if family == 1:

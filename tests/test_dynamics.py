@@ -135,5 +135,5 @@ class TestQuadMapBasics:
                 QuadMap(family, 1, 3)
         with pytest.raises(ValueError, match="family must be the int 1 or 2"):
             certify(Fraction(1, 3), True)
-        with pytest.raises(ValueError, match="requires a known family"):
+        with pytest.raises(ValueError, match="family must be the int 1 or 2"):
             numerator_recursion(True, 1, 3, 2)

@@ -110,12 +110,19 @@ class TestPerfectSquare:
         for n in (k * k, k * k - 1, k * k + 1, k * k * p):
             assert is_perfect_square(n) == (math.isqrt(n) ** 2 == n), (bits, p)
 
-    def test_sieve_tables_are_the_quadratic_residues(self):
-        assert exactnum._SIEVE_PRIMES == tuple(p for p in primes_up_to(199) if p >= 17)
-        for p, squares in zip(exactnum._SIEVE_PRIMES, exactnum._SIEVE_SQUARES):
-            assert squares >> p == 0
-            for j in range(p):
-                assert bool(squares >> j & 1) == (jacobi(j, p) != -1), (p, j)
+    def test_every_screen_mask_holds_the_squares_of_its_modulus(self):
+        sieve = [p for p, _ in exactnum._SIEVE_SCREEN]
+        assert sieve == [p for p in primes_up_to(199) if p >= 17]
+        assert [m for m, _ in exactnum._QR_SCREEN] == [63, 65, 11]
+        assert (exactnum._QR_PRODUCT, exactnum._SIEVE_PRODUCT) == (45045, math.prod(sieve))
+        screens = [(64, exactnum._SQUARES_MOD_64), *exactnum._QR_SCREEN, *exactnum._SIEVE_SCREEN]
+        for m, squares in screens:
+            assert squares >> m == 0
+            for j in range(m):
+                is_square = any((k * k - j) % m == 0 for k in range(m))
+                assert bool(squares >> j & 1) == is_square, (m, j)
+                if m in sieve:
+                    assert is_square == (jacobi(j, m) != -1), (m, j)
 
     def test_deep_orbit_cofactors_never_reach_a_large_isqrt(self, monkeypatch):
         # family 2 at a = 7/(2^60 + 31): the cofactors at levels 11, 13, 15

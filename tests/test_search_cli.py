@@ -493,6 +493,63 @@ class TestCliVerifyDetailPins:
         assert capsys.readouterr().out == self.PINS[family, a] + "\n"
 
 
+class TestCliVerifyStatusPins:
+    # `arborist verify` stdout for every status, in both families, recorded
+    # while cmd_verify still passed sort_keys=True to json.dumps: the keys
+    # and the detail's come sorted from Verdict.to_json_dict
+    PINS = {
+        (1, "13/29", 12): (
+            '{"a": "13/29", "condition": "T1.1-1", "delta": 1, "depth": 12, '
+            '"detail": {"fired": ["T1.1-1", "T1.1-2"], "m": "-13"}, "e": 0, '
+            '"family": 1, "status": "ProvenSurjective", "witness": null}'
+        ),
+        (2, "13/29", 12): (
+            '{"a": "13/29", "condition": null, "delta": null, "depth": 12, '
+            '"detail": {"note": "finite-depth evidence only, not a proof", '
+            '"reason": "no certificate condition fires"}, "e": null, "family": 2, '
+            '"status": "IndependentToDepth", "witness": null}'
+        ),
+        (2, "2/27", 8): (
+            '{"a": "2/27", "condition": "T1.2-3", "delta": null, "depth": 8, '
+            '"detail": {"fired": ["T1.2-3"], "q": "3"}, "e": null, "family": 2, '
+            '"status": "ProvenSurjective", "witness": null}'
+        ),
+        (1, "9/10", 8): (
+            '{"a": "9/10", "condition": null, "delta": null, "depth": 8, '
+            '"detail": {"note": "finite-depth evidence only, not a proof", '
+            '"reason": "delta is undefined for this base point"}, "e": 0, '
+            '"family": 1, "status": "IndependentToDepth", "witness": null}'
+        ),
+        (1, "1/4", 4): (
+            '{"a": "1/4", "condition": null, "delta": 1, "depth": null, '
+            '"detail": {"a_minus_c": "9/16", "reason": "a - c is a rational square"}, '
+            '"e": 0, "family": 1, "status": "NotSurjective", "witness": null}'
+        ),
+        (2, "3/4", 4): (
+            '{"a": "3/4", "condition": null, "delta": null, "depth": null, '
+            '"detail": {"a_minus_c": "25/16", "reason": "a - c is a rational square"}, '
+            '"e": null, "family": 2, "status": "NotSurjective", "witness": null}'
+        ),
+        (1, "-2", 4): (
+            '{"a": "-2", "condition": null, "delta": null, "depth": 4, '
+            '"detail": {"reason": "f(0) equals the base point; the backward orbit '
+            'is not a regular tree", "zero_levels": [1]}, "e": 1, "family": 1, '
+            '"status": "Inapplicable", "witness": null}'
+        ),
+        (2, "1", 6): (
+            '{"a": "1", "condition": null, "delta": null, "depth": 6, '
+            '"detail": {"level": 3, "reason": "no certificate condition fires"}, '
+            '"e": null, "family": 2, "status": "DependentAtLevel", "witness": [1, 2, 3]}'
+        ),
+    }
+
+    @pytest.mark.parametrize("family, a, depth", list(PINS), ids=lambda v: str(v))
+    def test_output_is_pinned(self, family, a, depth, capsys):
+        argv = ["verify", "--family", str(family), f"--a={a}", "--depth", str(depth)]
+        assert main(argv) == 0
+        assert capsys.readouterr().out == self.PINS[family, a, depth] + "\n"
+
+
 class TestCliUsageErrors:
     @pytest.mark.parametrize(
         "argv",
@@ -1038,6 +1095,22 @@ class TestCliJulia:
         assert args.seed == cfg.seed
         assert (args.width, args.height) == (cfg.width, cfg.height)
         assert tuple(args.bounds) == cfg.bounds
+
+    @pytest.mark.parametrize("low", ["-1e-3", "-1E-3", "-.001", "-0.001", "-1"])
+    def test_negative_bounds_are_values_in_every_float_form(self, low, tmp_path):
+        # argparse's own rule takes -0.001 for a number but -1e-3 for an option
+        argv = ["julia", "--c", "-0.75,0.1", "--a", "0", "--bounds", low, "1", "-2e0", "-1"]
+        args = build_parser().parse_args(argv)
+        assert args.c == "-0.75,0.1"
+        assert args.bounds == [float(low), 1.0, -2.0, -1.0]
+        out = tmp_path / "points.csv"
+        assert main([*argv, "--points", "3", "--csv", "--out", str(out)]) == 0
+        assert len(out.read_text().splitlines()) == 3
+
+    def test_an_infinite_bound_reaches_the_render_config(self, capsys):
+        argv = ["julia", "--c", "-1", "--a", "0", "--points", "3", "--bounds", "-inf", "1", "0", "1"]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == "error: bounds must be finite\n"
 
     def test_pgm_output(self, tmp_path):
         out = tmp_path / "julia.pgm"
