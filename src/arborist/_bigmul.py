@@ -132,6 +132,7 @@ def _agrees(gmp_mul, gmp_sqr) -> bool:
 
 
 def _filled(limbs: int, base: int) -> int:
-    """A fixed integer of exactly ``limbs`` limbs, its top bit set."""
+    """A fixed integer of exactly ``limbs`` limbs, its top bit set: the low
+    ``64 * limbs`` bits of ``base ** (28 * limbs)``, taken by a mask."""
     top = 1 << (64 * limbs)
-    return base ** (28 * limbs) % top | top >> 1
+    return base ** (28 * limbs) & (top - 1) | top >> 1

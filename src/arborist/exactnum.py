@@ -127,17 +127,22 @@ def is_perfect_square(n: int) -> bool:
     """
     if n < 0 or not _SQUARES_MOD_64 >> (n & 63) & 1:
         return False
-    residue = n % _QR_PRODUCT
-    for m, squares in _QR_SCREEN:
-        if not squares >> residue % m & 1:
-            return False
-    if n.bit_length() > _SIEVE_BITS:
-        residue = n % _SIEVE_PRODUCT
-        for m, squares in _SIEVE_SCREEN:
-            if not squares >> residue % m & 1:
-                return False
+    if not _is_square_mod(n % _QR_PRODUCT, _QR_SCREEN):
+        return False
+    if n.bit_length() > _SIEVE_BITS and not _is_square_mod(n % _SIEVE_PRODUCT, _SIEVE_SCREEN):
+        return False
     root = math.isqrt(n)
     return root * root == n
+
+
+def _is_square_mod(residue: int, screen: tuple[tuple[int, int], ...]) -> bool:
+    """False when ``residue``, a number modulo the product of ``screen``'s
+    moduli, is a non-square modulo one of them; its (m, mask) pairs are
+    read in order."""
+    for m, squares in screen:
+        if not squares >> residue % m & 1:
+            return False
+    return True
 
 
 def rational_is_square(x: Fraction) -> bool:
@@ -217,7 +222,8 @@ def _square_mask(m: int) -> int:
 # 1 in 50 through.  math.isqrt is quadratic before Python 3.12, so above
 # _SIEVE_BITS bits a number that passed is reduced once more, modulo the
 # primes 17..199 (picked by proven_prime), each of which rejects about half
-# of the non-squares.
+# of the non-squares.  independence's 2r split runs the mod 63/65/11 screen
+# on a residue it already holds, through the same _is_square_mod.
 _SQUARES_MOD_64 = _square_mask(64)
 _QR_SCREEN = tuple((m, _square_mask(m)) for m in (63, 65, 11))
 _QR_PRODUCT = math.prod(m for m, _ in _QR_SCREEN)

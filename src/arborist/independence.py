@@ -30,10 +30,16 @@ of the numerators r_m, r_n divides 2r.  Each representative (see
 :attr:`~arborist.critorbit.AdjustedOrbit.square_class_reps`) splits into a
 part built from the primes of 2r and a cofactor prime to 2r; the law makes
 the cofactors pairwise coprime, so only the small parts of the levels
-whose cofactor is a square go to :func:`two_independent`.  The certifier
-decides every orbit with :func:`factored_orbit_independent`, which takes
-no gcd between levels: ``d_sequence`` builds the numerators in the
-factored form that proves the law and cross-checks them against
+whose cofactor is a square go to :func:`two_independent`.  One remainder
+per level, |r_n| mod (2r)^J * 45045, gives both the split and the
+cofactor's square screen modulo 63, 65 and 11; J >= 2 is the largest
+exponent that keeps the modulus within one CPython digit, so for small r
+the remainder is one short pass.  A cofactor is built, and tested exactly,
+only when it passes the screen, or when a prime of 2r divides the level at
+least J times as often as it divides 2r, so that (2r)^J is widened.  The
+certifier decides every orbit with :func:`factored_orbit_independent`,
+which takes no gcd between levels: ``d_sequence`` builds the numerators
+in the factored form that proves the law and cross-checks them against
 iteration.  The tests hold the oracle for that path, ``orbit_independent``
 in ``tests/conftest.py``, which checks the law on raw values with one
 running-product gcd per level.
@@ -42,13 +48,26 @@ running-product gcd per level.
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
 from .errors import InvariantViolation, UsageError, checked
-from .exactnum import factor_refine, format_reduced, is_perfect_square, quoted, rational_is_square
+from .exactnum import (
+    _QR_PRODUCT,
+    _QR_SCREEN,
+    _is_square_mod,
+    factor_refine,
+    format_reduced,
+    is_perfect_square,
+    quoted,
+    rational_is_square,
+)
 
 BRUTE_FORCE_LIMIT = 20
+
+# one CPython digit: a remainder by a modulus below it is one short pass
+_DIGIT = 1 << sys.int_info.bits_per_digit
 
 
 @checked
@@ -161,31 +180,42 @@ def factored_orbit_independent(reps: Sequence[int], r: int) -> IndependenceResul
 
 
 def _split_2r(reps: Sequence[int], r: int) -> tuple[list[int], list[int]]:
-    # (sign(v_n) * u_n, t_n) per level: |v_n| = u_n t_n, u_n from the primes of
-    # 2r, t_n prime to 2r.  Each gcd has one small argument: linear in |v_n|.
+    # (sign(v_n) * u_n per level, the levels whose t_n is a square), where
+    # |v_n| = u_n t_n, u_n from the primes of 2r and t_n prime to 2r.  One
+    # remainder w = |v_n| mod G * Q per level, G = (2r)^J, gives both.  For
+    # each p | 2r, gcd(w, G) = gcd(|v_n|, G) has v_p = min(v_p(v_n), v_p(G)),
+    # so it is u_n unless some p fills G; then G widens by 2r until none
+    # does.  Unwidened, u_n | G and t_n = w / u_n mod Q, which the square
+    # screen modulo 63, 65 and 11 reads, and only a t_n that passes is built.
     if 0 in reps:
         raise ValueError("independence is undefined for zero")
+    if r == 0:
+        raise ValueError("the base point's numerator r must be nonzero")
     g = 2 * abs(r)
+    G = g * g  # J >= 2 keeps a widening rare; the largest J within one digit
+    while G * g * _QR_PRODUCT < _DIGIT:
+        G *= g
+    M, k = G * _QR_PRODUCT, g.bit_length()  # k >= every v_p(g)
     small: list[int] = []
-    cofactors: list[int] = []
-    for v in reps:
-        t, u = abs(v), 1
-        d = math.gcd(t, g)
-        while d > 1:
-            t //= d
-            u *= d
-            d = math.gcd(t, d)
+    levels: list[int] = []
+    for n, v in enumerate(reps):
+        t = abs(v)
+        w = t % M
+        u, H = math.gcd(w, G), G
+        while pow(H // u, k, g):  # some p | g divides u as often as H
+            H *= g
+            u = math.gcd(t, H)
         small.append(u if v > 0 else -u)
-        cofactors.append(t)
-    return small, cofactors
+        screened = H > G or _is_square_mod(w // u % _QR_PRODUCT, _QR_SCREEN)
+        if screened and is_perfect_square(t // u):
+            levels.append(n)
+    return small, levels
 
 
-def _decide(
-    reps: Sequence[int], small: list[int], cofactors: list[int]
-) -> IndependenceResult:
-    # cofactors pairwise coprime: only levels with a square cofactor can
-    # join a square product, and they are decided on their small parts
-    levels = [n for n, t in enumerate(cofactors) if is_perfect_square(t)]
+def _decide(reps: Sequence[int], small: list[int], levels: list[int]) -> IndependenceResult:
+    # the cofactors are pairwise coprime: only the levels with a square
+    # cofactor can join a square product, and they are decided on their
+    # small parts
     if not levels:
         return IndependenceResult(True)
     result = two_independent([small[n] for n in levels])

@@ -7,6 +7,7 @@ from typing import NamedTuple
 from arborist import _bigmul, independence
 from arborist.critorbit import AdjustedOrbit
 from arborist.errors import InvariantViolation
+from arborist.exactnum import is_perfect_square
 from arborist.independence import IndependenceResult
 
 
@@ -90,6 +91,26 @@ def decompose1(orbit: AdjustedOrbit, n: int) -> Decomposition1:
     return Decomposition1(n=n, sign=1 if rn > 0 else -1, e=e, t=t)
 
 
+def split_2r(reps, r):
+    """(sign(v_n) * u_n, t_n) per level, |v_n| = u_n t_n with u_n from the
+    primes of 2r and t_n prime to 2r, by a gcd loop: the oracle for
+    ``independence._split_2r``, which reads one remainder per level instead."""
+    if 0 in reps:
+        raise ValueError("independence is undefined for zero")
+    g = 2 * abs(r)
+    small, cofactors = [], []
+    for v in reps:
+        t, u = abs(v), 1
+        d = math.gcd(t, g)
+        while d > 1:
+            t //= d
+            u *= d
+            d = math.gcd(t, d)
+        small.append(u if v > 0 else -u)
+        cofactors.append(t)
+    return small, cofactors
+
+
 def orbit_independent(reps, r) -> IndependenceResult:
     """Decide 2-independence of raw orbit values, checking the law first.
 
@@ -99,10 +120,11 @@ def orbit_independent(reps, r) -> IndependenceResult:
     numerator of the base point.  Nothing is assumed about where the values
     came from: one running-product gcd per level requires their cofactors
     prime to 2r to be pairwise coprime (the repeated-prime law), and a
-    failure raises InvariantViolation.  The rest of the decision is the
+    failure raises InvariantViolation.  The split and the square test per
+    level are the oracle's own; the decision on the square levels is the
     certifier's.
     """
-    small, cofactors = independence._split_2r(reps, r)
+    small, cofactors = split_2r(reps, r)
     product = 1
     for n, t in enumerate(cofactors, start=1):
         if math.gcd(t, product) != 1:
@@ -111,4 +133,5 @@ def orbit_independent(reps, r) -> IndependenceResult:
                 "earlier level, against the repeated-prime law"
             )
         product *= t
-    return independence._decide(reps, small, cofactors)
+    levels = [n for n, t in enumerate(cofactors) if is_perfect_square(t)]
+    return independence._decide(reps, small, levels)

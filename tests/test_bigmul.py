@@ -96,6 +96,23 @@ def test_an_unusable_gmp_falls_back_to_python(gmp, monkeypatch, refuse):
     assert mul(x, -x - 1) == x * (-x - 1) and sqr(x) == x * x
 
 
+def test_self_test_operands_are_the_powers_modulo_their_limbs(monkeypatch):
+    # the mask keeps exactly the integers that base ** (28 * limbs) % 2^(64 limbs) gave
+    filled, calls = _bigmul._filled, []
+
+    def recording(limbs, base):
+        calls.append((limbs, base))
+        return filled(limbs, base)
+
+    monkeypatch.setattr(_bigmul, "_filled", recording)
+    assert _bigmul._agrees(lambda x, y: x * y, lambda x: x * x)
+    assert len(calls) == 14
+    for limbs, base in calls:
+        top = 1 << (64 * limbs)
+        assert filled(limbs, base) == base ** (28 * limbs) % top | top >> 1
+        assert filled(limbs, base).bit_length() == 64 * limbs
+
+
 BELOW = (1 << (CUTOFF_BITS - 1)) - 1  # CUTOFF_BITS - 1 bits
 AT = 1 << (CUTOFF_BITS - 1)  # CUTOFF_BITS bits
 

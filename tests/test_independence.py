@@ -5,10 +5,11 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import arborist.independence as independence
 from arborist.critorbit import d_sequence
 from arborist.dynamics import family1, family2
 from arborist.errors import InvariantViolation
-from arborist.exactnum import factor_refine, rational_is_square
+from arborist.exactnum import factor_refine, is_perfect_square, proven_prime, rational_is_square
 from arborist.independence import (
     CoprimeBasis,
     IndependenceResult,
@@ -18,7 +19,7 @@ from arborist.independence import (
     two_independent,
 )
 from arborist.verdict import VerdictStatus, certify
-from conftest import orbit_independent
+from conftest import orbit_independent, split_2r
 
 nonzero = st.fractions(min_value=-50, max_value=50, max_denominator=50).filter(
     lambda f: f != 0
@@ -234,8 +235,6 @@ class TestIntegerRepresentatives:
     def test_denominators_stay_out_of_factor_refine(self, monkeypatch):
         # certify decides on the integer orbit: no power of s = 29 may reach
         # any gcd of the independence module, factor_refine included
-        import arborist.independence as independence
-
         refined, gcd_args = [], []
         honest = independence.factor_refine
 
@@ -302,8 +301,6 @@ class TestOrbitIndependent:
             orbit_independent([3, 3 * 5, 3 * 7], 1)
 
     def test_forged_witness_is_caught(self, monkeypatch):
-        import arborist.independence as independence
-
         # cofactors 1, 1, 5: levels 0 and 1 reach F_2 elimination as 2, 3
         reps = [2, 3, 5]
         assert orbit_independent(reps, 3).independent
@@ -370,3 +367,74 @@ class TestOrbitIndependent:
                 assert square(result.witness, kernels)
             checked += 1
         assert checked > 100
+
+
+# r and the primes of 2r: r = 1, 2, 3, 6, 12 and 30 keep G * Q within one
+# digit, 97 and up make it a multi-digit modulus
+PRIMES_OF_2R = {
+    1: (2,),
+    2: (2,),
+    3: (2, 3),
+    6: (2, 3),
+    12: (2, 3),
+    30: (2, 3, 5),
+    97: (2, 97),
+    1000: (2, 5),
+    4096: (2,),
+    10**7 + 19: (2, 10**7 + 19),
+}
+
+
+def prime_to(n, primes):
+    for p in primes:
+        while n % p == 0:
+            n //= p
+    return n
+
+
+@st.composite
+def split_cases(draw):
+    """(reps, r): each value a random sign times primes of 2r to exponents up
+    to 40 times a cofactor prime to 2r, a square half the time."""
+    r = draw(st.sampled_from(sorted(PRIMES_OF_2R)))
+    primes = PRIMES_OF_2R[r]
+    cofactor = st.one_of(
+        st.integers(1, 1 << 3000).map(lambda root: prime_to(root, primes) ** 2),
+        st.integers(1, 1 << 6000).map(lambda n: prime_to(n, primes)),
+    )
+    level = st.tuples(
+        st.sampled_from([1, -1]), st.tuples(*[st.integers(0, 40) for _ in primes]), cofactor
+    )
+    reps = [
+        sign * math.prod(p**e for p, e in zip(primes, exponents)) * t
+        for sign, exponents, t in draw(st.lists(level, min_size=1, max_size=6))
+    ]
+    return reps, r * draw(st.sampled_from([1, -1]))
+
+
+class TestSplit2r:
+    def test_primes_of_2r(self):
+        for r, primes in PRIMES_OF_2R.items():
+            assert all(proven_prime(p) for p in primes)
+            assert prime_to(2 * r, primes) == 1
+
+    @given(case=split_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_agrees_with_the_gcd_loop(self, case):
+        reps, r = case
+        small, cofactors = split_2r(reps, r)
+        squares = [n for n, t in enumerate(cofactors) if is_perfect_square(t)]
+        assert independence._split_2r(reps, r) == (small, squares)
+
+    def test_a_power_of_2r_past_one_digit_widens_the_modulus(self):
+        # G = 6^J (J = 5 with 30-bit digits) stays below one digit, so a
+        # 2r-part of 6^30 fills it at 2 and at 3 and G widens to 6^31
+        assert 6**30 >= independence._DIGIT
+        reps = [6**30 * 7, -(6**30) * 49, 2**3 * 3**40 * 5**2]
+        assert independence._split_2r(reps, 3) == ([6**30, -(6**30), 2**3 * 3**40], [1, 2])
+
+    def test_rejects_zero(self):
+        with pytest.raises(ValueError):
+            independence._split_2r([3, 0], 1)
+        with pytest.raises(ValueError):
+            independence._split_2r([3], 0)

@@ -45,6 +45,7 @@ TRUSTED = {
     "arborist.errors.__new__",
     "arborist.exactnum._coprime_basis",
     "arborist.exactnum._decimal",
+    "arborist.exactnum._is_square_mod",
     "arborist.exactnum.factor_refine",
     "arborist.exactnum.format_reduced",
     "arborist.exactnum.is_perfect_square",
