@@ -29,14 +29,16 @@ paper's repeated-prime law supplies one: for a = r/s, a prime dividing two
 of the numerators r_m, r_n divides 2r.  Each representative (see
 :attr:`~arborist.critorbit.AdjustedOrbit.square_class_reps`) splits into a
 part built from the primes of 2r and a cofactor prime to 2r; the law makes
-the cofactors pairwise coprime, so only the small parts of the levels
-whose cofactor is a square go to :func:`two_independent`.  One remainder
-per level, |r_n| mod (2r)^J * 45045, gives both the split and the
-cofactor's square screen modulo 63, 65 and 11; J >= 2 is the largest
-exponent that keeps the modulus within one CPython digit, so for small r
-the remainder is one short pass.  A cofactor is built, and tested exactly,
-only when it passes the screen, or when a prime of 2r divides the level at
-least J times as often as it divides 2r, so that (2r)^J is widened.  The
+the cofactors pairwise coprime, so a level whose cofactor is not a square
+holds a prime of its own and joins no square product.  Only the levels
+whose cofactor is a square go to :func:`two_independent`, with their own
+values, and it re-verifies any witness on them.  One remainder per level,
+|r_n| mod (2r)^J * 45045, gives both the split and the cofactor's square
+screen modulo 63, 65 and 11; J >= 2 is the largest exponent that keeps
+the modulus within one CPython digit, so for small r the remainder is one
+short pass.  A cofactor is built, and tested exactly, only when it passes
+the screen, or when a prime of 2r divides the level at least J times as
+often as it divides 2r, so that (2r)^J is widened.  The
 certifier decides every orbit with :func:`factored_orbit_independent`,
 which takes no gcd between levels: ``d_sequence`` builds the numerators
 in the factored form that proves the law and cross-checks them against
@@ -171,22 +173,28 @@ def factored_orbit_independent(reps: Sequence[int], r: int) -> IndependenceResul
     t_n is prime to 2r; by the law the t_n are pairwise coprime.  A t_n
     that is not a square then holds a prime to an odd power that divides no
     other value, so level n lies in no square subset product.  The
-    remaining levels are decided on the small values sign(v_n) * u_n, and a
-    witness is re-verified on the original values.  When levels 1..i-1 are
-    independent and 1..i are not, the square subset is unique, so the
-    witness is the one ``two_independent(reps)`` returns.
+    remaining levels are decided on their own values, by
+    :func:`two_independent`, which re-verifies any witness on them.  When
+    levels 1..i-1 are independent and 1..i are not, the square subset is
+    unique, so the witness is the one ``two_independent(reps)`` returns.
     """
-    return _decide(reps, *_split_2r(reps, r))
+    levels = _square_levels(reps, r)
+    if not levels:  # most orbits: no level can join a square product
+        return IndependenceResult(True)
+    result = two_independent([reps[n] for n in levels])
+    if result.independent:
+        return result
+    return IndependenceResult(False, tuple(levels[j] for j in result.witness))
 
 
-def _split_2r(reps: Sequence[int], r: int) -> tuple[list[int], list[int]]:
-    # (sign(v_n) * u_n per level, the levels whose t_n is a square), where
-    # |v_n| = u_n t_n, u_n from the primes of 2r and t_n prime to 2r.  One
-    # remainder w = |v_n| mod G * Q per level, G = (2r)^J, gives both.  For
-    # each p | 2r, gcd(w, G) = gcd(|v_n|, G) has v_p = min(v_p(v_n), v_p(G)),
-    # so it is u_n unless some p fills G; then G widens by 2r until none
-    # does.  Unwidened, u_n | G and t_n = w / u_n mod Q, which the square
-    # screen modulo 63, 65 and 11 reads, and only a t_n that passes is built.
+def _square_levels(reps: Sequence[int], r: int) -> list[int]:
+    # the levels whose t_n is a square, where |v_n| = u_n t_n, u_n from the
+    # primes of 2r and t_n prime to 2r.  One remainder w = |v_n| mod G * Q
+    # per level, G = (2r)^J, decides it.  For each p | 2r, gcd(w, G) =
+    # gcd(|v_n|, G) has v_p = min(v_p(v_n), v_p(G)), so it is u_n unless
+    # some p fills G; then G widens by 2r until none does.  Unwidened,
+    # u_n | G and t_n = w / u_n mod Q, which the square screen modulo 63, 65
+    # and 11 reads, and only a t_n that passes is built.
     if 0 in reps:
         raise ValueError("independence is undefined for zero")
     if r == 0:
@@ -196,7 +204,6 @@ def _split_2r(reps: Sequence[int], r: int) -> tuple[list[int], list[int]]:
     while G * g * _QR_PRODUCT < _DIGIT:
         G *= g
     M, k = G * _QR_PRODUCT, g.bit_length()  # k >= every v_p(g)
-    small: list[int] = []
     levels: list[int] = []
     for n, v in enumerate(reps):
         t = abs(v)
@@ -205,28 +212,10 @@ def _split_2r(reps: Sequence[int], r: int) -> tuple[list[int], list[int]]:
         while pow(H // u, k, g):  # some p | g divides u as often as H
             H *= g
             u = math.gcd(t, H)
-        small.append(u if v > 0 else -u)
         screened = H > G or _is_square_mod(w // u % _QR_PRODUCT, _QR_SCREEN)
         if screened and is_perfect_square(t // u):
             levels.append(n)
-    return small, levels
-
-
-def _decide(reps: Sequence[int], small: list[int], levels: list[int]) -> IndependenceResult:
-    # the cofactors are pairwise coprime: only the levels with a square
-    # cofactor can join a square product, and they are decided on their
-    # small parts
-    if not levels:
-        return IndependenceResult(True)
-    result = two_independent([small[n] for n in levels])
-    if result.independent:
-        return result
-    witness = tuple(levels[j] for j in result.witness)
-    if not rational_is_square(math.prod(reps[n] for n in witness)):
-        raise InvariantViolation(
-            f"witness {witness} failed the exact square re-verification"
-        )
-    return IndependenceResult(False, witness)
+    return levels
 
 
 def brute_force_independent(values: Sequence[Fraction]) -> IndependenceResult:

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import sys
 import time
 from pathlib import Path
@@ -246,9 +247,9 @@ def search(cfg: SearchConfig) -> SearchSummary:
         elif cut:
             fh.truncate(cut)
         fh.flush()
-        # a fork starts every worker at once: one per chunk at most, and a
-        # run of one chunk or none computes here
-        workers = min(cfg.workers, -(-len(tasks) // _CHUNK))
+        # a fork starts every worker at once: one per chunk and per CPU at
+        # most, and a run of one chunk or none computes here
+        workers = min(cfg.workers, -(-len(tasks) // _CHUNK), os.cpu_count() or 1)
         if workers <= 1:
             results = map(certify_row, tasks)
         else:

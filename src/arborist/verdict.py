@@ -8,14 +8,16 @@ adjusted orbit, decided by
 :func:`~arborist.independence.factored_orbit_independent` from the
 repeated-prime law (which ``d_sequence``'s factored recursion and its
 iteration cross-check establish for the numerators used, so no gcd between
-levels is taken; every witness is re-verified), is one computation per
-verdict: it audits every positive certificate, and it is the finite-depth
-fallback when no condition applies.  A fallback "independent to depth N" is
-evidence about the depth-N tree quotient, not a proof for the full tree,
-and the verdict says so.  ``certify`` and the sweep's rows reach every
-verdict through one integer entry, ``_certify``, whose stages return
-values: the square test on a - c, ``_conditions`` (the fired conditions and
-their detail), ``_orbit_decision`` (the orbit's status), then the verdict.
+levels is taken; the levels that can join a square product are decided on
+their own numerators, and a witness is re-verified once, on them), is one
+computation per verdict: it audits every positive certificate, and it is
+the finite-depth fallback when no condition applies.  A fallback
+"independent to depth N" is evidence about the depth-N tree quotient, not
+a proof for the full tree, and the verdict says so.  ``certify`` and the
+sweep's rows reach every verdict through one integer entry, ``_certify``,
+whose stages return values: the square test on a - c, ``_conditions`` (the
+fired conditions and their detail), ``_orbit_decision`` (the orbit's
+status), then the verdict.
 Each entry checks the depth once before any stage: ``certify`` itself, and
 ``search`` through ``SearchConfig`` over the whole height.
 
@@ -130,18 +132,18 @@ def compute_delta_e(a: Fraction | int) -> DeltaE:
     return DeltaE(delta=delta, e=1 if r % 2 == 0 else 0)
 
 
-def _nonresidue_prime_in(m: int, s: int, cutoff: int = TRIAL_DIVISION_CUTOFF):
+def _nonresidue_prime_in(m: int, s: int):
     """Search s for a prime q with (m|q) = -1.
 
     Returns (q, divisor, undecided): q when an explicit prime witness was
     found; otherwise divisor when some odd divisor of s has Jacobi symbol
     -1, which proves one of its (unknown) prime factors is a witness; and
     undecided = True when neither was found but s did not fully factor
-    below the cutoff, so absence was not established either.
+    below TRIAL_DIVISION_CUTOFF, so absence was not established either.
     """
     remaining = s >> ((s & -s).bit_length() - 1)  # the odd part of s
     d = 3
-    while d <= cutoff and d * d <= remaining:
+    while d <= TRIAL_DIVISION_CUTOFF and d * d <= remaining:
         if remaining % d == 0:
             if jacobi(m, d) == -1:
                 return d, None, False
@@ -162,12 +164,12 @@ def _nonresidue_prime_in(m: int, s: int, cutoff: int = TRIAL_DIVISION_CUTOFF):
     return None, None, True
 
 
-def _prime_3_mod_4_in(s: int, cutoff: int = TRIAL_DIVISION_CUTOFF):
+def _prime_3_mod_4_in(s: int):
     """Search s for a prime q = 3 (mod 4); same return shape as above.
 
     For odd q, q = 3 (mod 4) iff (-1|q) = -1, so this is the m = -1 search.
     """
-    return _nonresidue_prime_in(-1, s, cutoff)
+    return _nonresidue_prime_in(-1, s)
 
 
 def _conditions(family: int, r: int, s: int, delta: int | None, e: int | None):

@@ -4,11 +4,11 @@ import sys
 from contextlib import contextmanager
 from typing import NamedTuple
 
-from arborist import _bigmul, independence
+from arborist import _bigmul
 from arborist.critorbit import AdjustedOrbit
 from arborist.errors import InvariantViolation
 from arborist.exactnum import is_perfect_square
-from arborist.independence import IndependenceResult
+from arborist.independence import IndependenceResult, two_independent
 
 
 def current_int_str_limit():
@@ -91,24 +91,22 @@ def decompose1(orbit: AdjustedOrbit, n: int) -> Decomposition1:
     return Decomposition1(n=n, sign=1 if rn > 0 else -1, e=e, t=t)
 
 
-def split_2r(reps, r):
-    """(sign(v_n) * u_n, t_n) per level, |v_n| = u_n t_n with u_n from the
-    primes of 2r and t_n prime to 2r, by a gcd loop: the oracle for
-    ``independence._split_2r``, which reads one remainder per level instead."""
+def cofactors_prime_to_2r(reps, r):
+    """t_n per level, where |v_n| = u_n t_n with u_n from the primes of 2r and
+    t_n prime to 2r, by a gcd loop: the oracle for the square levels that
+    ``independence`` finds from one remainder per level instead."""
     if 0 in reps:
         raise ValueError("independence is undefined for zero")
     g = 2 * abs(r)
-    small, cofactors = [], []
+    cofactors = []
     for v in reps:
-        t, u = abs(v), 1
+        t = abs(v)
         d = math.gcd(t, g)
         while d > 1:
             t //= d
-            u *= d
             d = math.gcd(t, d)
-        small.append(u if v > 0 else -u)
         cofactors.append(t)
-    return small, cofactors
+    return cofactors
 
 
 def orbit_independent(reps, r) -> IndependenceResult:
@@ -121,10 +119,10 @@ def orbit_independent(reps, r) -> IndependenceResult:
     came from: one running-product gcd per level requires their cofactors
     prime to 2r to be pairwise coprime (the repeated-prime law), and a
     failure raises InvariantViolation.  The split and the square test per
-    level are the oracle's own; the decision on the square levels is the
-    certifier's.
+    level are the oracle's own, and ``two_independent`` decides the square
+    levels on their own values.
     """
-    small, cofactors = split_2r(reps, r)
+    cofactors = cofactors_prime_to_2r(reps, r)
     product = 1
     for n, t in enumerate(cofactors, start=1):
         if math.gcd(t, product) != 1:
@@ -134,4 +132,7 @@ def orbit_independent(reps, r) -> IndependenceResult:
             )
         product *= t
     levels = [n for n, t in enumerate(cofactors) if is_perfect_square(t)]
-    return independence._decide(reps, small, levels)
+    result = two_independent([reps[n] for n in levels])
+    if result.independent:
+        return result
+    return IndependenceResult(False, tuple(levels[j] for j in result.witness))

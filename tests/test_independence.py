@@ -12,14 +12,13 @@ from arborist.errors import InvariantViolation
 from arborist.exactnum import factor_refine, is_perfect_square, proven_prime, rational_is_square
 from arborist.independence import (
     CoprimeBasis,
-    IndependenceResult,
     brute_force_independent,
     factored_orbit_independent,
     square_classes,
     two_independent,
 )
 from arborist.verdict import VerdictStatus, certify
-from conftest import orbit_independent, split_2r
+from conftest import cofactors_prime_to_2r, orbit_independent, primes_up_to
 
 nonzero = st.fractions(min_value=-50, max_value=50, max_denominator=50).filter(
     lambda f: f != 0
@@ -300,15 +299,21 @@ class TestOrbitIndependent:
         with pytest.raises(InvariantViolation):
             orbit_independent([3, 3 * 5, 3 * 7], 1)
 
-    def test_forged_witness_is_caught(self, monkeypatch):
-        # cofactors 1, 1, 5: levels 0 and 1 reach F_2 elimination as 2, 3
-        reps = [2, 3, 5]
-        assert orbit_independent(reps, 3).independent
-        monkeypatch.setattr(
-            independence, "two_independent", lambda values: IndependenceResult(False, (0,))
-        )
+    def test_forged_square_classes_are_caught(self, monkeypatch):
+        # every mask forged to 0 makes the first square level a square on
+        # its own: level 0 of [2, 3, 5] at r = 3 (cofactors 1, 1, 5), and
+        # level 1 of a = 1 in family 2, whose D_1 is 2
+        genuine = independence.square_classes
+
+        def forged(values):
+            basis, masks = genuine(values)
+            return basis, [0] * len(masks)
+
+        monkeypatch.setattr(independence, "square_classes", forged)
         with pytest.raises(InvariantViolation, match="re-verification"):
-            orbit_independent(reps, 3)
+            factored_orbit_independent([2, 3, 5], 3)
+        with pytest.raises(InvariantViolation, match="re-verification"):
+            certify(1, 2, depth=6)
 
     def test_witness_maps_back_to_original_levels(self):
         # levels 1 and 3 have non-square cofactors 7 and 11 and drop out
@@ -412,6 +417,25 @@ def split_cases(draw):
     return reps, r * draw(st.sampled_from([1, -1]))
 
 
+@st.composite
+def law_cases(draw):
+    """(reps, r) obeying the repeated-prime law: each value a random sign
+    times primes of 2r to exponents up to 40 times a cofactor of its own
+    primes, prime to 2r, squared half the time."""
+    r = draw(st.sampled_from(sorted(PRIMES_OF_2R)))
+    primes = PRIMES_OF_2R[r]
+    pool = list(draw(st.permutations([p for p in primes_up_to(200) if p not in primes])))
+    reps = []
+    for _ in range(draw(st.integers(1, 8))):
+        own = [pool.pop() for _ in range(draw(st.integers(0, 2)))]
+        t = math.prod(p ** draw(st.integers(1, 3)) for p in own)
+        if draw(st.booleans()):
+            t *= t
+        u = math.prod(p ** draw(st.integers(0, 40)) for p in primes)
+        reps.append(draw(st.sampled_from([1, -1])) * u * t)
+    return reps, r * draw(st.sampled_from([1, -1]))
+
+
 class TestSplit2r:
     def test_primes_of_2r(self):
         for r, primes in PRIMES_OF_2R.items():
@@ -422,19 +446,38 @@ class TestSplit2r:
     @settings(max_examples=300, deadline=None)
     def test_agrees_with_the_gcd_loop(self, case):
         reps, r = case
-        small, cofactors = split_2r(reps, r)
+        cofactors = cofactors_prime_to_2r(reps, r)
         squares = [n for n, t in enumerate(cofactors) if is_perfect_square(t)]
-        assert independence._split_2r(reps, r) == (small, squares)
+        assert independence._square_levels(reps, r) == squares
 
     def test_a_power_of_2r_past_one_digit_widens_the_modulus(self):
         # G = 6^J (J = 5 with 30-bit digits) stays below one digit, so a
         # 2r-part of 6^30 fills it at 2 and at 3 and G widens to 6^31
         assert 6**30 >= independence._DIGIT
         reps = [6**30 * 7, -(6**30) * 49, 2**3 * 3**40 * 5**2]
-        assert independence._split_2r(reps, 3) == ([6**30, -(6**30), 2**3 * 3**40], [1, 2])
+        assert independence._square_levels(reps, 3) == [1, 2]
+
+    @pytest.mark.parametrize("r", sorted(PRIMES_OF_2R))
+    def test_powers_of_2r_past_J_leave_the_cofactor_alone(self, r):
+        # b^e * 49 has a square cofactor and b^e * 7 has not, for each prime
+        # b of 2r and b = 2r, at every e up to 60: past (2r)^J, and past each
+        # widening, some e leaves an odd exponent of b to a split that
+        # stops short, and a residue read off the wrong quotient fails the
+        # screen for some e
+        bases = [*PRIMES_OF_2R[r], 2 * r]
+        reps = [(-b) ** e * t for b in bases for e in range(1, 61) for t in (49, 7)]
+        assert independence._square_levels(reps, r) == list(range(0, len(reps), 2))
 
     def test_rejects_zero(self):
         with pytest.raises(ValueError):
-            independence._split_2r([3, 0], 1)
+            independence._square_levels([3, 0], 1)
         with pytest.raises(ValueError):
-            independence._split_2r([3], 0)
+            independence._square_levels([3], 0)
+
+
+class TestFactoredOrbitIndependent:
+    @given(case=law_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_agrees_with_the_generic_decider(self, case):
+        reps, r = case
+        assert factored_orbit_independent(reps, r) == two_independent(reps)

@@ -287,14 +287,22 @@ class TestSearch:
                 pass
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
         out = tmp_path / "rows.jsonl"
         summary = search(SearchConfig(height=4, out_path=out, depth=3, workers=500))
         chunks = -(-summary.rows_written // 16)
-        assert chunks > 1 and pools == [chunks]
+        assert chunks == 3 and pools == [chunks]
         # nothing left to compute, or one chunk: no pool is opened
         assert search(SearchConfig(height=4, out_path=out, depth=3, workers=500)).rows_written == 0
         search(SearchConfig(height=2, out_path=tmp_path / "small.jsonl", depth=3, workers=500))
         assert pools == [chunks]
+        # and one per CPU at most; with the count unknown, rows are computed here
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        search(SearchConfig(height=4, out_path=tmp_path / "two.jsonl", depth=3, workers=500))
+        assert pools == [chunks, 2]
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        search(SearchConfig(height=4, out_path=tmp_path / "one.jsonl", depth=3, workers=500))
+        assert pools == [chunks, 2]
 
     def test_rejects_bad_config(self, tmp_path):
         with pytest.raises(ValueError):

@@ -53,8 +53,7 @@ TRUSTED = {
     "arborist.exactnum.proven_prime",
     "arborist.exactnum.rational_is_square",
     "arborist.independence._check",
-    "arborist.independence._decide",
-    "arborist.independence._split_2r",
+    "arborist.independence._square_levels",
     "arborist.independence.factored_orbit_independent",
     "arborist.independence.square_classes",
     "arborist.independence.two_independent",

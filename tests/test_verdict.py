@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import arborist.verdict as verdict_module
 from arborist.critorbit import d_sequence
 from arborist.dynamics import family1, family2
 from arborist.errors import DegenerateBasePoint, InvariantViolation
@@ -112,8 +113,6 @@ class TestCertifyFamily1:
             certify(Fraction(-1), 1, depth=1)
 
     def test_audit_failure_raises(self, monkeypatch):
-        import arborist.verdict as verdict_module
-
         from arborist.independence import IndependenceResult
 
         monkeypatch.setattr(
@@ -318,21 +317,22 @@ class TestWitnessPrimeSearch:
             q = smallest_prime_witness(s, lambda p: p % 4 == 3)
             assert _prime_3_mod_4_in(s) == (q, None, False), s
 
-    def test_prime_3_mod_4_is_the_minus_one_nonresidue_search(self):
+    def test_prime_3_mod_4_is_the_minus_one_nonresidue_search(self, monkeypatch):
         # for odd q, q = 3 (mod 4) iff (-1|q) = -1, including below a cutoff
         for cutoff in (3, 5, 7, 11):
+            monkeypatch.setattr(verdict_module, "TRIAL_DIVISION_CUTOFF", cutoff)
             for s in range(1, 3001):
-                assert _prime_3_mod_4_in(s, cutoff) == _nonresidue_prime_in(
-                    -1, s, cutoff
-                ), (s, cutoff)
+                assert _prime_3_mod_4_in(s) == _nonresidue_prime_in(-1, s), (s, cutoff)
 
-    def test_composite_cofactor_certifies_a_divisor(self):
+    def test_composite_cofactor_certifies_a_divisor(self, monkeypatch):
         # 91 = 7 * 13 with 7 = 3 (mod 4); 77 = 7 * 11 with (2|7) = 1, (2|11) = -1
-        assert _prime_3_mod_4_in(91, cutoff=5) == (None, 91, False)
-        assert _nonresidue_prime_in(2, 77, cutoff=5) == (None, 77, False)
+        monkeypatch.setattr(verdict_module, "TRIAL_DIVISION_CUTOFF", 5)
+        assert _prime_3_mod_4_in(91) == (None, 91, False)
+        assert _nonresidue_prime_in(2, 77) == (None, 77, False)
 
-    def test_composite_cofactor_can_leave_the_search_undecided(self):
+    def test_composite_cofactor_can_leave_the_search_undecided(self, monkeypatch):
         # 77 = 7 * 11 and 143 = 11 * 13 each hold two witnesses, whose
         # symbols cancel, so nothing below the cutoff settles the question
-        assert _prime_3_mod_4_in(77, cutoff=5) == (None, None, True)
-        assert _nonresidue_prime_in(2, 143, cutoff=5) == (None, None, True)
+        monkeypatch.setattr(verdict_module, "TRIAL_DIVISION_CUTOFF", 5)
+        assert _prime_3_mod_4_in(77) == (None, None, True)
+        assert _nonresidue_prime_in(2, 143) == (None, None, True)
