@@ -16,6 +16,7 @@ import os
 import re
 import sys
 import traceback
+from collections import Counter
 
 from .backorbit import RenderConfig, points_csv, render, sample_backward
 from .critorbit import DEFAULT_DEPTH, d_sequence, orbit_report
@@ -114,10 +115,10 @@ def cmd_search(args: argparse.Namespace) -> int:
     print(f"rows written: {summary.rows_written}")
     print(f"rows skipped (already present): {summary.rows_skipped}")
     for label, part in (("", 0), ("condition ", 1)):
-        totals: dict[str, int] = {}
+        totals: Counter[str] = Counter()
         for key, count in summary.counts.items():
-            totals[key[part]] = totals.get(key[part], 0) + count
-        totals.pop("-", None)  # the condition of a row without one
+            totals[key[part]] += count
+        del totals["-"]  # the condition of a row without one
         for name in sorted(totals):
             print(f"  {label}{name}: {totals[name]}")
     return 0
@@ -163,17 +164,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("verify", help="certify a single base point")
-    p.add_argument("--family", type=_int, choices=(1, 2), required=True)
-    p.add_argument("--a", required=True, metavar="R/S")
-    p.add_argument("--depth", type=_positive_int, default=DEFAULT_DEPTH)
-    p.set_defaults(func=cmd_verify)
-
-    p = sub.add_parser("orbit", help="adjusted critical orbit report")
-    p.add_argument("--family", type=_int, choices=(1, 2), required=True)
-    p.add_argument("--a", required=True, metavar="R/S")
-    p.add_argument("--depth", type=_positive_int, default=DEFAULT_DEPTH)
-    p.set_defaults(func=cmd_orbit)
+    for name, help_text, func in (
+        ("verify", "certify a single base point", cmd_verify),
+        ("orbit", "adjusted critical orbit report", cmd_orbit),
+    ):
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("--family", type=_int, choices=(1, 2), required=True)
+        p.add_argument("--a", required=True, metavar="R/S")
+        p.add_argument("--depth", type=_positive_int, default=DEFAULT_DEPTH)
+        p.set_defaults(func=func)
 
     p = sub.add_parser("independence", help="2-independence of a value list")
     p.add_argument("--values", required=True, metavar="V1,V2,...")

@@ -370,18 +370,14 @@ def check_valuations(orbit: AdjustedOrbit, p: int) -> list[LawCheck]:
 
     # Repeated prime law: a prime hitting two distinct numerators must come
     # from the base point (through 2a for the two-cycle family).  Where p
-    # does not divide s, v is v_p(r_n).
+    # does not divide s, v is v_p(r_n); a p that does not come from the base
+    # point fails the law at the second level it hits.
     hits = [n for n, v in levels if v > 0]
-    name = "repeated_prime_divides_numerator" if family == 1 else "repeated_prime_divides_2a"
-    if vp_s == 0 and len(hits) >= 2:
-        if family == 1:
-            ok = k > 0
-        else:
-            ok = (vp_r > 0) or (p == 2)
-        checks.append(LawCheck(name, True, ok, None if ok else hits[1]))
+    if family == 1:
+        name, ok = "repeated_prime_divides_numerator", k > 0
     else:
-        checks.append(LawCheck(name, False, None))
-
+        name, ok = "repeated_prime_divides_2a", vp_r > 0 or p == 2
+    checks.append(_scan(name, vp_s == 0 and len(hits) >= 2, (n for n in hits[1:] if not ok)))
     return checks
 
 
@@ -449,7 +445,7 @@ def orbit_report(orbit: AdjustedOrbit) -> dict:
     odd = range(3, REPORT_PRIME_BOUND + 1, 2)
     relevant = [2] + [p for p in odd if (r % p == 0 or s % p == 0) and proven_prime(p)]
     sign = sign_predict(orbit.qmap)
-    report = {
+    return {
         "a": format_reduced(r, s),
         "family": family,
         "N": orbit.depth,
@@ -458,14 +454,10 @@ def orbit_report(orbit: AdjustedOrbit) -> dict:
         "valuation_checks": {
             str(p): [check._asdict() for check in check_valuations(orbit, p)] for p in relevant
         },
-        "congruence_checks": {},
+        # keyed by modulus, without the law's name
+        "congruence_checks": {
+            str(m): dict(zip(LawCheck._fields[1:], congruence_check(orbit, m)[1:]))
+            for m in (3, 4)
+            if family == 1
+        },
     }
-    if family == 1:
-        for modulus in (3, 4):
-            rep = congruence_check(orbit, modulus)
-            report["congruence_checks"][str(modulus)] = {
-                "applicable": rep.applicable,
-                "passed": rep.passed,
-                "first_failure": rep.first_failure,
-            }
-    return report

@@ -31,6 +31,7 @@ import math
 import os
 import sys
 import time
+from collections import Counter
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple
 
@@ -66,19 +67,21 @@ class SearchConfig(NamedTuple):
         check_depth(self.height, self.height, self.depth)  # |r|, s <= height
 
 
-class SearchSummary:
-    __slots__ = ("rows_written", "rows_skipped", "counts")
+class SearchSummary(NamedTuple):
+    """What one sweep did: the rows it skipped as already present, and the
+    rows it wrote counted per (status, condition), "-" for no condition."""
 
-    def __init__(self) -> None:
-        self.rows_written = self.rows_skipped = 0
-        #: rows written per (status, condition), "-" for no condition
-        self.counts: dict[tuple[str, str], int] = {}
+    rows_skipped: int
+    counts: Counter[tuple[str, str]]
 
-    def record(self, row: dict) -> None:
-        self.rows_written += 1
-        verdict = row["verdict"]
-        key = verdict["status"], verdict["condition"] or "-"
-        self.counts[key] = self.counts.get(key, 0) + 1
+    @property
+    def rows_written(self) -> int:
+        return self.counts.total()
+
+
+def _row_key(row: dict) -> tuple[str, str]:
+    verdict = row["verdict"]
+    return verdict["status"], verdict["condition"] or "-"
 
 
 def _reduced_pairs(height: int) -> Iterator[tuple[int, int]]:
@@ -207,7 +210,7 @@ def search(cfg: SearchConfig) -> SearchSummary:
     only rows; otherwise it is left unchanged and UsageError is raised.
     """
     out = Path(cfg.out_path)
-    summary = SearchSummary()
+    skipped = 0
     done: set[tuple[int, int, int]] = set()
     mode, cut = "w", None
     if out.exists() and out.stat().st_size > 0:
@@ -234,7 +237,7 @@ def search(cfg: SearchConfig) -> SearchSummary:
             if (r, s) in DEGENERATE[fam]:
                 continue
             if (r, s, fam) in done:
-                summary.rows_skipped += 1
+                skipped += 1
                 continue
             tasks.append((r, s, fam, cfg.depth))
 
@@ -258,22 +261,20 @@ def search(cfg: SearchConfig) -> SearchSummary:
 
             pool = ProcessPoolExecutor(max_workers=workers)
             results = pool.map(certify_row, tasks, chunksize=_CHUNK)
+        counts: Counter[tuple[str, str]] = Counter()
         try:
             for row in results:
                 fh.write(json.dumps(row) + "\n")
                 fh.flush()
-                summary.record(row)
+                counts[_row_key(row)] += 1
         finally:
             if workers > 1:
                 # map has submitted every chunk; a failed write must not wait
                 # for the rest of the sweep to be computed
                 pool.shutdown(cancel_futures=True)
-    return summary
+    return SearchSummary(skipped, counts)
 
 
-def tally(rows: Iterable[dict]) -> dict[tuple[str, str], int]:
+def tally(rows: Iterable[dict]) -> Counter[tuple[str, str]]:
     """Per (status, condition) row counts, for reporting, as search counts them."""
-    summary = SearchSummary()
-    for row in rows:
-        summary.record(row)
-    return summary.counts
+    return Counter(map(_row_key, rows))

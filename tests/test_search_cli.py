@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import os
@@ -242,7 +243,7 @@ class TestSearch:
     def test_failed_write_leaves_the_queued_rows_uncomputed(self, tmp_path, monkeypatch):
         import concurrent.futures
 
-        from arborist.search import SearchSummary
+        import arborist.search as search_module
 
         submitted = []
 
@@ -252,13 +253,21 @@ class TestSearch:
                 submitted.append(future)
                 return future
 
-        def record(summary, row):
-            if summary.rows_written == 2:
-                raise OSError("no space left on device")
-            summary.rows_written += 1
+        def open_failing(path, mode="r", **kwargs):
+            # the fifth write, after the header and 3 rows, finds the disk full
+            fh = open(path, mode, **kwargs)
+            write, calls = fh.write, itertools.count(1)
+
+            def failing_write(text):
+                if next(calls) == 5:
+                    raise OSError("no space left on device")
+                return write(text)
+
+            fh.write = failing_write
+            return fh
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
-        monkeypatch.setattr(SearchSummary, "record", record)
+        monkeypatch.setattr(search_module, "open_named", open_failing)
         out = tmp_path / "rows.jsonl"
         with pytest.raises(OSError, match="no space"):
             search(SearchConfig(height=30, out_path=out, depth=8, workers=2))
@@ -380,11 +389,17 @@ class TestSearch:
             fh.write(line + "\n")
         assert load_rows(out)[-1] == json.loads(line)
 
-    def test_tally(self, tmp_path):
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_summary_is_the_tally_of_the_rows_written(self, tmp_path, workers):
         out = tmp_path / "rows.jsonl"
-        search(SearchConfig(height=2, out_path=out, depth=4))
-        counts = tally(load_rows(out))
-        assert sum(counts.values()) == len(load_rows(out))
+        fresh = search(SearchConfig(height=8, out_path=out, depth=5, workers=workers))
+        rows = load_rows(out)
+        assert (fresh.rows_skipped, fresh.rows_written) == (0, len(rows))
+        assert fresh.counts == tally(rows)
+        resumed = search(SearchConfig(height=10, out_path=out, depth=5, workers=workers))
+        appended = load_rows(out)[len(rows) :]
+        assert (resumed.rows_skipped, resumed.rows_written) == (len(rows), len(appended))
+        assert resumed.counts == tally(appended)
 
 
 class TestCliVerify:
