@@ -24,12 +24,13 @@ class InvariantViolation(RuntimeError):
 def open_named(path, mode: str = "r", **kwargs):
     """open() a path the user named; a missing one is their error.
 
-    UsageError names the path when it or its directory is missing or it is a
-    directory; an error once the file is open (a full disk) stays OSError.
+    UsageError names the path when it or its directory is missing, it is a
+    directory or the user may not open it; an error once the file is open
+    (a full disk) stays OSError.
     """
     try:
         return open(path, mode, **kwargs)
-    except (FileNotFoundError, IsADirectoryError, NotADirectoryError) as exc:
+    except (FileNotFoundError, IsADirectoryError, NotADirectoryError, PermissionError) as exc:
         raise UsageError(f"{path}: {exc.strerror}") from None
 
 

@@ -139,6 +139,7 @@ class _Rows:
         if schema not in READABLE_SCHEMAS:
             raise UsageError(f"{path}: unexpected schema {schema!r}")
         self.cut: int | None = None if line.endswith(b"\n") else 0
+        self._offset = len(line)  # bytes read: a pipe cannot tell() them
 
     def _parse(self, line: bytes):
         try:
@@ -150,8 +151,9 @@ class _Rows:
         for line in self._fh:
             self.lineno += 1
             if not line.endswith(b"\n"):
-                self.cut = self._fh.tell() - len(line)
+                self.cut = self._offset
                 return
+            self._offset += len(line)
             if line.strip():
                 row = self._parse(line)
                 if not _is_row(row):

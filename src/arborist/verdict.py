@@ -18,8 +18,10 @@ sweep's rows reach every verdict through one integer entry, ``_certify``,
 whose stages return values: the square test on a - c, ``_conditions`` (the
 fired conditions and their detail), ``_orbit_decision`` (the orbit's
 status), then the verdict.
-Each entry checks the depth once before any stage: ``certify`` itself, and
-``search`` through ``SearchConfig`` over the whole height.
+Each entry refuses a depth before any stage: ``certify`` itself, and
+``search`` through ``SearchConfig`` over the whole height; the
+``d_sequence`` that ``_orbit_decision`` calls checks it again, on every
+orbit, for its own callers.
 
 Fixed-point-tail family (c = -a - a^2), certificate number
 m = (-1)**delta * 2**e * |r| where delta is read off the sign law of

@@ -445,22 +445,36 @@ class TestCliVerify:
 
 
 class TestCliVerifyPins:
-    # SHA-256 of `arborist verify` stdout, recorded when a non-square
-    # cofactor that passed the residue screen went to math.isqrt (about 2 s
-    # and 27 s on Python 3.11)
+    # SHA-256 of `arborist verify` stdout for verdicts whose orbit products
+    # pass the GMP cutoff: 7/1152921504606847007, whose non-square cofactors
+    # passed the residue screen and went to math.isqrt when these were
+    # recorded (about 2 s and 27 s on Python 3.11); 13/29, where r_20 has 5M
+    # bits; 1000003/7 and 4096/3, where the 2r split's modulus (2r)^2 * 45045
+    # spans more than one CPython digit; and 25/3 and -1/2, DependentAtLevel
+    # where the witness level's cofactor prime to 2r is a square > 1 (139^2
+    # and 11^2), so the level goes to F_2 elimination with its own numerator
     PINS = {
-        16: "ad001e8b1c452d887e71f1071a77f3473d0100c75caa72a685b3d75dd6e6de02",
-        17: "bc119748feca63277c5d94e5efb143c1a86a11db29370ec4a2d7da08adc5262a",
+        (2, "7/1152921504606847007", 16): (
+            "ad001e8b1c452d887e71f1071a77f3473d0100c75caa72a685b3d75dd6e6de02"
+        ),
+        (2, "7/1152921504606847007", 17): (
+            "bc119748feca63277c5d94e5efb143c1a86a11db29370ec4a2d7da08adc5262a"
+        ),
+        (2, "13/29", 20): "89a5fb30b84a7c483085d79794fe0b4c22f3449547390d47e68f117904478e27",
+        (1, "1000003/7", 12): "05fc4c03f31c1f85fca52f0d1aa75f656320cd68ee5e9cde8c766bdb96126d66",
+        (2, "4096/3", 12): "6813c884c3ba29ddaa35b64e830d1fafb0d84069873a5e21d534de72a9fa9a1a",
+        (1, "25/3", 16): "318d5301e31ec5922cedef18814aff0f6ba48e26758c3f91342fc2f09826ace7",
+        (2, "-1/2", 16): "752412e76cba5e80ff302f9a498aa7f74af1734473c5c85b00b45ce35f95554f",
     }
 
-    @pytest.mark.parametrize("depth", list(PINS))
-    def test_output_is_pinned(self, depth, capsys):
+    @pytest.mark.parametrize("family, a, depth", list(PINS), ids=lambda v: str(v))
+    def test_output_is_pinned(self, family, a, depth, capsys):
         import hashlib
 
-        argv = ["verify", "--family", "2", "--a", "7/1152921504606847007"]
-        assert main([*argv, "--depth", str(depth)]) == 0
+        argv = ["verify", "--family", str(family), f"--a={a}", "--depth", str(depth)]
+        assert main(argv) == 0
         out = capsys.readouterr().out
-        assert hashlib.sha256(out.encode()).hexdigest() == self.PINS[depth]
+        assert hashlib.sha256(out.encode()).hexdigest() == self.PINS[family, a, depth]
 
 
 class TestCliVerifyDetailPins:
@@ -643,6 +657,28 @@ class TestCliUsageErrors:
         monkeypatch.chdir(tmp_path)
         assert main(argv) == 2
         assert capsys.readouterr().err.startswith(f"error: {named}: ")
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["report", "--in", "rows.jsonl"],
+            ["search", "--height", "1", "--out", "rows.jsonl"],
+            [*JULIA_TO, "rows.jsonl"],
+        ],
+        ids=["report", "search", "julia"],
+    )
+    def test_path_the_user_may_not_open_exits_2(self, tmp_path, monkeypatch, capsys, argv):
+        # open is patched, since chmod denies nothing to a superuser
+        import arborist.errors as errors_module
+
+        def denied(path, *args, **kwargs):
+            raise PermissionError(13, "Permission denied", str(path))
+
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(errors_module, "open", denied, raising=False)
+        assert main(argv) == 2
+        assert capsys.readouterr().err == "error: rows.jsonl: Permission denied\n"
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize(
@@ -921,6 +957,17 @@ class TestCliIndependence:
                 '{"status": "Independent", "witness_indices": null, '
                 '"witness_values": null}',
             ),
+            # 6 = 2 * 3, and over square denominators 3/4 * 12/25 = (3/5)^2
+            (
+                ["--values", "2,3,6"],
+                '{"status": "Dependent", "witness_indices": [0, 1, 2], '
+                '"witness_values": ["2", "3", "6"]}',
+            ),
+            (
+                ["--values", "3/4,12/25,5/9"],
+                '{"status": "Dependent", "witness_indices": [0, 1], '
+                '"witness_values": ["3/4", "12/25"]}',
+            ),
         ],
     )
     def test_output_is_pinned(self, argv, expected, capsys):
@@ -962,6 +1009,27 @@ class TestCliSearchAndReport:
         report = capsys.readouterr().out
         assert "ProvenSurjective" in report
         assert "total rows: 10" in report
+
+    def test_summary_and_tally_are_pinned(self, tmp_path, capsys):
+        # SHA-256 of the sweep's summary and of the report's tally; a second
+        # run over the same file resumes it and writes nothing
+        import hashlib
+
+        def digest(text):
+            return hashlib.sha256(text.encode()).hexdigest()
+
+        out = str(tmp_path / "rows.jsonl")
+        argv = ["search", "--height", "6", "--depth", "6", "--out", out]
+        assert main(argv) == 0
+        assert digest(capsys.readouterr().out) == (
+            "8440e0938a25ccba5ee8bd914134fc754219d61b6e47af2712b259081b50e761"
+        )
+        assert main(argv) == 0
+        assert "rows written: 0" in capsys.readouterr().out.splitlines()
+        assert main(["report", "--in", out]) == 0
+        assert digest(capsys.readouterr().out) == (
+            "7c49abeb2a9470985cf24603c1611bfc0b0f51482dcd994f2c76dd4de2bc06b1"
+        )
 
     def test_proven_rows_reverify_identically(self, tmp_path, capsys):
         out = tmp_path / "rows.jsonl"
@@ -1005,6 +1073,20 @@ class TestCliSearchAndReport:
         assert f"total rows: {rows_left}" in captured.out
         assert f"{out}:{rows_left + 2}: skipped an unterminated last line" in captured.err
         assert len(load_rows(out)) == rows_left
+
+    def test_report_skips_a_row_cut_by_a_crash_on_a_pipe(self):
+        # a pipe cannot tell where the cut line starts; report counts the bytes
+        src = Path(arborist.__file__).resolve().parent.parent
+        proc = subprocess.run(
+            [sys.executable, "-m", "arborist", "report", "--in", "/dev/stdin"],
+            input=json.dumps({"schema": SCHEMA, "depth": 4}).encode() + b'\n{"a": "1", "fam',
+            capture_output=True,
+            env={**os.environ, "PYTHONPATH": str(src)},
+            timeout=60,
+        )
+        assert proc.returncode == 0
+        assert proc.stderr == b"/dev/stdin:2: skipped an unterminated last line\n"
+        assert proc.stdout.decode().splitlines()[-1] == "total rows: 0"
 
     @pytest.mark.parametrize("line", ['{"a": "5", "r": 5, "s": 1, "family": 1}', "[1,2]"])
     @pytest.mark.parametrize("command", ["report", "search"])
@@ -1176,6 +1258,12 @@ class TestCliJulia:
         assert code == 0
         lines = out.read_text().splitlines()
         assert len(lines) == 50
+        assert all(len(line.split(",")) == 2 for line in lines)
+
+    def test_csv_to_stdout(self, capsys):
+        assert main(["julia", "--c", "-1", "--a", "0", "--points", "10", "--csv"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 10
         assert all(len(line.split(",")) == 2 for line in lines)
 
     def test_identical_seed_identical_bytes(self, tmp_path):
