@@ -133,16 +133,21 @@ def cmd_julia(args: argparse.Namespace) -> int:
         burn_in=args.burn_in,
         seed=args.seed,
     )
-    points = sample_backward(_parse_complex(args.c), _parse_complex(args.a), cfg)
-    if args.csv:
-        payload = points_csv(points).encode("ascii")
-    else:
-        payload = render(points, cfg)
+    c, a = _parse_complex(args.c), _parse_complex(args.a)
+    # a text stream in place of stdout (a StringIO under redirect_stdout)
+    # has no binary buffer: it takes the CSV, which is ASCII, as text
+    binary = getattr(sys.stdout, "buffer", None)
+    if binary is None and not (args.out or args.csv):
+        raise UsageError("standard output takes only text here; write the PGM image with --out")
+    points = sample_backward(c, a, cfg)
+    payload = points_csv(points).encode("ascii") if args.csv else render(points, cfg)
     if args.out:
         with open_named(args.out, "wb") as fh:
             fh.write(payload)
+    elif binary is not None:
+        binary.write(payload)
     else:
-        sys.stdout.buffer.write(payload)
+        sys.stdout.write(payload.decode("ascii"))
     return 0
 
 

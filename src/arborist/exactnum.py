@@ -6,11 +6,13 @@ and an orbit as integer numerators over known denominators; its
 a) are derived from those integers.  This module holds the primitives on
 them: p-adic valuations, exact square detection, the Jacobi symbol,
 ``proven_prime`` (deterministic Miller-Rabin below about 3.3e24, the one
-primality test of the package), and gcd-based factor refinement into a
-pairwise-coprime base.  ``parse_rational`` reads the wire format ``r/s``,
-and ``format_reduced`` writes every orbit or base-point integer of the rows
-and the CLI's JSON, at any length, past the interpreter's int/str digit limit,
-in subquadratic time.
+primality test of the package), gcd-based factor refinement into a
+pairwise-coprime base, and ``square_cofactor_indices``, which finds the
+values whose part prime to g is a square from one remainder each (the
+orbit filter of :mod:`arborist.verdict`).  ``parse_rational`` reads the
+wire format ``r/s``, and ``format_reduced`` writes every orbit or
+base-point integer of the rows and the CLI's JSON, at any length, past the
+interpreter's int/str digit limit, in subquadratic time.
 
 There is deliberately no general-purpose integer factorization anywhere:
 the quantities this package manipulates have numerators with thousands of
@@ -24,7 +26,7 @@ import math
 import re
 import sys
 from fractions import Fraction
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .errors import InvariantViolation, UsageError
 
@@ -37,6 +39,9 @@ _STR_SAFE_BITS = 2000
 # Below this bound, Miller-Rabin with the first 13 prime bases is a proof.
 _MR_DETERMINISTIC_LIMIT = 3_317_044_064_679_887_385_961_981
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+# one CPython digit: a remainder by a modulus below it is one short pass
+_DIGIT = 1 << sys.int_info.bits_per_digit
 
 
 def parse_rational(text: str) -> Fraction:
@@ -222,7 +227,7 @@ def _square_mask(m: int) -> int:
 # 1 in 50 through.  math.isqrt is quadratic before Python 3.12, so above
 # _SIEVE_BITS bits a number that passed is reduced once more, modulo the
 # primes 17..199 (picked by proven_prime), each of which rejects about half
-# of the non-squares.  independence's 2r split runs the mod 63/65/11 screen
+# of the non-squares.  square_cofactor_indices runs the mod 63/65/11 screen
 # on a residue it already holds, through the same _is_square_mod.
 _SQUARES_MOD_64 = _square_mask(64)
 _QR_SCREEN = tuple((m, _square_mask(m)) for m in (63, 65, 11))
@@ -230,6 +235,41 @@ _QR_PRODUCT = math.prod(m for m, _ in _QR_SCREEN)
 _SIEVE_BITS = 1 << 16
 _SIEVE_SCREEN = tuple((p, _square_mask(p)) for p in range(17, 200) if proven_prime(p))
 _SIEVE_PRODUCT = math.prod(p for p, _ in _SIEVE_SCREEN)
+
+
+def square_cofactor_indices(values: Sequence[int], g: int) -> list[int]:
+    """Indices of the nonzero ``values`` whose part prime to g >= 2 is a perfect square.
+
+    Each |v| splits as u t, every prime of u dividing g and t prime to g.
+    One remainder w = |v| mod G Q per value, G = g^J and Q = 45045, decides
+    it.  For each p | g, gcd(w, G) = gcd(|v|, G) has v_p = min(v_p(v),
+    v_p(G)), so it is u unless some p fills G; then G widens by g until
+    none does.  Unwidened, u | G and t = w / u mod Q, which the square
+    screen modulo 63, 65 and 11 reads; t is built and tested exactly only
+    when it passes the screen or G widened.  J >= 2 is the largest exponent
+    that keeps G Q within one CPython digit, so for a small g the remainder
+    is one short pass.
+    """
+    if 0 in values:
+        raise ValueError("zero has no part prime to g")
+    if g < 2:
+        raise ValueError("g must be at least 2")
+    G = g * g  # J >= 2 keeps a widening rare; the largest J within one digit
+    while G * g * _QR_PRODUCT < _DIGIT:
+        G *= g
+    M, k = G * _QR_PRODUCT, g.bit_length()  # k >= every v_p(g)
+    indices: list[int] = []
+    for i, v in enumerate(values):
+        t = abs(v)
+        w = t % M
+        u, H = math.gcd(w, G), G
+        while pow(H // u, k, g):  # some p | g divides u as often as H
+            H *= g
+            u = math.gcd(t, H)
+        screened = H > G or _is_square_mod(w // u % _QR_PRODUCT, _QR_SCREEN)
+        if screened and is_perfect_square(t // u):
+            indices.append(i)
+    return indices
 
 
 def _coprime_basis(work: list[int]) -> list[int]:

@@ -4,20 +4,26 @@ One decision procedure for both preperiodic families, turning simple
 congruence and residue conditions on the base point a = r/s into a proof of
 surjectivity (condition tags T1.1-1..3 and T1.2-1..3 below); only the list
 of conditions that fire is family-specific.  The 2-independence of the
-adjusted orbit, decided by
-:func:`~arborist.independence.factored_orbit_independent` from the
-repeated-prime law (which ``d_sequence``'s factored recursion and its
-iteration cross-check establish for the numerators used, so no gcd between
-levels is taken; the levels that can join a square product are decided on
-their own numerators, and a witness is re-verified once, on them), is one
-computation per verdict: it audits every positive certificate, and it is
-the finite-depth fallback when no condition applies.  A fallback
-"independent to depth N" is evidence about the depth-N tree quotient, not
-a proof for the full tree, and the verdict says so.  ``certify`` and the
-sweep's rows reach every verdict through one integer entry, ``_certify``,
-whose stages return values: the square test on a - c, ``_conditions`` (the
-fired conditions and their detail), ``_orbit_decision`` (the orbit's
-status), then the verdict.
+adjusted orbit is one computation per verdict: it audits every positive
+certificate, and it is the finite-depth fallback when no condition
+applies.  A fallback "independent to depth N" is evidence about the
+depth-N tree quotient, not a proof for the full tree, and the verdict says
+so.  ``certify`` and the sweep's rows reach every verdict through one
+integer entry, ``_certify``, whose stages return values: the square test
+on a - c, ``_conditions`` (the fired conditions and their detail),
+``_orbit_decision`` (the orbit's status), then the verdict.
+
+``_orbit_decision`` applies the paper's repeated-prime law: for a = r/s, a
+prime that divides two numerators r_m and r_n divides 2r.  ``d_sequence``
+builds the numerators in the factored form that proves the law and
+cross-checks them against iteration, so no gcd between levels is taken: a
+level whose part prime to 2r is not a square holds a prime of its own and
+joins no square product.  :func:`~arborist.exactnum.square_cofactor_indices`
+finds the other levels, and :func:`~arborist.independence.two_independent`
+decides them on their own numerators and re-verifies a witness on them.
+The tests' oracle ``orbit_independent`` in ``tests/conftest.py`` checks
+the law on raw values with one running-product gcd per level.
+
 Each entry refuses a depth before any stage: ``certify`` itself, and
 ``search`` through ``SearchConfig`` over the whole height; the
 ``d_sequence`` that ``_orbit_decision`` calls checks it again, on every
@@ -59,8 +65,14 @@ from typing import Mapping, NamedTuple
 from .critorbit import DEFAULT_DEPTH, check_depth, d_sequence, family1_sign
 from .dynamics import QuadMap, is_family
 from .errors import InvariantViolation
-from .exactnum import format_reduced, is_perfect_square, jacobi, proven_prime
-from .independence import factored_orbit_independent
+from .exactnum import (
+    format_reduced,
+    is_perfect_square,
+    jacobi,
+    proven_prime,
+    square_cofactor_indices,
+)
+from .independence import two_independent
 
 TRIAL_DIVISION_CUTOFF = 10**6
 _F0_IS_A = "f(0) equals the base point; the backward orbit is not a regular tree"
@@ -223,12 +235,17 @@ def _orbit_decision(qmap: QuadMap, depth: int):
     if 0 in orbit.numerators:
         zero_levels = [i + 1 for i, x in enumerate(orbit.numerators) if x == 0]
         return VerdictStatus.INAPPLICABLE, None, {"zero_levels": zero_levels}
-    result = factored_orbit_independent(orbit.square_class_reps, qmap.r)
-    if result.independent:
-        note = "finite-depth evidence only, not a proof"
-        return VerdictStatus.INDEPENDENT_TO_DEPTH, None, {"note": note}
-    witness = tuple(i + 1 for i in result.witness)
-    return VerdictStatus.DEPENDENT_AT_LEVEL, witness, {"level": max(witness)}
+    reps = orbit.square_class_reps
+    levels = square_cofactor_indices(reps, 2 * abs(qmap.r))
+    if levels:  # most orbits have none, and two_independent([]) is not free
+        result = two_independent([reps[n] for n in levels])
+        if not result.independent:
+            # a first dependent prefix has one square subset, so this is
+            # the witness two_independent(reps) would give
+            witness = tuple(levels[j] + 1 for j in result.witness)
+            return VerdictStatus.DEPENDENT_AT_LEVEL, witness, {"level": max(witness)}
+    note = "finite-depth evidence only, not a proof"
+    return VerdictStatus.INDEPENDENT_TO_DEPTH, None, {"note": note}
 
 
 def certify(a: Fraction, family: int, depth: int = DEFAULT_DEPTH) -> Verdict:

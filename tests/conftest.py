@@ -94,7 +94,8 @@ def decompose1(orbit: AdjustedOrbit, n: int) -> Decomposition1:
 def cofactors_prime_to_2r(reps, r):
     """t_n per level, where |v_n| = u_n t_n with u_n from the primes of 2r and
     t_n prime to 2r, by a gcd loop: the oracle for the square levels that
-    ``independence`` finds from one remainder per level instead."""
+    ``exactnum.square_cofactor_indices`` finds from one remainder per level
+    instead."""
     if 0 in reps:
         raise ValueError("independence is undefined for zero")
     g = 2 * abs(r)
@@ -112,7 +113,7 @@ def cofactors_prime_to_2r(reps, r):
 def orbit_independent(reps, r) -> IndependenceResult:
     """Decide 2-independence of raw orbit values, checking the law first.
 
-    The oracle for ``independence.factored_orbit_independent``, with the
+    The oracle for ``verdict._orbit_decision``'s use of the law, with the
     same result as ``two_independent(reps)``, witness included.  ``reps``
     are nonzero integers in the square classes of D_1..D_N and ``r`` is the
     numerator of the base point.  Nothing is assumed about where the values

@@ -113,6 +113,17 @@ def test_self_test_operands_are_the_powers_modulo_their_limbs(monkeypatch):
         assert filled(limbs, base).bit_length() == 64 * limbs
 
 
+@pytest.mark.parametrize("wrong", ["product", "square"])
+def test_self_test_refuses_a_wrong_product_or_square(wrong):
+    # off by one on the last operands only, those of 150 limbs
+    def off(x, which):
+        return int(wrong == which and x.bit_length() > 64 * 149)
+
+    assert not _bigmul._agrees(
+        lambda x, y: x * y + off(x, "product"), lambda x: x * x + off(x, "square")
+    )
+
+
 BELOW = (1 << (CUTOFF_BITS - 1)) - 1  # CUTOFF_BITS - 1 bits
 AT = 1 << (CUTOFF_BITS - 1)  # CUTOFF_BITS bits
 

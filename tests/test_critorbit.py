@@ -184,6 +184,13 @@ class TestDSequence:
             with pytest.raises(InvariantViolation):
                 certify(a, family, depth=5)
 
+    def test_a_numerator_sharing_a_prime_with_s_is_caught(self):
+        # a map past QuadMap's check that r/s is reduced: the cross-check's
+        # identities hold for any r and s, so 2/4 passes it, and
+        # r_1 = -2 * 10 shares 2 with s = 4
+        forged = tuple.__new__(QuadMap, (1, 2, 4))
+        with pytest.raises(InvariantViolation, match=r"gcd\(r_1, s\) != 1 for a = '2/4'"):
+            d_sequence(forged, 3)
 
     def test_invariant_messages_write_a_long_base_point_short(self, monkeypatch):
         # s has 5001 digits, past the interpreter's int/str digit limit, and

@@ -5,15 +5,23 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import arborist.exactnum as exactnum
 import arborist.independence as independence
+import arborist.verdict as verdict_module
 from arborist.critorbit import d_sequence
 from arborist.dynamics import family1, family2
 from arborist.errors import InvariantViolation
-from arborist.exactnum import factor_refine, is_perfect_square, proven_prime, rational_is_square
+from arborist.exactnum import (
+    factor_refine,
+    is_perfect_square,
+    proven_prime,
+    rational_is_square,
+    square_cofactor_indices,
+)
 from arborist.independence import (
     CoprimeBasis,
+    IndependenceResult,
     brute_force_independent,
-    factored_orbit_independent,
     square_classes,
     two_independent,
 )
@@ -233,7 +241,8 @@ class TestIntegerRepresentatives:
 
     def test_denominators_stay_out_of_factor_refine(self, monkeypatch):
         # certify decides on the integer orbit: no power of s = 29 may reach
-        # any gcd of the independence module, factor_refine included
+        # any gcd of the square-class layer, which is the independence module
+        # and exactnum's split of each level, factor_refine included
         refined, gcd_args = [], []
         honest = independence.factor_refine
 
@@ -252,6 +261,7 @@ class TestIntegerRepresentatives:
 
         monkeypatch.setattr(independence, "factor_refine", recording)
         monkeypatch.setattr(independence, "math", RecordingMath())
+        monkeypatch.setattr(exactnum, "math", RecordingMath())
         verdict = certify(Fraction(13, 29), 1, depth=10)
         assert verdict.status is VerdictStatus.PROVEN_SURJECTIVE
         assert len(gcd_args) >= 2 * 10
@@ -273,6 +283,14 @@ def orbits(height, depth):
                     yield orbit
 
 
+def as_decision(result):
+    """An orbit's IndependenceResult as ``_orbit_decision`` reports it:
+    (status, witness), the witness levels 1-based."""
+    if result.independent:
+        return VerdictStatus.INDEPENDENT_TO_DEPTH, None
+    return VerdictStatus.DEPENDENT_AT_LEVEL, tuple(n + 1 for n in result.witness)
+
+
 class TestOrbitIndependent:
     def test_agrees_with_generic_decider_at_height_30(self):
         checked = dependent = 0
@@ -281,7 +299,8 @@ class TestOrbitIndependent:
             by_law = orbit_independent(reps, orbit.qmap.r)
             assert by_law == two_independent(reps), orbit.qmap.a
             # the certifier's path, which takes no gcd between levels
-            assert factored_orbit_independent(reps, orbit.qmap.r) == by_law, orbit.qmap.a
+            decision = verdict_module._orbit_decision(orbit.qmap, orbit.depth)
+            assert decision[:2] == as_decision(by_law), orbit.qmap.a
             checked += 1
             dependent += not by_law.independent
         assert checked == 2217
@@ -300,9 +319,8 @@ class TestOrbitIndependent:
             orbit_independent([3, 3 * 5, 3 * 7], 1)
 
     def test_forged_square_classes_are_caught(self, monkeypatch):
-        # every mask forged to 0 makes the first square level a square on
-        # its own: level 0 of [2, 3, 5] at r = 3 (cofactors 1, 1, 5), and
-        # level 1 of a = 1 in family 2, whose D_1 is 2
+        # every mask forged to 0 makes the first value a square on its own:
+        # 2 of [2, 3], and level 1 of a = 1 in family 2, whose D_1 is 2
         genuine = independence.square_classes
 
         def forged(values):
@@ -311,7 +329,7 @@ class TestOrbitIndependent:
 
         monkeypatch.setattr(independence, "square_classes", forged)
         with pytest.raises(InvariantViolation, match="re-verification"):
-            factored_orbit_independent([2, 3, 5], 3)
+            two_independent([2, 3])
         with pytest.raises(InvariantViolation, match="re-verification"):
             certify(1, 2, depth=6)
 
@@ -341,7 +359,7 @@ class TestOrbitIndependent:
         reps = orbit.square_class_reps
         by_law = orbit_independent(reps, r)
         assert by_law == two_independent(reps)
-        assert factored_orbit_independent(reps, r) == by_law
+        assert verdict_module._orbit_decision(orbit.qmap, depth)[:2] == as_decision(by_law)
 
     def test_square_classes_against_factorint(self):
         # an independent oracle: square-free kernels from sympy's factorint
@@ -448,14 +466,14 @@ class TestSplit2r:
         reps, r = case
         cofactors = cofactors_prime_to_2r(reps, r)
         squares = [n for n, t in enumerate(cofactors) if is_perfect_square(t)]
-        assert independence._square_levels(reps, r) == squares
+        assert square_cofactor_indices(reps, 2 * abs(r)) == squares
 
     def test_a_power_of_2r_past_one_digit_widens_the_modulus(self):
         # G = 6^J (J = 5 with 30-bit digits) stays below one digit, so a
         # 2r-part of 6^30 fills it at 2 and at 3 and G widens to 6^31
-        assert 6**30 >= independence._DIGIT
+        assert 6**30 >= exactnum._DIGIT
         reps = [6**30 * 7, -(6**30) * 49, 2**3 * 3**40 * 5**2]
-        assert independence._square_levels(reps, 3) == [1, 2]
+        assert square_cofactor_indices(reps, 6) == [1, 2]
 
     @pytest.mark.parametrize("r", sorted(PRIMES_OF_2R))
     def test_powers_of_2r_past_J_leave_the_cofactor_alone(self, r):
@@ -466,13 +484,13 @@ class TestSplit2r:
         # screen for some e
         bases = [*PRIMES_OF_2R[r], 2 * r]
         reps = [(-b) ** e * t for b in bases for e in range(1, 61) for t in (49, 7)]
-        assert independence._square_levels(reps, r) == list(range(0, len(reps), 2))
+        assert square_cofactor_indices(reps, 2 * abs(r)) == list(range(0, len(reps), 2))
 
     def test_rejects_zero(self):
         with pytest.raises(ValueError):
-            independence._square_levels([3, 0], 1)
+            square_cofactor_indices([3, 0], 2)
         with pytest.raises(ValueError):
-            independence._square_levels([3], 0)
+            square_cofactor_indices([3], 0)
 
 
 class TestFactoredOrbitIndependent:
@@ -480,4 +498,9 @@ class TestFactoredOrbitIndependent:
     @settings(max_examples=300, deadline=None)
     def test_agrees_with_the_generic_decider(self, case):
         reps, r = case
-        assert factored_orbit_independent(reps, r) == two_independent(reps)
+        # the certifier's composition, as _orbit_decision runs it
+        levels = square_cofactor_indices(reps, 2 * abs(r))
+        result = two_independent([reps[n] for n in levels])
+        if not result.independent:
+            result = IndependenceResult(False, tuple(levels[j] for j in result.witness))
+        assert result == two_independent(reps)

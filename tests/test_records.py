@@ -94,6 +94,22 @@ def test_checked_records_refuse_bad_values_on_every_path(good, bad, error, match
 
 
 @pytest.mark.parametrize(
+    "good",
+    [
+        family1(Fraction(1, 2)),
+        CoprimeBasis((2, 3)),
+        RenderConfig(),
+        SearchConfig(height=2, out_path="x"),
+    ],
+    ids=lambda v: type(v).__name__,
+)
+def test_checked_records_rebuild_valid_values_on_every_path(good):
+    cls = type(good)
+    for copy in (cls(*good), cls._make(good), good._replace()):
+        assert type(copy) is cls and copy == good
+
+
+@pytest.mark.parametrize(
     "record",
     [
         family1(Fraction(-6, 7)),

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import itertools
 import json
 import math
@@ -976,6 +978,12 @@ class TestCliIndependence:
         assert main(["independence", *argv]) == 0
         assert capsys.readouterr().out == expected + "\n"
 
+    @pytest.mark.parametrize("oracle", [[], ["--oracle"]], ids=["elimination", "oracle"])
+    def test_a_zero_value_has_one_message_on_both_paths(self, oracle, capsys):
+        assert main(["independence", "--values", "2,0,3", *oracle]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: independence is undefined for zero, which has no square class\n"
+
 
 class TestCliBrokenPipe:
     def test_reader_closing_early_exits_141_quietly(self):
@@ -1153,6 +1161,12 @@ class TestCliSearchAndReport:
         assert main(["report", "--in", str(out)]) == 0
         assert f"total rows: {len(lines) - 1}" in capsys.readouterr().out
 
+    def test_report_on_an_empty_file_exits_2(self, tmp_path, capsys):
+        empty = tmp_path / "rows.jsonl"
+        empty.write_bytes(b"")
+        assert main(["report", "--in", str(empty)]) == 2
+        assert capsys.readouterr().err == f"error: {empty}: empty results file\n"
+
     def test_report_names_a_corrupt_line(self, tmp_path, capsys):
         out = tmp_path / "rows.jsonl"
         assert main(["search", "--height", "2", "--depth", "4", "--out", str(out)]) == 0
@@ -1265,6 +1279,24 @@ class TestCliJulia:
         lines = capsys.readouterr().out.splitlines()
         assert len(lines) == 10
         assert all(len(line.split(",")) == 2 for line in lines)
+
+    def test_csv_to_a_text_stdout(self, capsys):
+        # a StringIO in place of stdout has no binary buffer; the CSV goes
+        # to it as text, the same characters as to a real stdout
+        argv = ["julia", "--c=-1", "--a", "0", "--points", "3", "--csv"]
+        assert main(argv) == 0
+        expected = capsys.readouterr().out
+        with contextlib.redirect_stdout(io.StringIO()) as text:
+            assert main(argv) == 0
+        assert text.getvalue() == expected and len(expected.splitlines()) == 3
+        assert capsys.readouterr().err == ""
+
+    def test_pgm_to_a_text_stdout_exits_2_naming_out(self, capsys):
+        with contextlib.redirect_stdout(io.StringIO()) as text:
+            assert main(["julia", "--c=-1", "--a", "0", "--points", "3"]) == 2
+        assert text.getvalue() == ""
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "--out" in err
 
     def test_identical_seed_identical_bytes(self, tmp_path):
         args = lambda path: [

@@ -52,9 +52,8 @@ TRUSTED = {
     "arborist.exactnum.jacobi",
     "arborist.exactnum.proven_prime",
     "arborist.exactnum.rational_is_square",
+    "arborist.exactnum.square_cofactor_indices",
     "arborist.independence._check",
-    "arborist.independence._square_levels",
-    "arborist.independence.factored_orbit_independent",
     "arborist.independence.square_classes",
     "arborist.independence.two_independent",
     "arborist.verdict._certify",

@@ -113,13 +113,8 @@ class TestCertifyFamily1:
             certify(Fraction(-1), 1, depth=1)
 
     def test_audit_failure_raises(self, monkeypatch):
-        from arborist.independence import IndependenceResult
-
-        monkeypatch.setattr(
-            verdict_module,
-            "factored_orbit_independent",
-            lambda reps, r: IndependenceResult(False, (0,)),
-        )
+        dependent = (VerdictStatus.DEPENDENT_AT_LEVEL, (1,), {"level": 1})
+        monkeypatch.setattr(verdict_module, "_orbit_decision", lambda qmap, depth: dependent)
         # 1/5 fires T1.1-1 in the first family, 1/4 fires T1.2-1 in the second
         for a, family in ((Fraction(1, 5), 1), (Fraction(1, 4), 2)):
             with pytest.raises(InvariantViolation, match="fails the independence audit"):
