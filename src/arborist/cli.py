@@ -134,20 +134,19 @@ def cmd_julia(args: argparse.Namespace) -> int:
         seed=args.seed,
     )
     c, a = _parse_complex(args.c), _parse_complex(args.a)
-    # a text stream in place of stdout (a StringIO under redirect_stdout)
-    # has no binary buffer: it takes the CSV, which is ASCII, as text
-    binary = getattr(sys.stdout, "buffer", None)
-    if binary is None and not (args.out or args.csv):
+    # the CSV is ASCII text; only the PGM image needs stdout's binary buffer,
+    # which a text stream in its place (a StringIO under redirect_stdout) lacks
+    if not (args.out or args.csv or hasattr(sys.stdout, "buffer")):
         raise UsageError("standard output takes only text here; write the PGM image with --out")
     points = sample_backward(c, a, cfg)
-    payload = points_csv(points).encode("ascii") if args.csv else render(points, cfg)
     if args.out:
+        payload = points_csv(points).encode("ascii") if args.csv else render(points, cfg)
         with open_named(args.out, "wb") as fh:
             fh.write(payload)
-    elif binary is not None:
-        binary.write(payload)
+    elif args.csv:
+        sys.stdout.write(points_csv(points))
     else:
-        sys.stdout.write(payload.decode("ascii"))
+        sys.stdout.buffer.write(render(points, cfg))
     return 0
 
 

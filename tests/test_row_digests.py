@@ -17,7 +17,8 @@ ROOT = Path(__file__).resolve().parent.parent
 def test_rows_match_the_checked_in_reference(tmp_path):
     fresh = tmp_path / "reference.json"
     argv = [sys.executable, "benchmarks/run.py", "--record-reference", "--reference", str(fresh)]
-    subprocess.run(argv, cwd=ROOT, capture_output=True, timeout=300, check=True)
+    proc = subprocess.run(argv, cwd=ROOT, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
     recorded = json.loads(fresh.read_text(encoding="utf-8"))
     checked_in = json.loads((ROOT / "benchmarks" / "reference.json").read_text(encoding="utf-8"))
     assert len(checked_in["digests"]) == 2242
