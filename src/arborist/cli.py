@@ -223,19 +223,24 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()  # here, not at shutdown, where a failure exits 120
+        return status
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     except InvariantViolation as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
         return INTERNAL_ERROR
-    except BrokenPipeError:
-        # the reader is gone; point stdout at devnull so the flush at
-        # interpreter shutdown has nowhere to fail
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return BROKEN_PIPE
     except OSError as exc:
+        # stdout keeps what it could not write; point it at devnull so the
+        # flush at interpreter shutdown has nowhere to fail
+        try:
+            sys.stdout.flush()
+        except OSError:
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        if isinstance(exc, BrokenPipeError):
+            return BROKEN_PIPE  # the reader is gone; it wants no message
         print(f"i/o error: {exc}", file=sys.stderr)
         return INTERNAL_ERROR
     except Exception:

@@ -11,17 +11,13 @@ is built with its keys in sorted order, as ``json.dumps`` writes them.
 One streaming reader, ``_Rows``, reads a results file for ``load_rows``,
 ``report`` and the resume, which keeps only the integer (r, s, family) keys
 of the rows, so every row must carry ``r`` and ``s`` as ints; a task is
-skipped by its own (r, s, family), without building its text.  A file
-is extended only when its header records this schema and the run's depth.
+skipped by its own (r, s, family), without building its text.  ``_Rows``
+accepts no schema but SCHEMA, and a file is extended only at the depth its
+header records.
 A resume checks the header and every complete row before it changes the
 file, so a refused run leaves it as it was; only then does it drop a row
 cut short by a crash (rows are flushed one by one, so only the last line
 can be cut) or give a header that lost only its newline its newline back.
-
-Schema ``arborist-v2`` keeps an undecided witness search in the verdict's
-``detail["undecided"]``.  In ``arborist-v1`` files that note sat at
-``detail["note"]``, where the finite-depth fallback overwrote it; those
-files still load but are not extended.
 """
 
 from __future__ import annotations
@@ -41,8 +37,6 @@ from .errors import UsageError, checked, open_named
 from .verdict import _certify
 
 SCHEMA = "arborist-v2"
-#: every schema load_rows reads; search extends SCHEMA files only
-READABLE_SCHEMAS = ("arborist-v1", SCHEMA)
 #: base points per task sent to a worker process
 _CHUNK = 16
 
@@ -136,7 +130,7 @@ class _Rows:
             raise UsageError(f"{path}: empty results file")
         self.header = self._parse(line)
         schema = self.header.get("schema") if isinstance(self.header, dict) else None
-        if schema not in READABLE_SCHEMAS:
+        if schema != SCHEMA:
             raise UsageError(f"{path}: unexpected schema {schema!r}")
         self.cut: int | None = None if line.endswith(b"\n") else 0
         self._offset = len(line)  # bytes read: a pipe cannot tell() them
@@ -189,9 +183,8 @@ def iter_rows(path: str | Path) -> Iterator[dict]:
     row (an object with a string ``a``, ints ``r`` and ``s``, a ``family``
     of 1 or 2 and a ``verdict`` object holding a string ``status`` and a
     ``condition`` that is a string or null), raises UsageError naming
-    ``path:line``; ``r``, ``s`` and ``family`` are the resume's keys.  Files of
-    every schema in READABLE_SCHEMAS load; equal float texts load as one
-    shared float object.
+    ``path:line``; ``r``, ``s`` and ``family`` are the resume's keys.  Equal
+    float texts load as one shared float object.
     """
     with open_named(path, "rb") as fh:
         rows = _Rows(path, fh)
@@ -208,8 +201,8 @@ def load_rows(path: str | Path) -> list[dict]:
 def search(cfg: SearchConfig) -> SearchSummary:
     """Run the sweep, appending to (and resuming from) cfg.out_path.
 
-    An existing file must carry SCHEMA and cfg.depth in its header and hold
-    only rows; otherwise it is left unchanged and UsageError is raised.
+    An existing file must record cfg.depth in its header and hold only rows;
+    otherwise it is left unchanged and UsageError is raised.
     """
     out = Path(cfg.out_path)
     skipped = 0
@@ -218,12 +211,7 @@ def search(cfg: SearchConfig) -> SearchSummary:
     if out.exists() and out.stat().st_size > 0:
         with open_named(out, "rb") as fh:
             rows = _Rows(out, fh)
-            schema, recorded = rows.header["schema"], rows.header.get("depth")
-            if schema != SCHEMA:
-                raise UsageError(
-                    f"{out}: written with schema {schema}, this run writes {SCHEMA}; "
-                    "write a new file"
-                )
+            recorded = rows.header.get("depth")
             if recorded != cfg.depth:
                 found = "no depth" if recorded is None else f"depth {recorded}"
                 raise UsageError(

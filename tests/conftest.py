@@ -4,11 +4,21 @@ import sys
 from contextlib import contextmanager
 from typing import NamedTuple
 
+import pytest
+
 from arborist import _bigmul
 from arborist.critorbit import AdjustedOrbit
 from arborist.errors import InvariantViolation
 from arborist.exactnum import is_perfect_square
 from arborist.independence import IndependenceResult, two_independent
+
+
+@pytest.fixture(autouse=True)
+def block_buffered_stdout(monkeypatch):
+    """Every test runs without PYTHONUNBUFFERED, so a ``python -m arborist``
+    or ``run.py`` started from ``os.environ`` buffers its stdout as it does in
+    a plain shell, and a failure that only the final flush meets shows."""
+    monkeypatch.delenv("PYTHONUNBUFFERED", raising=False)
 
 
 def current_int_str_limit():

@@ -13,7 +13,7 @@ import pytest
 from conftest import current_int_str_limit
 
 import arborist
-from arborist.backorbit import RenderConfig
+from arborist.backorbit import RenderConfig, render, sample_backward
 from arborist.cli import build_parser, main
 from arborist.dynamics import family1, family2
 from arborist.errors import DegenerateBasePoint, UsageError
@@ -86,6 +86,16 @@ class TestEnumerateRationals:
         pairs = list(_reduced_pairs(5))
         assert pairs == sorted(pairs, key=lambda pair: (pair[1], pair[0]))
         assert pairs == list(_reduced_pairs(5))
+
+
+def foreign_results_file(tmp_path, schema):
+    """A results file of real rows at depth 4 under a header of ``schema``."""
+    out = tmp_path / "rows.jsonl"
+    search(SearchConfig(height=2, out_path=out, depth=4))
+    lines = out.read_text().splitlines(keepends=True)
+    lines[0] = json.dumps({"schema": schema, "depth": 4}) + "\n"
+    out.write_text("".join(lines))
+    return out
 
 
 class TestSearch:
@@ -202,6 +212,16 @@ class TestSearch:
         with pytest.raises(ValueError, match="no depth"):
             search(SearchConfig(height=3, out_path=out, depth=4))
         assert out.read_bytes() == before
+
+    def test_blank_lines_are_skipped(self, tmp_path):
+        out = tmp_path / "rows.jsonl"
+        search(SearchConfig(height=2, out_path=out, depth=4))
+        rows = load_rows(out)
+        lines = out.read_text().splitlines(keepends=True)
+        out.write_text(lines[0] + "\n" + "".join(lines[1:]) + "  \n")
+        assert load_rows(out) == rows
+        summary = search(SearchConfig(height=2, out_path=out, depth=4))
+        assert (summary.rows_skipped, summary.rows_written) == (len(rows), 0)
 
     def test_equal_timings_load_as_one_float(self, tmp_path):
         out = tmp_path / "rows.jsonl"
@@ -328,21 +348,13 @@ class TestSearch:
             with pytest.raises(UsageError, match="repeat"):
                 SearchConfig(height=1, out_path="x", families=families)
 
-    def test_rejects_foreign_schema(self, tmp_path):
-        out = tmp_path / "rows.jsonl"
-        out.write_text('{"schema": "other-v9"}\n')
-        with pytest.raises(ValueError):
-            load_rows(out)
-
-    def test_v1_file_loads_but_is_not_extended(self, tmp_path):
-        out = tmp_path / "rows.jsonl"
-        search(SearchConfig(height=2, out_path=out, depth=4))
-        lines = out.read_text().splitlines(keepends=True)
-        lines[0] = json.dumps({"schema": "arborist-v1", "depth": 4}) + "\n"
-        out.write_text("".join(lines))
-        assert len(load_rows(out)) == len(lines) - 1
+    @pytest.mark.parametrize("schema", ["other-v9", "arborist-v1"])
+    def test_rejects_foreign_schema(self, tmp_path, schema):
+        out = foreign_results_file(tmp_path, schema)
         before = out.read_bytes()
-        with pytest.raises(ValueError, match="arborist-v1"):
+        with pytest.raises(UsageError, match=f"unexpected schema '{schema}'"):
+            load_rows(out)
+        with pytest.raises(UsageError, match=f"unexpected schema '{schema}'"):
             search(SearchConfig(height=3, out_path=out, depth=4))
         assert out.read_bytes() == before
 
@@ -812,12 +824,14 @@ class TestCliUsageErrors:
         assert f"argument {option}" in errors[0] and "xxx...xxx" in errors[0]
         assert all(len(line.encode()) < 200 for line in lines)
 
-    def test_foreign_results_file_exits_2(self, tmp_path, capsys):
-        out = tmp_path / "rows.jsonl"
-        out.write_text('{"schema": "other-v9"}\n')
-        assert main(["report", "--in", str(out)]) == 2
-        assert main(["search", "--height", "1", "--out", str(out)]) == 2
-        assert out.read_text() == '{"schema": "other-v9"}\n'
+    @pytest.mark.parametrize("schema", ["other-v9", "arborist-v1"])
+    def test_foreign_results_file_exits_2(self, tmp_path, capsys, schema):
+        out = foreign_results_file(tmp_path, schema)
+        before = out.read_bytes()
+        for argv in (["report", "--in", str(out)], ["search", "--height", "1", "--out", str(out)]):
+            assert main(argv) == 2
+            assert capsys.readouterr().err == f"error: {out}: unexpected schema '{schema}'\n"
+        assert out.read_bytes() == before
 
 
 class TestCliOrbit:
@@ -1004,6 +1018,31 @@ class TestCliBrokenPipe:
             assert proc.stderr.read() == b""
         assert code == 141
 
+    # a verdict of 183 bytes waits in stdout's buffer until the final flush;
+    # conftest keeps PYTHONUNBUFFERED out of the environment, as in a shell
+    VERIFY = [sys.executable, "-m", "arborist", "verify", "--family", "1", "--a", "1/5"]
+
+    def run_verify(self, stdout):
+        src = Path(arborist.__file__).resolve().parent.parent
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        return subprocess.run(self.VERIFY, stdout=stdout, stderr=subprocess.PIPE, env=env, timeout=60)
+
+    def test_short_output_to_a_closed_pipe_exits_141_quietly(self):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = self.run_verify(write_end)
+        finally:
+            os.close(write_end)
+        assert (proc.returncode, proc.stderr) == (141, b"")
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    def test_short_output_to_a_full_device_exits_1(self):
+        with open("/dev/full", "wb") as full:
+            proc = self.run_verify(full)
+        assert proc.returncode == 1
+        assert proc.stderr == b"i/o error: [Errno 28] No space left on device\n"
+
 
 class TestCliSearchAndReport:
     def test_search_then_report(self, tmp_path, capsys):
@@ -1147,20 +1186,6 @@ class TestCliSearchAndReport:
         assert f"{out}:4: corrupt line" in err and "internal error" not in err
         assert out.read_bytes() == before
 
-    def test_extending_a_v1_file_exits_2(self, tmp_path, capsys):
-        out = tmp_path / "rows.jsonl"
-        assert main(["search", "--height", "2", "--depth", "4", "--out", str(out)]) == 0
-        lines = out.read_text().splitlines(keepends=True)
-        lines[0] = json.dumps({"schema": "arborist-v1", "depth": 4}) + "\n"
-        out.write_text("".join(lines))
-        capsys.readouterr()
-        before = out.read_bytes()
-        assert main(["search", "--height", "3", "--depth", "4", "--out", str(out)]) == 2
-        assert "arborist-v1" in capsys.readouterr().err
-        assert out.read_bytes() == before
-        assert main(["report", "--in", str(out)]) == 0
-        assert f"total rows: {len(lines) - 1}" in capsys.readouterr().out
-
     def test_report_on_an_empty_file_exits_2(self, tmp_path, capsys):
         empty = tmp_path / "rows.jsonl"
         empty.write_bytes(b"")
@@ -1290,6 +1315,12 @@ class TestCliJulia:
             assert main(argv) == 0
         assert text.getvalue() == expected and len(expected.splitlines()) == 3
         assert capsys.readouterr().err == ""
+
+    def test_pgm_to_stdout(self, capsysbinary):
+        argv = ["julia", "--c=-1", "--a", "0", "--points", "20", "--width", "8", "--height", "8"]
+        assert main(argv) == 0
+        cfg = RenderConfig(width=8, height=8, n_points=20)
+        assert capsysbinary.readouterr().out == render(sample_backward(-1, 0, cfg), cfg)
 
     def test_pgm_to_a_text_stdout_exits_2_naming_out(self, capsys):
         with contextlib.redirect_stdout(io.StringIO()) as text:
