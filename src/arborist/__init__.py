@@ -9,7 +9,6 @@ from .critorbit import (
     check_valuations,
     congruence_check,
     d_sequence,
-    numerator_recursion,
     orbit_report,
     sign_predict,
 )
@@ -67,7 +66,6 @@ __all__ = [
     "family2",
     "is_perfect_square",
     "jacobi",
-    "numerator_recursion",
     "orbit_report",
     "parse_rational",
     "points_csv",

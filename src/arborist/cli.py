@@ -3,8 +3,10 @@
 Subcommands: verify, orbit, independence, search, julia, report.
 Exit status 0 on success, 2 on user errors (argparse errors and
 :class:`~arborist.errors.UsageError`), 141 (128 + SIGPIPE) when the reader
-of standard output closes it early, 1 on everything else: invariant
-violations, other I/O errors and any other exception, which signals a bug.
+of standard output closes it early, 130 (128 + SIGINT) on Ctrl-C, 1 on
+everything else: invariant violations, other I/O errors and any other
+exception, which signals a bug.  The library checks counts and base
+points; this module converts text and maps the library's refusals.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from .verdict import certify
 USAGE_ERROR = 2
 INTERNAL_ERROR = 1
 BROKEN_PIPE = 141  # 128 + SIGPIPE, as a shell reports a writer killed by it
+INTERRUPTED = 130  # 128 + SIGINT, likewise
 _INTEGER_RE = re.compile(r"\s*[+-]?\d+\s*")
 # argparse reads an argument as an option unless it looks like a negative
 # number, which by its own rule excludes -1e-3 and -inf; julia's parser
@@ -51,13 +54,6 @@ def _float(text: str) -> float:
         return float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"not a number: {quoted(text)}") from None
-
-
-def _positive_int(text: str) -> int:
-    value = _int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {quoted(text)}")
-    return value
 
 
 def _parse_complex(text: str) -> complex:
@@ -95,7 +91,7 @@ def cmd_independence(args: argparse.Namespace) -> int:
     witness = [values[i] for i in result.witness or ()]
     payload = {
         "status": "Independent" if result.independent else "Dependent",
-        "witness_indices": sorted(result.witness) if result.witness else None,
+        "witness_indices": list(result.witness) if result.witness else None,
         "witness_values": [format_reduced(v.numerator, v.denominator) for v in witness] or None,
     }
     print(json.dumps(payload, sort_keys=True))
@@ -175,7 +171,7 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--family", type=_int, choices=(1, 2), required=True)
         p.add_argument("--a", required=True, metavar="R/S")
-        p.add_argument("--depth", type=_positive_int, default=DEFAULT_DEPTH)
+        p.add_argument("--depth", type=_int, default=DEFAULT_DEPTH)
         p.set_defaults(func=func)
 
     p = sub.add_parser("independence", help="2-independence of a value list")
@@ -184,11 +180,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_independence)
 
     p = sub.add_parser("search", help="height-bounded certification sweep")
-    p.add_argument("--height", type=_positive_int, required=True)
+    p.add_argument("--height", type=_int, required=True)
     p.add_argument("--family", type=_int, choices=(1, 2), action="append")
-    p.add_argument("--depth", type=_positive_int, default=DEFAULT_DEPTH)
+    p.add_argument("--depth", type=_int, default=DEFAULT_DEPTH)
     p.add_argument("--out", required=True)
-    p.add_argument("--workers", type=_positive_int, default=1)
+    p.add_argument("--workers", type=_int, default=1)
     p.set_defaults(func=cmd_search)
 
     defaults = RenderConfig()
@@ -229,6 +225,8 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
+    except KeyboardInterrupt:
+        return INTERRUPTED  # search has flushed every row it wrote
     except InvariantViolation as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
         return INTERNAL_ERROR

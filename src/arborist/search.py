@@ -4,8 +4,9 @@ Rows are independent (one per admissible base point and family), so the
 sweep is an order-preserving map over the enumeration: worker count never
 changes row content, and an existing output file is extended rather than
 recomputed.  The base points are the reduced pairs (r, s) of
-``_reduced_pairs``, the one enumeration; each goes as its integers into the
-certifier's one entry, ``verdict._certify``, and each row, verdict included,
+``_reduced_pairs``, the one enumeration; each becomes the ``QuadMap`` that
+checks it, which goes into the certifier's one entry, ``verdict._certify``
+(``SearchConfig`` has checked the depth), and each row, verdict included,
 is built with its keys in sorted order, as ``json.dumps`` writes them.
 
 One streaming reader, ``_Rows``, reads a results file for ``load_rows``,
@@ -25,6 +26,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import signal
 import sys
 import time
 from collections import Counter
@@ -32,7 +34,7 @@ from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple
 
 from .critorbit import DEFAULT_DEPTH, check_depth
-from .dynamics import DEGENERATE, is_family
+from .dynamics import DEGENERATE, QuadMap, is_family
 from .errors import UsageError, checked, open_named
 from .verdict import _certify
 
@@ -94,7 +96,7 @@ def certify_row(task: tuple[int, int, int, int]) -> dict:
     """Compute one self-contained result row; picklable for worker pools."""
     r, s, family, depth = task
     started = time.perf_counter()
-    verdict = _certify(r, s, family, depth)
+    verdict = _certify(QuadMap(family, r, s), depth)
     elapsed_ms = (time.perf_counter() - started) * 1000.0
     fields = verdict.to_json_dict()
     # keys in sorted order, as json.dumps writes them
@@ -249,7 +251,10 @@ def search(cfg: SearchConfig) -> SearchSummary:
             # imported here, so the serial path never loads multiprocessing
             from concurrent.futures import ProcessPoolExecutor
 
-            pool = ProcessPoolExecutor(max_workers=workers)
+            # Ctrl-C reaches the whole process group; only this process
+            # stops, and the finally below cancels the queued chunks
+            sigint = (signal.SIGINT, signal.SIG_IGN)
+            pool = ProcessPoolExecutor(workers, initializer=signal.signal, initargs=sigint)
             results = pool.map(certify_row, tasks, chunksize=_CHUNK)
         counts: Counter[tuple[str, str]] = Counter()
         try:

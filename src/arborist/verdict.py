@@ -9,9 +9,9 @@ certificate, and it is the finite-depth fallback when no condition
 applies.  A fallback "independent to depth N" is evidence about the
 depth-N tree quotient, not a proof for the full tree, and the verdict says
 so.  ``certify`` and the sweep's rows reach every verdict through one
-integer entry, ``_certify``, whose stages return values: the square test
-on a - c, ``_conditions`` (the fired conditions and their detail),
-``_orbit_decision`` (the orbit's status), then the verdict.
+entry, ``_certify`` on a checked ``QuadMap``, whose stages return values:
+the square test on a - c, ``_conditions`` (the fired conditions and their
+detail), ``_orbit_decision`` (the orbit's status), then the verdict.
 
 ``_orbit_decision`` applies the paper's repeated-prime law: for a = r/s, a
 prime that divides two numerators r_m and r_n divides 2r.  ``d_sequence``
@@ -24,10 +24,10 @@ decides them on their own numerators and re-verifies a witness on them.
 The tests' oracle ``orbit_independent`` in ``tests/conftest.py`` checks
 the law on raw values with one running-product gcd per level.
 
-Each entry refuses a depth before any stage: ``certify`` itself, and
-``search`` through ``SearchConfig`` over the whole height; the
-``d_sequence`` that ``_orbit_decision`` calls checks it again, on every
-orbit, for its own callers.
+Each entry refuses a depth before any stage: ``certify`` once its
+``QuadMap`` has checked the base point, and ``search`` through
+``SearchConfig`` over the whole height; the ``d_sequence`` that
+``_orbit_decision`` calls checks it again, for its own callers.
 
 Fixed-point-tail family (c = -a - a^2), certificate number
 m = (-1)**delta * 2**e * |r| where delta is read off the sign law of
@@ -63,7 +63,7 @@ from fractions import Fraction
 from typing import Mapping, NamedTuple
 
 from .critorbit import DEFAULT_DEPTH, check_depth, d_sequence, family1_sign
-from .dynamics import QuadMap, is_family
+from .dynamics import QuadMap
 from .errors import InvariantViolation
 from .exactnum import (
     format_reduced,
@@ -258,20 +258,19 @@ def certify(a: Fraction, family: int, depth: int = DEFAULT_DEPTH) -> Verdict:
     1-based, and the highest in ``detail["level"]``).  The detail keeps
     every key of the inapplicable outcome, ``undecided`` included; an orbit
     with a zero term stays Inapplicable and lists the zero levels in
-    ``detail["zero_levels"]``.  The family and then the depth are checked
-    here, once: a family that is not the int 1 or 2 raises ValueError, and a
-    depth that ``check_depth`` refuses UsageError, before any stage,
-    NotSurjective too.
+    ``detail["zero_levels"]``.  The map and then the depth are checked here,
+    once, before any stage, NotSurjective too: ``QuadMap`` refuses a family
+    that is not the int 1 or 2 (ValueError) and a degenerate base point, and
+    ``check_depth`` a depth (UsageError).
     """
     a = Fraction(a)
-    if not is_family(family):
-        raise ValueError("family must be the int 1 or 2")
-    check_depth(a.numerator, a.denominator, depth, family)
-    return _certify(a.numerator, a.denominator, family, depth)
+    qmap = QuadMap(family, a.numerator, a.denominator)
+    check_depth(qmap.r, qmap.s, depth, family)
+    return _certify(qmap, depth)
 
 
-def _certify(r: int, s: int, family: int, depth: int) -> Verdict:
-    """The decision procedure at a = r/s, reduced with s >= 1, as stages
+def _certify(qmap: QuadMap, depth: int) -> Verdict:
+    """The decision procedure at the map's base point a = r/s, as stages
     that return values (module docstring); the caller has checked the depth.
 
     Returns Inapplicable when f(0) = a (a - c = 0, so the backward orbit is
@@ -282,7 +281,7 @@ def _certify(r: int, s: int, family: int, depth: int) -> Verdict:
     fired condition, which must find it independent (else
     InvariantViolation, a bug), and the verdict when no condition fires.
     """
-    qmap = QuadMap(family, r, s)
+    family, r, s = qmap
     a = qmap.a
     delta, e = compute_delta_e(a) if family == 1 else (None, None)
     gap = r * s - qmap.C  # (a - c) * s^2

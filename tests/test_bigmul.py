@@ -80,12 +80,20 @@ def test_fallback_gives_the_same_deep_numerators(gmp, monkeypatch):
     assert numerators(DEEP_PAIRS, 14) == through_gmp
 
 
+def limbs_of_32_bits(monkeypatch):
+    """The loaded libgmp reports limbs of 32 bits, which the binding does not take."""
+    import ctypes
+
+    monkeypatch.setattr(ctypes.c_int, "in_dll", lambda lib, name: ctypes.c_int(32))
+
+
 @pytest.mark.parametrize(
     "refuse",
     [
         pytest.param(force_python_products, id="no-libgmp"),
         pytest.param(lambda mp: mp.setattr(sys, "byteorder", "big"), id="big-endian"),
         pytest.param(lambda mp: mp.setattr(_bigmul, "_agrees", lambda *f: False), id="self-test"),
+        pytest.param(limbs_of_32_bits, id="limb-32"),
     ],
 )
 def test_an_unusable_gmp_falls_back_to_python(gmp, monkeypatch, refuse):
@@ -94,6 +102,11 @@ def test_an_unusable_gmp_falls_back_to_python(gmp, monkeypatch, refuse):
     assert not _bigmul.uses_gmp()
     x = 3 ** 20000
     assert mul(x, -x - 1) == x * (-x - 1) and sqr(x) == x * x
+
+
+def test_the_bound_square_of_zero_is_zero(gmp):
+    # sqr never sends 0 to GMP, as 0 is below the cutoff; the binding takes it anyway
+    assert _bigmul._gmp()[1](0) == 0
 
 
 def test_self_test_operands_are_the_powers_modulo_their_limbs(monkeypatch):

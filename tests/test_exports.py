@@ -5,11 +5,6 @@ from pathlib import Path
 
 import arborist
 
-# Exported on purpose although no other module calls them.
-ALLOWED_UNREACHED = {
-    "numerator_recursion": "checked entry of the recursion whose loop d_sequence runs",
-}
-
 
 def names_used_outside_init():
     used = set()
@@ -24,11 +19,9 @@ def names_used_outside_init():
     return used
 
 
-def test_every_export_is_reached_or_allowed():
+def test_every_export_is_reached():
     used = names_used_outside_init()
-    unreached = [n for n in arborist.__all__ if n not in used | set(ALLOWED_UNREACHED)]
-    assert unreached == []
-    assert set(ALLOWED_UNREACHED) <= set(arborist.__all__)
+    assert [n for n in arborist.__all__ if n not in used] == []
 
 
 def test_no_export_shadows_a_module():

@@ -454,7 +454,7 @@ def law_cases(draw):
     return reps, r * draw(st.sampled_from([1, -1]))
 
 
-class TestSplit2r:
+class TestSquareCofactorIndices:
     def test_primes_of_2r(self):
         for r, primes in PRIMES_OF_2R.items():
             assert all(proven_prime(p) for p in primes)
@@ -493,7 +493,7 @@ class TestSplit2r:
             square_cofactor_indices([3], 0)
 
 
-class TestFactoredOrbitIndependent:
+class TestOrbitDecisionOnLawAbidingLists:
     @given(case=law_cases())
     @settings(max_examples=300, deadline=None)
     def test_agrees_with_the_generic_decider(self, case):

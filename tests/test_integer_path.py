@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from arborist.critorbit import family1_sign, sign_predict
-from arborist.dynamics import DEGENERATE, family1, family2
+from arborist.dynamics import DEGENERATE, QuadMap, family1, family2
 from arborist.errors import DegenerateBasePoint
 from arborist.exactnum import rational_is_square
 from arborist.search import _reduced_pairs
@@ -118,7 +118,7 @@ def test_integer_entry_gives_certify_json():
         for family in (1, 2):
             if (r, s) in DEGENERATE[family]:
                 continue
-            row = json.dumps(_certify(r, s, family, 8).to_json_dict())
+            row = json.dumps(_certify(QuadMap(family, r, s), 8).to_json_dict())
             reference = certify(Fraction(r, s), family, depth=8).to_json_dict()
             assert row == json.dumps(reference, sort_keys=True), (r, s, family)
             if "zero_levels" in reference["detail"]:

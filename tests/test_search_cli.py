@@ -4,8 +4,10 @@ import itertools
 import json
 import math
 import os
+import signal
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -308,7 +310,7 @@ class TestSearch:
 
         class RecordingPool:
             # stands in for ProcessPoolExecutor without starting a process
-            def __init__(self, max_workers):
+            def __init__(self, max_workers, **kwargs):
                 pools.append(max_workers)
 
             def map(self, fn, tasks, chunksize):
@@ -637,23 +639,36 @@ class TestCliUsageErrors:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
 
+    LONG_NEGATIVE = "-" + "7" * 4000  # parses as an int: 4000 digits
+
     @pytest.mark.parametrize(
-        "argv",
+        "argv, count",
         [
-            ["verify", "--family", "1", "--a", "1/5", "--depth", "0"],
-            ["orbit", "--family", "1", "--a", "1/5", "--depth", "-3"],
-            ["search", "--height", "0", "--out", "unused.jsonl"],
-            ["search", "--height", "2", "--depth", "0", "--out", "unused.jsonl"],
-            ["search", "--height", "2", "--workers", "0", "--out", "unused.jsonl"],
-            ["search", "--height", "two", "--out", "unused.jsonl"],
+            (["verify", "--family", "1", "--a", "1/5", "--depth", "0"], "depth"),
+            (["orbit", "--family", "1", "--a", "1/5", "--depth", "-3"], "depth"),
+            (["verify", "--family", "1", "--a", "1/3", "--depth", LONG_NEGATIVE], "depth"),
+            (["search", "--height", "0"], "height"),
+            (["search", "--height", "2", "--depth", "0"], "depth"),
+            (["search", "--height", "2", "--workers", "0"], "worker count"),
+            (["search", "--height", "3", "--workers", LONG_NEGATIVE], "worker count"),
         ],
     )
-    def test_nonpositive_counts_are_refused_by_the_parser(self, argv, capsys):
+    def test_nonpositive_counts_get_the_library_message(
+        self, tmp_path, monkeypatch, capsys, argv, count
+    ):
+        # the parser reads the integer; check_depth and SearchConfig refuse
+        # it, before any orbit arithmetic and before search opens its file
+        monkeypatch.chdir(tmp_path)
+        argv = argv + ["--out", "unused.jsonl"] if argv[0] == "search" else argv
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", f"error: {count} must be positive\n")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_a_count_that_is_not_an_integer_is_refused_by_the_parser(self, capsys):
         with pytest.raises(SystemExit) as exc:
-            main(argv)
+            main(["search", "--height", "two", "--out", "unused.jsonl"])
         assert exc.value.code == 2
-        err = capsys.readouterr().err
-        assert "must be at least 1" in err or "not an integer" in err
+        assert "not an integer" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "argv, named",
@@ -777,10 +792,9 @@ class TestCliUsageErrors:
         "argv",
         [
             ["verify", "--family", "1", "--a", "1/{sevens}", "--depth", "20"],
-            ["verify", "--family", "1", "--a", "1/3", "--depth", "-{sevens}"],
-            ["search", "--height", "3", "--workers", "-{sevens}", "--out", "unused.jsonl"],
+            ["search", "--height", "{sevens}", "--out", "unused.jsonl"],
         ],
-        ids=["verify-a", "verify-depth", "search-workers"],
+        ids=["verify-a", "search-height"],
     )
     def test_a_long_number_that_is_refused_is_echoed_short(
         self, tmp_path, monkeypatch, argv, capsys
@@ -1043,6 +1057,39 @@ class TestCliBrokenPipe:
         assert proc.returncode == 1
         assert proc.stderr == b"i/o error: [Errno 28] No space left on device\n"
 
+
+
+class TestCliInterrupt:
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_ctrl_c_exits_130_and_leaves_a_resumable_file(self, tmp_path, workers):
+        # a terminal sends SIGINT to the whole foreground process group, the
+        # pool's workers included; the sweep of height 200 runs for seconds
+        src = Path(arborist.__file__).resolve().parent.parent
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        out = tmp_path / "rows.jsonl"
+        argv = ["search", "--height", "200", "--depth", "10", "--out", str(out)]
+        with subprocess.Popen(
+            [sys.executable, "-m", "arborist", *argv, "--workers", str(workers)],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=env,
+            start_new_session=True,
+        ) as proc:
+            try:
+                deadline = time.monotonic() + 60
+                while not (out.exists() and out.read_bytes().count(b"\n") > 2):
+                    assert proc.poll() is None and time.monotonic() < deadline
+                    time.sleep(0.05)
+                os.killpg(proc.pid, signal.SIGINT)
+                _, err = proc.communicate(timeout=60)
+            finally:
+                if proc.returncode is None:
+                    os.killpg(proc.pid, signal.SIGKILL)
+                    proc.wait()
+        assert b"Traceback" not in err
+        assert proc.returncode == 130
+        assert out.read_bytes().endswith(b"\n")
+        assert len(load_rows(out)) >= 2
 
 class TestCliSearchAndReport:
     def test_search_then_report(self, tmp_path, capsys):

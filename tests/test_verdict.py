@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import arborist.verdict as verdict_module
 from arborist.critorbit import d_sequence
-from arborist.dynamics import family1, family2
+from arborist.dynamics import DEGENERATE, family1, family2
 from arborist.errors import DegenerateBasePoint, InvariantViolation
 from arborist.exactnum import rational_is_square
 from arborist.independence import two_independent
@@ -206,11 +206,14 @@ class TestCertify:
 
     def test_nonpositive_depth_is_refused_for_every_base_point(self):
         # every verdict, NotSurjective and f(0) = a included, is reached at a
-        # positive depth only
+        # positive depth only; a degenerate base point, which has no verdict,
+        # is refused as degenerate first
         for r, s in _reduced_pairs(6):
             for family in (1, 2):
+                degenerate = (r, s) in DEGENERATE[family]
+                message = "is degenerate" if degenerate else "depth must be positive"
                 for depth in (0, -1):
-                    with pytest.raises(ValueError, match="depth must be positive"):
+                    with pytest.raises(ValueError, match=message):
                         certify(Fraction(r, s), family, depth=depth)
 
     def test_proven_verdict_carries_no_orbit_keys(self):
