@@ -73,6 +73,13 @@ the repeated-prime law then holds for the numerators of every
 :class:`AdjustedOrbit` that :func:`d_sequence` returns, without a gcd
 between levels.
 
+Most levels are decided without the orbit's integers, by the residue
+certificate of :func:`_certificate`: the same recursion and iteration run
+modulo m = (2r)^K Q s, with every check of :func:`d_sequence`
+(:func:`_residues`).  There agreement pins E_n only modulo m / gcd(m, r^2),
+as the identity above reads E_n times r^2, so each E_n mod m is also
+pinned to ``pow(s, 2**n - 2, m)``.
+
 The module also hosts the orbit's laws and the sign analyzer that
 :func:`orbit_report` collects.  Each family's valuation laws are rows of
 one table, ``_VALUATION_LAWS``, and every law's outcome is a
@@ -93,24 +100,35 @@ from typing import NamedTuple
 from ._bigmul import mul, sqr
 from .dynamics import QuadMap, integer_c
 from .errors import InvariantViolation, UsageError
-from .exactnum import format_reduced, proven_prime, quoted, v_int
+from .exactnum import _square_mask, format_reduced, proven_prime, quoted, v_int
 
 DEFAULT_DEPTH = 12
 #: :func:`orbit_report` checks valuations at 2 and at the odd primes up to
 #: this bound that divide r or s.
 REPORT_PRIME_BOUND = 100
-#: The most bits that :func:`check_depth` lets r_N have.  The slowest
-#: ``verify`` runs found at the limit, a = 1/(2**60 - 3) and 7/(2**60 + 31)
-#: in either family at depth 19 (r_19 of 31M bits), take 0.75-1.2 s on
-#: 2 vCPUs with GMP's products (CPython 3.10-3.13) and 42-46 s with
-#: CPython's (3.11); ``orbit`` at the same points, the slowest accepted,
-#: writes 38 MB of text in 19-29 s on 3.10-3.13, at 139-156 MB peak RSS.
+#: The most bits that :func:`check_depth` lets r_N have.  At the limit,
+#: a = 1/(2**60 - 3) and 7/(2**60 + 31) in either family at depth 19 (r_19
+#: of 31M bits), ``verify`` decides the orbit on residues in 0.08-0.17 s,
+#: process start included (2 vCPUs, CPython 3.11 and 3.13); ``orbit``, the
+#: slowest command accepted, builds the whole orbit there and writes 38 MB
+#: of text in 19-29 s on 3.10-3.13, at 139-156 MB peak RSS.
 MAX_NUMERATOR_BITS = 1 << 25
 #: The most levels :func:`check_depth` accepts.  An orbit that stays in
 #: [-2, 2] over the integers (s = 1, such as a = 1 in the second family,
 #: of period 2) keeps r_N small at any depth, so the bits alone would let
 #: its per-level work grow without end.
 MAX_DEPTH = 64
+#: :func:`_certificate`'s witnesses are the primes q = 1 (mod 4) below this
+#: bound, each with the mask of its squares.
+WITNESS_PRIME_BOUND = 200
+_WITNESSES = tuple(
+    (q, _square_mask(q)) for q in range(5, WITNESS_PRIME_BOUND, 4) if proven_prime(q)
+)
+_WITNESS_PRODUCT = math.prod(q for q, _ in _WITNESSES)
+#: The largest K of the modulus (2r)^K from which :func:`_certificate` reads
+#: the 2r-parts of the numerators; a part that fills it there gets no
+#: certificate (every level of the zero orbit a = -2 fills every K).
+MAX_WIDENING = 64
 
 
 class AdjustedOrbit(NamedTuple):
@@ -192,14 +210,15 @@ def check_depth(r: int, s: int, depth: int, family: int | None = None) -> int:
     if depth < 1:
         raise UsageError("depth must be positive")
     if depth > MAX_DEPTH:
-        raise UsageError(f"depth {depth} is too deep: at most {MAX_DEPTH} levels are computed")
+        depth_text = quoted(format_reduced(depth, 1))
+        raise UsageError(f"depth {depth_text} is too deep: at most {MAX_DEPTH} levels are computed")
     bits = ((2 * (abs(r) + s).bit_length() + 2) << (depth - 1)) - 1
     if bits > MAX_NUMERATOR_BITS and family is not None:
         bits = _bounded_orbit_bits(family, r, s, depth) or bits
     if bits > MAX_NUMERATOR_BITS:
-        r_text, s_text = quoted(format_reduced(abs(r), 1)), quoted(format_reduced(s, 1))
+        depth_text, r_text, s_text = (quoted(format_reduced(x, 1)) for x in (depth, abs(r), s))
         raise UsageError(
-            f"depth {depth} is too deep for base points with |r| <= {r_text} and "
+            f"depth {depth_text} is too deep for base points with |r| <= {r_text} and "
             f"s <= {s_text}: r_{depth} may exceed {MAX_NUMERATOR_BITS} bits"
         )
     return bits
@@ -258,8 +277,9 @@ def numerator_recursion(family: int, r: int, s: int, depth: int) -> list[int]:
     return _numerators(family, r, s, _even_powers(s, depth))
 
 
-def _numerators(family: int, r: int, s: int, powers: tuple[int, ...]) -> list[int]:
-    # numerator_recursion's loop on checked inputs and the chain (E_1, ..., E_N)
+def _numerators(family: int, r: int, s: int, powers: tuple[int, ...], m: int = 0) -> list[int]:
+    # numerator_recursion's loop on checked inputs and the chain (E_1, ..., E_N);
+    # with m > 0 each P_n is reduced modulo m, so the r_n are residues
     k = 2 * r if family == 1 else s  # s (a - f(a))
     j = 2 * r - k
     ks, js = k * s, j * s
@@ -274,7 +294,7 @@ def _numerators(family: int, r: int, s: int, powers: tuple[int, ...]) -> list[in
     rn = p - ks * e
     out = [rn]
     for e in powers[1:]:
-        p = mul(rn, t)
+        p = mul(rn, t) % m if m else mul(rn, t)
         t = p + js * e if js else p  # T_n = P_n in the first family
         rn = p - ks * e
         out.append(rn)
@@ -312,6 +332,87 @@ def d_sequence(qmap: QuadMap, depth: int = DEFAULT_DEPTH) -> AdjustedOrbit:
             raise InvariantViolation(f"gcd(r_{n}, s) != 1 for a = {quoted(format_reduced(r, s))}")
 
     return AdjustedOrbit(qmap, tuple(nums))
+
+
+def _certificate(qmap: QuadMap, depth: int) -> list[tuple[int | None, int]] | None:
+    """Per level n = 1..depth, (q_n, u_n), read off r_n modulo small numbers;
+    None where some u_n cannot be (below).
+
+    u_n is the 2r-part of r_n: the part of |r_n| whose primes divide 2r.
+    q_n is the first witness prime q (``_WITNESSES``, all = 1 (mod 4)) with
+    (r_n u_n | q) = -1, or None.  That symbol shows that q divides neither
+    r_n nor u_n, and as r_n u_n = +-t_n u_n^2 for the part t_n of |r_n|
+    prime to 2r, and (-1|q) = 1, it is (t_n|q): t_n is not a square.  Some
+    prime of t_n then has an odd exponent, and it divides no other r_m (the
+    repeated-prime law, with gcd(r_n, s) = 1), so level n joins no square
+    product.
+
+    The residues are :func:`_residues` modulo m = (2r)^K Q s, Q the product
+    of the witnesses.  gcd(r_n mod m, (2r)^K) = gcd(r_n, (2r)^K) is u_n
+    unless some prime of 2r divides it as often as (2r)^K; then K doubles,
+    from 4 up to MAX_WIDENING, past which the result is None.
+    """
+    g = 2 * abs(qmap.r)
+    K = 4
+    while K <= MAX_WIDENING:
+        G = g**K
+        nums = _residues(qmap, depth, G * _WITNESS_PRODUCT * qmap.s)
+        parts = [math.gcd(x, G) for x in nums]
+        # a prime of 2r fills G where it does not divide G / u_n
+        if not pow(math.gcd(*[G // u for u in parts]), g.bit_length(), g):
+            return [(_witness(x * u), u) for x, u in zip(nums, parts)]
+        K *= 2
+    return None
+
+
+def _witness(y: int) -> int | None:
+    # the first witness prime q with (y|q) = -1, or None
+    for q, squares in _WITNESSES:
+        if not squares >> y % q & 1:
+            return q
+    return None
+
+
+def _residues(qmap: QuadMap, depth: int, m: int) -> list[int]:
+    """r_1..r_depth modulo m, for an m that s divides, with every check of
+    :func:`d_sequence` made on residues.
+
+    The recursion and the iteration read the chain E_n mod m, and each E_n
+    is pinned to ``pow(s, 2**n - 2, m)``: their agreement pins E_n only
+    modulo m / gcd(m, r^2) (module docstring, read modulo m), and m holds
+    powers of 2r.  The recursion's T_1 check, agreement modulo m at every
+    level and gcd(r_n mod m, s) = gcd(r_n, s) = 1 are required as in
+    :func:`d_sequence`, else InvariantViolation.
+    """
+    family, r, s = qmap
+    C = qmap.C
+    powers = _powers_mod(s, depth, m)
+    nums = _numerators(family, r, s, powers, m)
+    rs, x = r * s, C
+    for n, (rn, e) in enumerate(zip(nums, powers, strict=True), start=1):
+        if e != pow(s, (1 << n) - 2, m):
+            raise InvariantViolation(
+                f"E_{n} mod m differs from s**(2**{n} - 2), a = {quoted(format_reduced(r, s))}"
+            )
+        if n > 1:
+            x = (x * x + C * e) % m
+        if (x - rs * e - rn) % m:
+            raise InvariantViolation(
+                f"recursion/iteration mismatch modulo m at n = {n}, "
+                f"a = {quoted(format_reduced(r, s))}"
+            )
+        if math.gcd(rn, s) != 1:
+            raise InvariantViolation(f"gcd(r_{n}, s) != 1 for a = {quoted(format_reduced(r, s))}")
+    return nums
+
+
+def _powers_mod(s: int, depth: int, m: int) -> tuple[int, ...]:
+    """(E_1, ..., E_depth) modulo m, squared as in :func:`_even_powers`;
+    :func:`_residues` pins each one."""
+    chain = [1]
+    for _ in range(1, depth):
+        chain.append((s * chain[-1]) ** 2 % m)
+    return tuple(chain)
 
 
 #: Each family's valuation laws in report order: the name, the hypothesis on

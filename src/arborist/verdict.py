@@ -18,16 +18,26 @@ prime that divides two numerators r_m and r_n divides 2r.  ``d_sequence``
 builds the numerators in the factored form that proves the law and
 cross-checks them against iteration, so no gcd between levels is taken: a
 level whose part prime to 2r is not a square holds a prime of its own and
-joins no square product.  :func:`~arborist.exactnum.square_cofactor_indices`
-finds the other levels, and :func:`~arborist.independence.two_independent`
-decides them on their own numerators and re-verifies a witness on them.
+joins no square product.  The residue certificate
+(:func:`~arborist.critorbit._certificate`) proves that of most levels from
+r_n modulo small numbers, with a prime q = 1 (mod 4) at which that part is
+a non-residue, and builds no big integer.  Every square level then lies at
+or before n*, the last level without such a q, so ``_exact_decision``
+builds the orbit only to n* (to the full depth where the certificate
+cannot be made, as for the zero orbit a = -2, so Inapplicable lists every
+zero level), and none at all where every level has one: that orbit is
+IndependentToDepth.  On the levels built,
+:func:`~arborist.exactnum.square_cofactor_indices` finds the square levels,
+and :func:`~arborist.independence.two_independent` decides them on their
+own numerators and re-verifies a witness on them, so every
+DependentAtLevel, Inapplicable and witness comes from the exact integers.
 The tests' oracle ``orbit_independent`` in ``tests/conftest.py`` checks
 the law on raw values with one running-product gcd per level.
 
 Each entry refuses a depth before any stage: ``certify`` once its
 ``QuadMap`` has checked the base point, and ``search`` through
 ``SearchConfig`` over the whole height; the ``d_sequence`` that
-``_orbit_decision`` calls checks it again, for its own callers.
+``_exact_decision`` calls checks it again, for its own callers.
 
 Fixed-point-tail family (c = -a - a^2), certificate number
 m = (-1)**delta * 2**e * |r| where delta is read off the sign law of
@@ -62,7 +72,7 @@ import enum
 from fractions import Fraction
 from typing import Mapping, NamedTuple
 
-from .critorbit import DEFAULT_DEPTH, check_depth, d_sequence, family1_sign
+from .critorbit import DEFAULT_DEPTH, _certificate, check_depth, d_sequence, family1_sign
 from .dynamics import QuadMap
 from .errors import InvariantViolation
 from .exactnum import (
@@ -227,23 +237,38 @@ def _conditions(family: int, r: int, s: int, delta: int | None, e: int | None):
 
 
 def _orbit_decision(qmap: QuadMap, depth: int):
-    """The adjusted orbit's (status, witness, detail) to ``depth``: Inapplicable
-    with its ``zero_levels``, IndependentToDepth with the note that this is
-    evidence, or DependentAtLevel with the witness levels and the highest in
-    ``level`` (all 1-based).  ``d_sequence`` checks the depth first."""
-    orbit = d_sequence(qmap, depth)
-    if 0 in orbit.numerators:
-        zero_levels = [i + 1 for i, x in enumerate(orbit.numerators) if x == 0]
-        return VerdictStatus.INAPPLICABLE, None, {"zero_levels": zero_levels}
-    reps = orbit.square_class_reps
-    levels = square_cofactor_indices(reps, 2 * abs(qmap.r))
-    if levels:  # most orbits have none, and two_independent([]) is not free
-        result = two_independent([reps[n] for n in levels])
-        if not result.independent:
-            # a first dependent prefix has one square subset, so this is
-            # the witness two_independent(reps) would give
-            witness = tuple(levels[j] + 1 for j in result.witness)
-            return VerdictStatus.DEPENDENT_AT_LEVEL, witness, {"level": max(witness)}
+    """The adjusted orbit's (status, witness, detail) to ``depth``, as
+    :func:`_exact_decision` gives it.  A level with a q_n in the residue
+    certificate joins no square product, so every square level lies at or
+    before n*, the last level without one, and the exact decision to n*
+    is the one to ``depth``; with a q_n at every level it is
+    IndependentToDepth, and without a certificate the whole depth is built."""
+    certificate = _certificate(qmap, depth)
+    if certificate is not None:
+        depth = max((n for n, (q, _) in enumerate(certificate, 1) if q is None), default=0)
+    return _exact_decision(qmap, depth)
+
+
+def _exact_decision(qmap: QuadMap, depth: int):
+    """The decision on the exact numerators r_1..r_depth (none at depth 0):
+    Inapplicable with its ``zero_levels``, IndependentToDepth with the note
+    that this is evidence, or DependentAtLevel with the witness levels and
+    the highest in ``level`` (all 1-based).  ``d_sequence`` checks the depth
+    first."""
+    if depth:
+        orbit = d_sequence(qmap, depth)
+        if 0 in orbit.numerators:
+            zero_levels = [i + 1 for i, x in enumerate(orbit.numerators) if x == 0]
+            return VerdictStatus.INAPPLICABLE, None, {"zero_levels": zero_levels}
+        reps = orbit.square_class_reps
+        levels = square_cofactor_indices(reps, 2 * abs(qmap.r))
+        if levels:  # most orbits have none, and two_independent([]) is not free
+            result = two_independent([reps[n] for n in levels])
+            if not result.independent:
+                # a first dependent prefix has one square subset, so this is
+                # the witness two_independent(reps) would give
+                witness = tuple(levels[j] + 1 for j in result.witness)
+                return VerdictStatus.DEPENDENT_AT_LEVEL, witness, {"level": max(witness)}
     note = "finite-depth evidence only, not a proof"
     return VerdictStatus.INDEPENDENT_TO_DEPTH, None, {"note": note}
 

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 from conftest import (
+    cofactors_prime_to_2r,
     current_int_str_limit,
     decompose1,
     force_python_products,
@@ -31,7 +32,7 @@ from arborist.critorbit import (
 )
 from arborist.dynamics import DEGENERATE, QuadMap, family1, family2
 from arborist.errors import DegenerateBasePoint, InvariantViolation, UsageError
-from arborist.exactnum import v_int
+from arborist.exactnum import is_perfect_square, jacobi, v_int
 
 
 def oracle_offsets(c, a, depth):
@@ -58,18 +59,61 @@ def sample_points(bound):
 
 
 def shift_level(level):
-    """A forgery of the recursion: r_level off by one."""
+    """A forgery of the recursion: r_level off by one, where the list reaches it."""
 
     def perturb(nums):
-        nums[level - 1] += 1
+        if level <= len(nums):
+            nums[level - 1] += 1
 
     return perturb
 
 
 def share_prime_1009(nums):
-    """A forgery of the recursion: r_2 and r_5 share the prime 1009."""
-    nums[1] *= 1009
-    nums[4] *= 1009
+    """A forgery of the recursion: r_2 and r_5 share the prime 1009, where the list reaches them."""
+    for i in (1, 4):
+        if i < len(nums):
+            nums[i] *= 1009
+
+
+def perturbed_numerators(monkeypatch, perturb, residues):
+    """``_numerators`` forged by ``perturb`` on its residues (``m`` given) or
+    on its exact integers; the other kind passes through."""
+    honest = critorbit._numerators
+
+    def perturbed(family, r, s, powers, m=0):
+        nums = honest(family, r, s, powers, m)
+        if bool(m) == residues:
+            perturb(nums)
+        return nums
+
+    monkeypatch.setattr(critorbit, "_numerators", perturbed)
+
+
+# certify's rows whose exact fallback builds the orbit, at depth 5: n*, the
+# last level that the residue certificate leaves open, so the fallback
+# builds r_1..r_n*.  At a = 1 (s = 1) the part of r_n prime to 2r is 1 from
+# level 2 on, a square, so no level past the first has a witness
+FALLBACK_ROWS = {
+    (Fraction(2, 7), 1): 1,  # ProvenSurjective: the audit
+    (Fraction(1, 7), 2): 1,  # IndependentToDepth
+    (Fraction(23, 29), 1): 2,  # IndependentToDepth
+    (Fraction(-1, 2), 2): 3,  # DependentAtLevel, witness (3,)
+    (Fraction(1), 1): 5,  # DependentAtLevel, witness (2,)
+    (Fraction(1), 2): 5,  # DependentAtLevel, witness (1, 2, 3)
+}
+# of the orbits of height <= 30 at depth 10: those with a witness at every
+# level, and the levels with one
+DECIDED_AT_HEIGHT_30 = 1962
+CERTIFIED_LEVELS_AT_HEIGHT_30 = 21895
+# certify's rows that the residue certificate decides at depth 5, with no
+# exact level built: the audit (ProvenSurjective) and the fallback's verdict
+RESIDUE_ROWS = [
+    (Fraction(13, 29), 1),
+    (Fraction(2, 3), 2),
+    (Fraction(2, 27), 2),
+    (Fraction(13, 29), 2),
+    (Fraction(3, 19), 1),
+]
 
 
 def corrupted_chain(r, s, depth, level, corrupt):
@@ -155,33 +199,47 @@ class TestDSequence:
             d_sequence(family1(Fraction(1, 2)), 0)
 
     @pytest.mark.parametrize(
-        "perturb",
+        "perturb, level",
         [
-            *(pytest.param(shift_level(level), id=str(level)) for level in (1, 2, 5)),
-            pytest.param(share_prime_1009, id="shared-prime-1009"),
+            *(pytest.param(shift_level(level), level, id=str(level)) for level in (1, 2, 5)),
+            pytest.param(share_prime_1009, 2, id="shared-prime-1009"),
         ],
     )
-    def test_perturbed_recursion_is_caught(self, monkeypatch, perturb):
-        import arborist.critorbit as critorbit
+    def test_perturbed_recursion_is_caught(self, monkeypatch, perturb, level):
         from arborist.verdict import certify
 
+        honest = {row: certify(*row, depth=5) for row in FALLBACK_ROWS}
         # d_sequence runs the recursion's loop on the chain it fetched once
-        honest = critorbit._numerators
-
-        def perturbed(*args):
-            nums = honest(*args)
-            perturb(nums)
-            return nums
-
-        monkeypatch.setattr(critorbit, "_numerators", perturbed)
+        perturbed_numerators(monkeypatch, perturb, residues=False)
         for family, a in [(1, Fraction(13, 29)), (2, Fraction(2, 3))]:
             with pytest.raises(InvariantViolation):
                 build(family, a, 5)
         # certify takes no gcd between levels, so the cross-check must stop a
-        # forgery on its audit path (13/29 in family 1, 2/3 in family 2) and
-        # on its fallback path (13/29 in family 2)
-        for a, family in [(Fraction(13, 29), 1), (Fraction(2, 3), 2), (Fraction(13, 29), 2)]:
-            with pytest.raises(InvariantViolation):
+        # forgery on the levels its fallback builds (the audit at 2/7, the
+        # fallback's verdict at the others); a level it does not build was
+        # decided on residues, and the verdict stands
+        for (a, family), open_depth in FALLBACK_ROWS.items():
+            if level <= open_depth:
+                with pytest.raises(InvariantViolation):
+                    certify(a, family, depth=5)
+            else:
+                assert certify(a, family, depth=5) == honest[a, family]
+
+    @pytest.mark.parametrize(
+        "perturb",
+        [
+            *(pytest.param(shift_level(level), id=str(level)) for level in range(1, 6)),
+            pytest.param(share_prime_1009, id="shared-prime-1009"),
+        ],
+    )
+    def test_perturbed_residue_recursion_is_caught(self, monkeypatch, perturb):
+        from arborist.verdict import certify
+
+        # the certificate's residues are cross-checked against the iteration
+        # at every level, on rows it decides and on rows it leaves open
+        perturbed_numerators(monkeypatch, perturb, residues=True)
+        for a, family in [*RESIDUE_ROWS, *FALLBACK_ROWS]:
+            with pytest.raises(InvariantViolation, match="modulo m at n = "):
                 certify(a, family, depth=5)
 
     def test_a_numerator_sharing_a_prime_with_s_is_caught(self):
@@ -243,24 +301,78 @@ class TestSharedPowerChain:
     @pytest.mark.parametrize("level", [1, 2, 4])
     @pytest.mark.parametrize("corrupt", POWER_CORRUPTIONS.values(), ids=list(POWER_CORRUPTIONS))
     def test_corrupted_power_is_caught(self, monkeypatch, level, corrupt):
-        from arborist.verdict import VerdictStatus, certify
+        from arborist.verdict import certify
 
-        proven, fallback = VerdictStatus.PROVEN_SURJECTIVE, VerdictStatus.INDEPENDENT_TO_DEPTH
-        # certify reaches d_sequence through its audit (ProvenSurjective) or
-        # its fallback (IndependentToDepth); both read the shared chain
-        for a, family, path in [
-            (Fraction(13, 29), 1, proven),
-            (Fraction(3, 19), 1, fallback),
-            (Fraction(2, 27), 2, proven),
-            (Fraction(13, 29), 2, fallback),
-        ]:
-            assert certify(a, family, depth=5).status is path
+        # certify reaches d_sequence through its exact fallback, which reads
+        # the shared chain to n*: the audit's at 2/7, the verdict's at the
+        # others, and every level at a = 1 (s = 1)
+        for (a, family), open_depth in FALLBACK_ROWS.items():
+            honest = certify(a, family, depth=5)
             r, s = a.numerator, a.denominator
             with monkeypatch.context() as forged:
                 forge_chain(forged, s, corrupted_chain(r, s, 5, level, corrupt))
-                for run in (lambda: build(family, a, 5), lambda: certify(a, family, depth=5)):
+                with pytest.raises(InvariantViolation):
+                    build(family, a, 5)
+                if level <= open_depth:
                     with pytest.raises(InvariantViolation):
-                        run()
+                        certify(a, family, depth=5)
+                else:  # the forged level is never built
+                    assert certify(a, family, depth=5) == honest
+
+    @pytest.mark.parametrize("level", [1, 2, 4])
+    @pytest.mark.parametrize("corrupt", POWER_CORRUPTIONS.values(), ids=list(POWER_CORRUPTIONS))
+    def test_corrupted_residue_power_is_caught(self, monkeypatch, level, corrupt):
+        from arborist.verdict import certify
+
+        # the certificate's chain of E_n mod m, corrupted at one level and
+        # rebuilt from it, on rows it decides and on rows it leaves open
+        honest = critorbit._powers_mod
+
+        def forged_for(r):
+            def forged(s, depth, m):
+                chain = list(honest(s, depth, m))
+                chain[level - 1] = corrupt(r, s, chain[level - 1]) % m
+                for n in range(level + 1, depth + 1):
+                    chain[n - 1] = (s * chain[n - 2]) ** 2 % m
+                return tuple(chain)
+
+            return forged
+
+        for a, family in [*RESIDUE_ROWS, *FALLBACK_ROWS]:
+            with monkeypatch.context() as forged:
+                forged.setattr(critorbit, "_powers_mod", forged_for(a.numerator))
+                with pytest.raises(InvariantViolation):
+                    certify(a, family, depth=5)
+
+    @pytest.mark.parametrize("level", [2, 3, 4])
+    def test_a_chain_that_agreement_leaves_open_is_pinned(self, monkeypatch, level):
+        from arborist.verdict import certify
+
+        # E_level + m / gcd(m, r^2) keeps recursion and iteration in
+        # agreement modulo m at every level, as r^2 E_level is all they read
+        # of it, yet the residues from that level on are wrong: only the pin
+        # to pow(s, 2**n - 2, m) refuses it
+        a, family, depth = Fraction(3, 5), 1, 8
+        qmap = family1(a)
+        honest = critorbit._powers_mod
+
+        def forged(s, depth, m):
+            chain = list(honest(s, depth, m))
+            chain[level - 1] = (chain[level - 1] + m // math.gcd(m, 9)) % m
+            return tuple(chain)
+
+        monkeypatch.setattr(critorbit, "_powers_mod", forged)
+        m = (2 * 3) ** 2 * critorbit._WITNESS_PRODUCT * 5
+        nums = critorbit._numerators(1, 3, 5, forged(5, depth, m), m=m)
+        iterated, x = [], qmap.C
+        for n, e in enumerate(forged(5, depth, m), start=1):
+            x = x if n == 1 else (x * x + qmap.C * e) % m
+            iterated.append((x - 15 * e) % m)
+        assert [x % m for x in nums] == iterated
+        exact = d_sequence(qmap, depth).numerators
+        assert [x % m for x in nums] != [x % m for x in exact]
+        with pytest.raises(InvariantViolation, match=f"E_{level} mod m differs"):
+            certify(a, family, depth=depth)
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -356,6 +468,63 @@ class TestSharedPowerChain:
         assert deep == tuple(7 ** (2**n - 2) for n in range(1, 10))
         build(1, Fraction(2, 7), 5)
         assert chains.cache_info().misses == misses + 6
+
+
+class TestCertificate:
+    @pytest.mark.parametrize("row", list(FALLBACK_ROWS), ids=lambda row: f"{row[1]}:{row[0]}")
+    def test_open_levels_of_the_fallback_rows(self, row):
+        (a, family), open_depth = row, FALLBACK_ROWS[row]
+        certificate = critorbit._certificate(QuadMap(family, a.numerator, a.denominator), 5)
+        assert max(n for n, (q, _) in enumerate(certificate, 1) if q is None) == open_depth
+
+    def test_levels_agree_with_the_exact_numerators(self):
+        # every orbit of height <= 30 at depth 10 (the sweep's): u_n is the
+        # 2r-part of r_n, by the tests' gcd loop; q_n is a witness with
+        # (r_n u_n | q_n) = -1, the first, whose level's cofactor is no
+        # square; a level without one has no witness at all
+        witnesses = [q for q in primes_up_to(critorbit.WITNESS_PRIME_BOUND) if q % 4 == 1]
+        assert [q for q, _ in critorbit._WITNESSES] == witnesses
+        decided = levels = 0
+        for family, a in sample_points(30):
+            qmap = QuadMap(family, a.numerator, a.denominator)
+            nums = d_sequence(qmap, 10).numerators
+            certificate = critorbit._certificate(qmap, 10)
+            if certificate is None:
+                assert 0 in nums, (family, a)
+                continue
+            assert len(certificate) == 10
+            cofactors = cofactors_prime_to_2r(nums, a.numerator)
+            for rn, t, (q, u) in zip(nums, cofactors, certificate):
+                assert u * t == abs(rn), (family, a, rn)
+                symbols = [jacobi(rn * u, p) for p in witnesses]
+                if q is None:
+                    assert -1 not in symbols, (family, a, rn)
+                else:
+                    assert symbols.index(-1) == witnesses.index(q), (family, a, rn)
+                    assert not is_perfect_square(t), (family, a, rn)
+                    levels += 1
+            decided += all(q for q, _ in certificate)
+        assert (decided, levels) == (DECIDED_AT_HEIGHT_30, CERTIFIED_LEVELS_AT_HEIGHT_30)
+
+    @pytest.mark.parametrize("depth", [1, 8, MAX_DEPTH])
+    def test_the_zero_orbit_has_no_certificate(self, depth):
+        # a = -2: r_n = 0 fills every (2r)^K, so K widens past MAX_WIDENING
+        assert critorbit._certificate(family1(-2), depth) is None
+
+    def test_a_filled_power_of_2r_widens_the_modulus(self, monkeypatch):
+        # a = 58/35: r_1 = -58 * 128 has the 2r-part 2^8 * 29, which fills
+        # 2 in (2r)^4 and not in (2r)^8
+        qmap = family1(Fraction(58, 35))
+        honest, moduli = critorbit._residues, []
+
+        def recording(qmap, depth, m):
+            moduli.append(m)
+            return honest(qmap, depth, m)
+
+        monkeypatch.setattr(critorbit, "_residues", recording)
+        certificate = critorbit._certificate(qmap, 8)
+        assert [m // (critorbit._WITNESS_PRODUCT * 35) for m in moduli] == [116**4, 116**8]
+        assert [u for _, u in certificate] == [2**8 * 29] + [116] * 7
 
 
 def divides(d, x):
@@ -487,12 +656,12 @@ class TestDepthLimit:
         assert d_sequence(qmap, 30).numerators == (-2, -1) * 15
         assert d_sequence(qmap, MAX_DEPTH).depth == MAX_DEPTH
         # without the family (search's bound for every base point) it is refused
-        with pytest.raises(UsageError, match="depth 30 is too deep"):
+        with pytest.raises(UsageError, match="depth '30' is too deep"):
             check_depth(1, 1, 30)
         for depth in (MAX_DEPTH + 1, 10**9):
-            with pytest.raises(UsageError, match=f"depth {depth} is too deep"):
+            with pytest.raises(UsageError, match=f"depth '{depth}' is too deep"):
                 check_depth(1, 1, depth, 2)
-            with pytest.raises(UsageError, match=f"depth {depth} is too deep"):
+            with pytest.raises(UsageError, match=f"depth '{depth}' is too deep"):
                 check_depth(1, 1, depth)
 
     @pytest.mark.parametrize("depth", [23, 25, 40, 10**9])
@@ -505,17 +674,17 @@ class TestDepthLimit:
         for name in ("_even_powers", "_numerators"):
             monkeypatch.setattr(critorbit, name, computed)
         monkeypatch.setattr(verdict, "_nonresidue_prime_in", computed)
-        with pytest.raises(UsageError, match=f"depth {depth} is too deep"):
+        with pytest.raises(UsageError, match=f"depth '{depth}' is too deep"):
             d_sequence(family2(Fraction(13, 29)), depth)
-        with pytest.raises(UsageError, match=f"depth {depth} is too deep"):
+        with pytest.raises(UsageError, match=f"depth '{depth}' is too deep"):
             verdict.certify(Fraction(13, 29), 1, depth=depth)
-        with pytest.raises(UsageError, match=f"depth {depth} is too deep"):
+        with pytest.raises(UsageError, match=f"depth '{depth}' is too deep"):
             numerator_recursion(1, 13, 29, depth)
         # NotSurjective points need no orbit, and their depth is refused all
         # the same (both bounds accept them at depth 23)
         if depth > 23:
             for a, family in ((Fraction(1, 4), 1), (Fraction(3, 4), 2)):
-                with pytest.raises(UsageError, match=f"depth {depth} is too deep"):
+                with pytest.raises(UsageError, match=f"depth '{depth}' is too deep"):
                     verdict.certify(a, family, depth=depth)
 
     def test_refusal_writes_a_long_base_point_short(self):
@@ -530,7 +699,7 @@ class TestDepthLimit:
             lambda: check_depth(a.numerator, a.denominator, 20),
         ]
         for refuse in refusals:
-            with pytest.raises(UsageError, match="depth 20 is too deep") as exc:
+            with pytest.raises(UsageError, match="depth '20' is too deep") as exc:
                 refuse()
             message = str(exc.value)
             assert len(message) < 200

@@ -59,7 +59,8 @@ from arborist.cli import main
 rows, pgm, csv = (os.path.join(sys.argv[1], name) for name in ("rows.jsonl", "j.pgm", "j.csv"))
 long_r = "7" * 5000
 commands = [
-    # r_12 has 20k bits: products past the GMP cutoff
+    # decided on residues; the orbit commands below build r_12 of 20k bits,
+    # products past the GMP cutoff
     ["verify", "--family", "2", "--a", "13/29", "--depth", "12"],
     # one orbit per valuation law: r even and odd at p = 2, in each family
     ["orbit", "--family", "1", "--a", "26/29"],

@@ -461,14 +461,17 @@ class TestCliVerify:
 
 
 class TestCliVerifyPins:
-    # SHA-256 of `arborist verify` stdout for verdicts whose orbit products
-    # pass the GMP cutoff: 7/1152921504606847007, whose non-square cofactors
-    # passed the residue screen and went to math.isqrt when these were
-    # recorded (about 2 s and 27 s on Python 3.11); 13/29, where r_20 has 5M
-    # bits; 1000003/7 and 4096/3, where the 2r split's modulus (2r)^2 * 45045
-    # spans more than one CPython digit; and 25/3 and -1/2, DependentAtLevel
-    # where the witness level's cofactor prime to 2r is a square > 1 (139^2
-    # and 11^2), so the level goes to F_2 elimination with its own numerator
+    # SHA-256 of `arborist verify` stdout, recorded when every verdict built
+    # the whole orbit: 7/1152921504606847007, whose non-square cofactors
+    # passed the residue screen and went to math.isqrt then (about 2 s and
+    # 27 s on Python 3.11); 13/29, where r_20 has 5M bits; 1000003/7 and
+    # 4096/3, where the 2r split's modulus (2r)^2 * 45045 spans more than one
+    # CPython digit.  The residue certificate now decides these five with no
+    # exact level built.  25/3 and -1/2 are DependentAtLevel where the
+    # witness level's cofactor prime to 2r is a square > 1 (139^2 and 11^2):
+    # the exact fallback builds levels 1-2 and 1-3, the last ones the
+    # certificate leaves open, and sends the witness level to F_2
+    # elimination with its own numerator
     PINS = {
         (2, "7/1152921504606847007", 16): (
             "ad001e8b1c452d887e71f1071a77f3473d0100c75caa72a685b3d75dd6e6de02"
@@ -792,9 +795,10 @@ class TestCliUsageErrors:
         "argv",
         [
             ["verify", "--family", "1", "--a", "1/{sevens}", "--depth", "20"],
+            ["verify", "--family", "1", "--a", "1/3", "--depth", "{sevens}"],
             ["search", "--height", "{sevens}", "--out", "unused.jsonl"],
         ],
-        ids=["verify-a", "search-height"],
+        ids=["verify-a", "verify-depth", "search-height"],
     )
     def test_a_long_number_that_is_refused_is_echoed_short(
         self, tmp_path, monkeypatch, argv, capsys

@@ -13,8 +13,10 @@ import arborist.critorbit as critorbit
 from arborist import _bigmul
 from arborist.verdict import VerdictStatus, certify
 
-# every status, both families, an undecided witness search, and two rows
-# whose products cross the cutoff (13/29 at depth 12: r_12 has 20k bits)
+# every status, both families, an undecided witness search, rows that the
+# residue certificate decides (13/29 at depth 12) and rows that it leaves
+# to the exact fallback (1 in family 2 to the full depth, -2 without a
+# certificate); no row's products reach the GMP cutoff
 SAMPLE = [
     (Fraction(13, 29), 1, 12),
     (Fraction(13, 29), 2, 12),
@@ -28,11 +30,14 @@ SAMPLE = [
 ]
 
 TRUSTED = {
-    "arborist._bigmul._gmp",
     "arborist._bigmul.mul",
     "arborist._bigmul.sqr",
+    "arborist.critorbit._certificate",
     "arborist.critorbit._even_powers",
     "arborist.critorbit._numerators",
+    "arborist.critorbit._powers_mod",
+    "arborist.critorbit._residues",
+    "arborist.critorbit._witness",
     "arborist.critorbit.check_depth",
     "arborist.critorbit.d_sequence",
     "arborist.critorbit.family1_sign",
@@ -58,24 +63,12 @@ TRUSTED = {
     "arborist.independence.two_independent",
     "arborist.verdict._certify",
     "arborist.verdict._conditions",
+    "arborist.verdict._exact_decision",
     "arborist.verdict._nonresidue_prime_in",
     "arborist.verdict._orbit_decision",
     "arborist.verdict.certify",
     "arborist.verdict.compute_delta_e",
 }
-# what each path of the full-size products adds: the binding to libgmp and
-# its load-time self-test, or nothing where they fall back to CPython's ``*``
-ON_PATH = {
-    "gmp": {
-        "arborist._bigmul._agrees",
-        "arborist._bigmul._filled",
-        "arborist._bigmul.gmp_mul",
-        "arborist._bigmul.gmp_sqr",
-    },
-    "python": set(),
-}
-
-
 def reached_by_certify():
     """Library functions called while certifying SAMPLE, as module.name;
     comprehensions and lambdas, which differ between Python versions, are left out."""
@@ -110,8 +103,10 @@ def products(request, monkeypatch):
 
 
 def test_certify_reaches_exactly_the_listed_functions(products, monkeypatch):
-    # a fresh binding and power-chain cache, so the load and the chain's
-    # growth are on the path in every run
+    # a fresh binding and power-chain cache, so a load and the chain's
+    # growth would be on the path in every run; certify's rows stay below
+    # the cutoff, so neither path of the products adds a function (GMP's
+    # binding is reached by d_sequence and orbit at depth)
     fresh_cache(monkeypatch, _bigmul, "_gmp")
     fresh_cache(monkeypatch, critorbit, "_even_powers")
-    assert reached_by_certify() == TRUSTED | ON_PATH[products]
+    assert reached_by_certify() == TRUSTED

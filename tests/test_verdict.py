@@ -1,13 +1,15 @@
+import json
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import arborist.verdict as verdict_module
-from arborist.critorbit import d_sequence
-from arborist.dynamics import DEGENERATE, family1, family2
+from arborist.critorbit import _certificate, d_sequence
+from arborist.dynamics import DEGENERATE, QuadMap, family1, family2
 from arborist.errors import DegenerateBasePoint, InvariantViolation
 from arborist.exactnum import rational_is_square
 from arborist.independence import two_independent
@@ -19,6 +21,9 @@ from arborist.verdict import (
     certify,
     compute_delta_e,
 )
+
+
+REFERENCE = Path(__file__).resolve().parents[1] / "benchmarks" / "reference.json"
 
 
 def bisect_root(poly, lo, hi, steps=80):
@@ -281,6 +286,39 @@ class TestConsistencyProperties:
                     continue
                 orbit = d_sequence(ctor(a), 6)
                 assert two_independent(orbit.d_values).independent, (a, fam)
+
+
+def residue_path_cases():
+    """(QuadMap, depth): every sweep and deep row of the benchmark's
+    reference, then every orbit of height <= 60 at depth 8."""
+    keys = json.loads(REFERENCE.read_text(encoding="utf-8"))["workloads"]
+    for key in keys["sweep"] + keys["deep"]:
+        family, a, depth = key.split(":")
+        a = Fraction(a)
+        yield QuadMap(int(family), a.numerator, a.denominator), int(depth)
+    for r, s in _reduced_pairs(60):
+        for family in (1, 2):
+            if (r, s) not in DEGENERATE[family]:
+                yield QuadMap(family, r, s), 8
+
+
+class TestResiduePath:
+    def test_agrees_with_the_full_depth_exact_decision(self):
+        # the decision from the certificate and the exact fallback to n*
+        # against the exact decision on every level; the certificate never
+        # covers every level of a dependent or inapplicable orbit
+        independent = VerdictStatus.INDEPENDENT_TO_DEPTH
+        cases = decided = 0
+        for qmap, depth in residue_path_cases():
+            exact = verdict_module._exact_decision(qmap, depth)
+            assert verdict_module._orbit_decision(qmap, depth) == exact, (qmap, depth)
+            certificate = _certificate(qmap, depth)
+            if certificate is not None and all(q for q, _ in certificate):
+                assert exact[0] is independent, (qmap, depth)
+                decided += 1
+            cases += 1
+        # 2218 sweep and 24 deep rows, 8810 orbits at height 60
+        assert (cases, decided) == (2218 + 24 + 8810, 1962 + 24 + 8131)
 
 
 def smallest_prime_witness(s, is_witness):
