@@ -47,9 +47,7 @@ cross-check the module also iterates the map on integers: with c = C/s^2
 
 so r_n = X_n - r s E_n.  Besides the inputs, the two computations share
 one chain of even powers E_n = s**(2**n - 2) (E_1 = 1,
-E_n = (s E_{n-1})^2), read once per orbit from a ``functools.lru_cache``
-of 128 (s, depth) entries, where a deeper chain extends a shorter one
-(about 12 denominators at depth 10).  Both read E_n times a small
+E_n = (s E_{n-1})^2), built once per orbit.  Both read E_n times a small
 multiplier, and nothing divides.  Agreement at every level pins the
 chain, for r != 0 (a = 0 is degenerate in both families):
 
@@ -92,7 +90,6 @@ each is in the square class of its D_n, since s^2 E_n is a square.
 
 from __future__ import annotations
 
-import functools
 import math
 from fractions import Fraction
 from typing import NamedTuple
@@ -162,8 +159,9 @@ class AdjustedOrbit(NamedTuple):
 
     def _d_terms(self) -> zip[tuple[int, int]]:
         """(numerator, denominator) of each D_i in lowest terms: d_sequence
-        checked gcd(r_i, s) = 1, and s**(2**i) = s^2 E_i comes from the chain
-        that its cross-check pinned."""
+        checked gcd(r_i, s) = 1, and s**(2**i) = s^2 E_i comes from
+        :func:`_even_powers`, whose chain for this s and depth its
+        cross-check pinned."""
         s = self.qmap.s
         return zip(self.square_class_reps, (s * s * e for e in _even_powers(s, self.depth)))
 
@@ -240,21 +238,16 @@ def _bounded_orbit_bits(family: int, r: int, s: int, depth: int) -> int | None:
     return ((1 << depth) - 1) * (s - 1).bit_length() + (2 * s + abs(r)).bit_length()
 
 
-@functools.lru_cache(maxsize=128)
 def _even_powers(s: int, depth: int) -> tuple[int, ...]:
     """(E_1, ..., E_depth) with E_n = s**(2**n - 2), so E_1 = 1, E_n = (s E_{n-1})^2.
 
-    Each (s, depth) is one cache entry, built by extending the entry one
-    level shorter, so a deeper chain shares the integers of the shorter
-    ones.  The 128 entries hold the chains of about 12 denominators at
-    depth 10 and 9 at depth 14, least recently used dropped first.  Nothing
-    here is trusted: :func:`d_sequence`'s cross-check pins every E_n it
-    reads (module docstring).
+    Nothing here is trusted: :func:`d_sequence`'s cross-check pins every
+    E_n it reads (module docstring).
     """
-    if depth == 1:
-        return (1,)
-    chain = _even_powers(s, depth - 1)
-    return (*chain, sqr(s * chain[-1]))
+    chain = [1]
+    for _ in range(1, depth):
+        chain.append(sqr(s * chain[-1]))
+    return tuple(chain)
 
 
 def numerator_recursion(family: int, r: int, s: int, depth: int) -> list[int]:

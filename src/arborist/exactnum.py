@@ -7,9 +7,9 @@ a) are derived from those integers.  This module holds the primitives on
 them: p-adic valuations, exact square detection, the Jacobi symbol,
 ``proven_prime`` (deterministic Miller-Rabin below about 3.3e24, the one
 primality test of the package), gcd-based factor refinement into a
-pairwise-coprime base, and ``square_cofactor_indices``, which finds the
-values whose part prime to g is a square from one remainder each (the
-orbit filter of :mod:`arborist.verdict`).  ``parse_rational`` reads the
+pairwise-coprime base, and ``part_prime_to``, the part of an integer
+prime to g, by a gcd loop (the orbit filter of :mod:`arborist.verdict`
+tests it for a square).  ``parse_rational`` reads the
 wire format ``r/s``, and ``format_reduced`` writes every orbit or
 base-point integer of the rows and the CLI's JSON, at any length, past the
 interpreter's int/str digit limit, in subquadratic time.
@@ -26,7 +26,7 @@ import math
 import re
 import sys
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .errors import InvariantViolation, UsageError
 
@@ -39,9 +39,6 @@ _STR_SAFE_BITS = 2000
 # Below this bound, Miller-Rabin with the first 13 prime bases is a proof.
 _MR_DETERMINISTIC_LIMIT = 3_317_044_064_679_887_385_961_981
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-
-# one CPython digit: a remainder by a modulus below it is one short pass
-_DIGIT = 1 << sys.int_info.bits_per_digit
 
 
 def parse_rational(text: str) -> Fraction:
@@ -227,8 +224,7 @@ def _square_mask(m: int) -> int:
 # 1 in 50 through.  math.isqrt is quadratic before Python 3.12, so above
 # _SIEVE_BITS bits a number that passed is reduced once more, modulo the
 # primes 17..199 (picked by proven_prime), each of which rejects about half
-# of the non-squares.  square_cofactor_indices runs the mod 63/65/11 screen
-# on a residue it already holds, through the same _is_square_mod.
+# of the non-squares.
 _SQUARES_MOD_64 = _square_mask(64)
 _QR_SCREEN = tuple((m, _square_mask(m)) for m in (63, 65, 11))
 _QR_PRODUCT = math.prod(m for m, _ in _QR_SCREEN)
@@ -237,39 +233,20 @@ _SIEVE_SCREEN = tuple((p, _square_mask(p)) for p in range(17, 200) if proven_pri
 _SIEVE_PRODUCT = math.prod(p for p, _ in _SIEVE_SCREEN)
 
 
-def square_cofactor_indices(values: Sequence[int], g: int) -> list[int]:
-    """Indices of the nonzero ``values`` whose part prime to g >= 2 is a perfect square.
+def part_prime_to(n: int, g: int) -> int:
+    """The part of |n| prime to g: |n| with every prime that divides g divided out.
 
-    Each |v| splits as u t, every prime of u dividing g and t prime to g.
-    One remainder w = |v| mod G Q per value, G = g^J and Q = 45045, decides
-    it.  For each p | g, gcd(w, G) = gcd(|v|, G) has v_p = min(v_p(v),
-    v_p(G)), so it is u unless some p fills G; then G widens by g until
-    none does.  Unwidened, u | G and t = w / u mod Q, which the square
-    screen modulo 63, 65 and 11 reads; t is built and tested exactly only
-    when it passes the screen or G widened.  J >= 2 is the largest exponent
-    that keeps G Q within one CPython digit, so for a small g the remainder
-    is one short pass.
+    ValueError for n = 0, where the loop that divides out gcd(|n|, g)
+    would never end.
     """
-    if 0 in values:
+    if n == 0:
         raise ValueError("zero has no part prime to g")
-    if g < 2:
-        raise ValueError("g must be at least 2")
-    G = g * g  # J >= 2 keeps a widening rare; the largest J within one digit
-    while G * g * _QR_PRODUCT < _DIGIT:
-        G *= g
-    M, k = G * _QR_PRODUCT, g.bit_length()  # k >= every v_p(g)
-    indices: list[int] = []
-    for i, v in enumerate(values):
-        t = abs(v)
-        w = t % M
-        u, H = math.gcd(w, G), G
-        while pow(H // u, k, g):  # some p | g divides u as often as H
-            H *= g
-            u = math.gcd(t, H)
-        screened = H > G or _is_square_mod(w // u % _QR_PRODUCT, _QR_SCREEN)
-        if screened and is_perfect_square(t // u):
-            indices.append(i)
-    return indices
+    t = abs(n)
+    d = math.gcd(t, g)
+    while d > 1:  # every prime of g left in t divides the last d
+        t //= d
+        d = math.gcd(t, d)
+    return t
 
 
 def _coprime_basis(work: list[int]) -> list[int]:

@@ -26,10 +26,10 @@ or before n*, the last level without such a q, so ``_exact_decision``
 builds the orbit only to n* (to the full depth where the certificate
 cannot be made, as for the zero orbit a = -2, so Inapplicable lists every
 zero level), and none at all where every level has one: that orbit is
-IndependentToDepth.  On the levels built,
-:func:`~arborist.exactnum.square_cofactor_indices` finds the square levels,
-and :func:`~arborist.independence.two_independent` decides them on their
-own numerators and re-verifies a witness on them, so every
+IndependentToDepth.  Of the levels built, those whose part prime to 2|r|
+(:func:`~arborist.exactnum.part_prime_to`) is a square are kept, and
+:func:`~arborist.independence.two_independent` decides them on their own
+numerators and re-verifies a witness on them, so every
 DependentAtLevel, Inapplicable and witness comes from the exact integers.
 The tests' oracle ``orbit_independent`` in ``tests/conftest.py`` checks
 the law on raw values with one running-product gcd per level.
@@ -79,8 +79,8 @@ from .exactnum import (
     format_reduced,
     is_perfect_square,
     jacobi,
+    part_prime_to,
     proven_prime,
-    square_cofactor_indices,
 )
 from .independence import two_independent
 
@@ -261,7 +261,8 @@ def _exact_decision(qmap: QuadMap, depth: int):
             zero_levels = [i + 1 for i, x in enumerate(orbit.numerators) if x == 0]
             return VerdictStatus.INAPPLICABLE, None, {"zero_levels": zero_levels}
         reps = orbit.square_class_reps
-        levels = square_cofactor_indices(reps, 2 * abs(qmap.r))
+        g = 2 * abs(qmap.r)
+        levels = [n for n, v in enumerate(reps) if is_perfect_square(part_prime_to(v, g))]
         if levels:  # most orbits have none, and two_independent([]) is not free
             result = two_independent([reps[n] for n in levels])
             if not result.independent:

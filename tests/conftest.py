@@ -103,9 +103,9 @@ def decompose1(orbit: AdjustedOrbit, n: int) -> Decomposition1:
 
 def cofactors_prime_to_2r(reps, r):
     """t_n per level, where |v_n| = u_n t_n with u_n from the primes of 2r and
-    t_n prime to 2r, by a gcd loop: the oracle for the square levels that
-    ``exactnum.square_cofactor_indices`` finds from one remainder per level
-    instead."""
+    t_n prime to 2r, by a gcd loop of its own: the oracle for
+    ``exactnum.part_prime_to``, whose parts ``verdict._exact_decision`` tests
+    for squares."""
     if 0 in reps:
         raise ValueError("independence is undefined for zero")
     g = 2 * abs(r)

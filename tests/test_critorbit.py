@@ -1,7 +1,5 @@
 import hashlib
 import math
-import sys
-from contextlib import contextmanager
 from fractions import Fraction
 
 import pytest
@@ -10,7 +8,6 @@ from conftest import (
     current_int_str_limit,
     decompose1,
     force_python_products,
-    fresh_cache,
     int_str_limit,
     primes_up_to,
 )
@@ -132,21 +129,6 @@ POWER_CORRUPTIONS = {
     "plus-s": lambda r, s, e: e + s,
     "doubled": lambda r, s, e: 2 * e,
 }
-
-
-@contextmanager
-def fresh_chains():
-    """An empty s-power cache for the block; the previous one is restored after."""
-    with pytest.MonkeyPatch.context() as mp:
-        fresh_cache(mp, critorbit, "_even_powers")
-        yield critorbit._even_powers
-
-
-@pytest.fixture
-def chains():
-    """An empty s-power cache for the test: the cached function itself."""
-    with fresh_chains() as cached:
-        yield cached
 
 
 def forge_chain(monkeypatch, s, chain):
@@ -380,94 +362,20 @@ class TestSharedPowerChain:
         s=st.integers(1, 40),
         family=st.sampled_from([1, 2]),
         depth=st.integers(1, 9),
-        others=st.lists(st.tuples(st.integers(1, 40), st.integers(1, 9)), max_size=40),
     )
-    def test_warm_chains_give_the_cold_orbit(self, r, s, family, depth, others):
+    def test_numerators_are_the_iterated_offsets(self, r, s, family, depth):
         assume(math.gcd(r, s) == 1 and (r, s) not in DEGENERATE[family])
         a = Fraction(r, s)
         qmap = family1(a) if family == 1 else family2(a)
-        with fresh_chains():
-            cold = d_sequence(qmap, depth).numerators
-        # warm the cache with a shorter chain for s, then with other
-        # denominators at other depths, up to 360 entries against its 128
-        with fresh_chains() as cached:
-            d_sequence(qmap, min(depth, 3))
-            bound = cached.cache_parameters()["maxsize"]
-            for other_s, other_depth in others:
-                d_sequence(family1(Fraction(1, other_s)), other_depth)
-                assert cached.cache_info().currsize <= bound
-            assert d_sequence(qmap, depth).numerators == cold
+        nums = d_sequence(qmap, depth).numerators
         for n, offset in enumerate(oracle_offsets(qmap.c, a, depth), start=1):
-            assert offset == Fraction(cold[n - 1], s ** (2**n)), n
+            assert offset == Fraction(nums[n - 1], s ** (2**n)), n
 
     @settings(max_examples=60, deadline=None)
     @given(s=st.integers(1, 10**6), depth=st.integers(1, 10))
     def test_chain_holds_the_even_powers(self, s, depth):
-        with fresh_chains() as cached:
-            chain = cached(s, depth)
-        assert chain == tuple(s ** (2**n - 2) for n in range(1, depth + 1))
-
-    def test_memo_holds_at_most_its_bound(self, chains):
-        bound = chains.cache_parameters()["maxsize"]
-        # a depth-4 chain takes 4 entries: three times what the cache holds
-        newest = 3 * bound // 4
-        for s in range(1, newest + 1):
-            build(1, Fraction(1, s), 4)
-            assert chains.cache_info().currsize <= bound
-        before = chains.cache_info()
-        assert before.currsize == bound
-        # the most recent chain is a hit, the oldest one a miss
-        assert chains(newest, 4) == tuple(newest ** (2**n - 2) for n in range(1, 5))
-        after = chains.cache_info()
-        assert (after.hits, after.misses) == (before.hits + 1, before.misses)
-        assert chains(1, 4) == (1, 1, 1, 1)
-        assert chains.cache_info().misses > after.misses
-        assert chains.cache_info().currsize == bound
-
-    def test_threads_keep_the_memo_bounded_and_right(self, chains):
-        import random
-        import threading
-
-        bound = chains.cache_parameters()["maxsize"]
-        expected = {s: tuple(s ** (2**n - 2) for n in range(1, 7)) for s in range(1, bound)}
-        errors, sizes = [], []
-
-        def worker(seed):
-            rng = random.Random(seed)
-            try:
-                for _ in range(4000):
-                    s, depth = rng.randrange(1, bound), rng.randrange(1, 7)
-                    if critorbit._even_powers(s, depth) != expected[s][:depth]:
-                        errors.append((s, depth))
-                    sizes.append(chains.cache_info().currsize)
-            except Exception as exc:  # reported below, with the thread's seed
-                errors.append((seed, repr(exc)))
-
-        saved = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            threads = [threading.Thread(target=worker, args=(seed,)) for seed in range(8)]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=60)
-        finally:
-            sys.setswitchinterval(saved)
-        assert not any(thread.is_alive() for thread in threads)
-        assert errors == []
-        assert max(sizes) <= bound and chains.cache_info().currsize <= bound
-
-    def test_deeper_request_extends_the_chain(self, chains):
-        build(1, Fraction(2, 7), 3)
-        short = chains(7, 3)
-        misses = chains.cache_info().misses
-        build(2, Fraction(3, 7), 9)
-        assert chains.cache_info().misses == misses + 6
-        deep = chains(7, 9)
-        assert all(old is new for old, new in zip(short, deep))
-        assert deep == tuple(7 ** (2**n - 2) for n in range(1, 10))
-        build(1, Fraction(2, 7), 5)
-        assert chains.cache_info().misses == misses + 6
+        expected = tuple(s ** (2**n - 2) for n in range(1, depth + 1))
+        assert critorbit._even_powers(s, depth) == expected
 
 
 class TestCertificate:
@@ -610,7 +518,7 @@ class TestOneProductRecursion:
         qmap = (family1 if family == 1 else family2)(Fraction(a))
         assert numerators_digest(d_sequence(qmap, 16).numerators) == DEPTH16_NUMERATORS[key]
 
-    def test_depth16_pins_hold_without_gmp(self, chains, monkeypatch):
+    def test_depth16_pins_hold_without_gmp(self, monkeypatch):
         force_python_products(monkeypatch)
         for (a, family), digest in DEPTH16_NUMERATORS.items():
             qmap = (family1 if family == 1 else family2)(Fraction(a))

@@ -15,9 +15,9 @@ from arborist.exactnum import (
     is_perfect_square,
     jacobi,
     parse_rational,
+    part_prime_to,
     proven_prime,
     rational_is_square,
-    square_cofactor_indices,
     v_int,
 )
 
@@ -130,7 +130,7 @@ class TestPerfectSquare:
         # and 17 (123k to 7.9M bits) are not squares but pass the mod
         # 64/63/65/11 screen; isqrt took 1.5 s and 22 s on the last two
         # (Python 3.11).  certify decides this orbit on residues, so the
-        # split runs here on the exact numerators themselves
+        # fallback's square test runs here on the exact numerators themselves
         from arborist.critorbit import d_sequence
         from arborist.dynamics import family2
 
@@ -145,7 +145,7 @@ class TestPerfectSquare:
 
         reps = d_sequence(family2(Fraction(7, 2**60 + 31)), 17).square_class_reps
         monkeypatch.setattr(exactnum, "math", LargeIsqrtRefused())
-        assert square_cofactor_indices(reps, 14) == []
+        assert not any(is_perfect_square(part_prime_to(v, 14)) for v in reps)
 
 
 class TestRationalSquare:

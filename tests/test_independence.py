@@ -14,9 +14,9 @@ from arborist.errors import InvariantViolation
 from arborist.exactnum import (
     factor_refine,
     is_perfect_square,
+    part_prime_to,
     proven_prime,
     rational_is_square,
-    square_cofactor_indices,
 )
 from arborist.independence import (
     CoprimeBasis,
@@ -457,7 +457,7 @@ def law_cases(draw):
     return reps, r * draw(st.sampled_from([1, -1]))
 
 
-class TestSquareCofactorIndices:
+class TestPartPrimeTo:
     def test_primes_of_2r(self):
         for r, primes in PRIMES_OF_2R.items():
             assert all(proven_prime(p) for p in primes)
@@ -467,33 +467,22 @@ class TestSquareCofactorIndices:
     @settings(max_examples=300, deadline=None)
     def test_agrees_with_the_gcd_loop(self, case):
         reps, r = case
-        cofactors = cofactors_prime_to_2r(reps, r)
-        squares = [n for n, t in enumerate(cofactors) if is_perfect_square(t)]
-        assert square_cofactor_indices(reps, 2 * abs(r)) == squares
-
-    def test_a_power_of_2r_past_one_digit_widens_the_modulus(self):
-        # G = 6^J (J = 5 with 30-bit digits) stays below one digit, so a
-        # 2r-part of 6^30 fills it at 2 and at 3 and G widens to 6^31
-        assert 6**30 >= exactnum._DIGIT
-        reps = [6**30 * 7, -(6**30) * 49, 2**3 * 3**40 * 5**2]
-        assert square_cofactor_indices(reps, 6) == [1, 2]
+        g = 2 * abs(r)
+        assert [part_prime_to(v, g) for v in reps] == cofactors_prime_to_2r(reps, r)
 
     @pytest.mark.parametrize("r", sorted(PRIMES_OF_2R))
-    def test_powers_of_2r_past_J_leave_the_cofactor_alone(self, r):
-        # b^e * 49 has a square cofactor and b^e * 7 has not, for each prime
-        # b of 2r and b = 2r, at every e up to 60: past (2r)^J, and past each
-        # widening, some e leaves an odd exponent of b to a split that
-        # stops short, and a residue read off the wrong quotient fails the
-        # screen for some e
-        bases = [*PRIMES_OF_2R[r], 2 * r]
-        reps = [(-b) ** e * t for b in bases for e in range(1, 61) for t in (49, 7)]
-        assert square_cofactor_indices(reps, 2 * abs(r)) == list(range(0, len(reps), 2))
+    def test_powers_of_2r_leave_the_cofactor_alone(self, r):
+        # the part of b^e * t prime to 2r is t, for each prime b of 2r and
+        # b = 2r, at every e up to 60: a loop that stops short leaves some
+        # power of b in it
+        for b in (*PRIMES_OF_2R[r], 2 * r):
+            for e in range(1, 61):
+                for t in (49, 7):
+                    assert part_prime_to((-b) ** e * t, 2 * abs(r)) == t, (b, e, t)
 
     def test_rejects_zero(self):
-        with pytest.raises(ValueError):
-            square_cofactor_indices([3, 0], 2)
-        with pytest.raises(ValueError):
-            square_cofactor_indices([3], 0)
+        with pytest.raises(ValueError, match="zero has no part prime to g"):
+            part_prime_to(0, 2)
 
 
 class TestOrbitDecisionOnLawAbidingLists:
@@ -502,7 +491,8 @@ class TestOrbitDecisionOnLawAbidingLists:
     def test_agrees_with_the_generic_decider(self, case):
         reps, r = case
         # the certifier's composition, as _orbit_decision runs it
-        levels = square_cofactor_indices(reps, 2 * abs(r))
+        g = 2 * abs(r)
+        levels = [n for n, v in enumerate(reps) if is_perfect_square(part_prime_to(v, g))]
         result = two_independent([reps[n] for n in levels])
         if not result.independent:
             result = IndependenceResult(False, tuple(levels[j] for j in result.witness))

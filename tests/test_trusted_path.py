@@ -9,7 +9,6 @@ from fractions import Fraction
 import pytest
 from conftest import force_python_products, fresh_cache
 
-import arborist.critorbit as critorbit
 from arborist import _bigmul
 from arborist.verdict import VerdictStatus, certify
 
@@ -55,9 +54,9 @@ TRUSTED = {
     "arborist.exactnum.format_reduced",
     "arborist.exactnum.is_perfect_square",
     "arborist.exactnum.jacobi",
+    "arborist.exactnum.part_prime_to",
     "arborist.exactnum.proven_prime",
     "arborist.exactnum.rational_is_square",
-    "arborist.exactnum.square_cofactor_indices",
     "arborist.independence._check",
     "arborist.independence.square_classes",
     "arborist.independence.two_independent",
@@ -103,10 +102,9 @@ def products(request, monkeypatch):
 
 
 def test_certify_reaches_exactly_the_listed_functions(products, monkeypatch):
-    # a fresh binding and power-chain cache, so a load and the chain's
-    # growth would be on the path in every run; certify's rows stay below
-    # the cutoff, so neither path of the products adds a function (GMP's
-    # binding is reached by d_sequence and orbit at depth)
+    # a fresh binding, so a load would be on the path in every run;
+    # certify's rows stay below the cutoff, so neither path of the products
+    # adds a function (GMP's binding is reached by d_sequence and orbit at
+    # depth)
     fresh_cache(monkeypatch, _bigmul, "_gmp")
-    fresh_cache(monkeypatch, critorbit, "_even_powers")
     assert reached_by_certify() == TRUSTED
