@@ -15,6 +15,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import arborist.critorbit as critorbit
+from arborist._bigmul import CUTOFF_BITS
 from arborist.critorbit import (
     MAX_DEPTH,
     AdjustedOrbit,
@@ -376,6 +377,16 @@ class TestSharedPowerChain:
     def test_chain_holds_the_even_powers(self, s, depth):
         expected = tuple(s ** (2**n - 2) for n in range(1, depth + 1))
         assert critorbit._even_powers(s, depth) == expected
+
+    def test_chain_is_the_same_without_gmp(self, monkeypatch):
+        # E_8 of a 61-bit s has 15494 bits, past the product cutoff, so the
+        # last squarings take GMP's path where libgmp loads
+        s = 2**61 - 1
+        expected = tuple(s ** (2**n - 2) for n in range(1, 9))
+        assert expected[-1].bit_length() > CUTOFF_BITS
+        assert critorbit._even_powers(s, 8) == expected
+        force_python_products(monkeypatch)
+        assert critorbit._even_powers(s, 8) == expected
 
 
 class TestCertificate:

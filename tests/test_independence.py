@@ -484,6 +484,40 @@ class TestPartPrimeTo:
         with pytest.raises(ValueError, match="zero has no part prime to g"):
             part_prime_to(0, 2)
 
+    @given(
+        n=st.integers(-(2**200), 2**200).filter(bool),
+        g=st.one_of(
+            st.integers(1, 10**6),
+            st.builds(lambda r, e: (2 * r) ** e, st.integers(1, 60), st.integers(1, 4)),
+        ),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_part_is_prime_to_g_and_the_rest_divides_a_power_of_g(self, n, g):
+        t = part_prime_to(n, g)
+        assert t > 0 and math.gcd(t, g) == 1 and abs(n) % t == 0
+        # every prime of u = |n|/t divides g, to an exponent below u's bit length
+        u = abs(n) // t
+        assert pow(g, u.bit_length(), u) == 0
+
+    @given(m=st.integers(1, 10**30), n=st.integers(1, 10**30), r=st.integers(1, 10**4))
+    @settings(max_examples=200, deadline=None)
+    def test_part_is_multiplicative(self, m, n, r):
+        g = 2 * r
+        assert part_prime_to(m * n, g) == part_prime_to(m, g) * part_prime_to(n, g)
+
+    def test_sign_of_n_is_dropped_and_g_of_one_keeps_n(self):
+        for n in (1, 7, 12, 2**61 - 1, 6**40 * 49):
+            assert part_prime_to(-n, 1) == part_prime_to(n, 1) == n
+            assert part_prime_to(-n, 6) == part_prime_to(n, 6)
+
+    def test_the_divisor_shrinks_to_the_primes_left(self):
+        # g = 72 = 2^3 3^2 (r = 36): gcd(|n|, g) is 72, then 36, 9 and 3 as
+        # the powers of 2 and then of 3 run out; 5 divides neither
+        n = 2**5 * 3**7 * 11**2
+        assert part_prime_to(n, 72) == 11**2
+        assert part_prime_to(5 * n, 72) == 5 * 11**2
+        assert part_prime_to(n, 72 * 5) == 11**2
+
 
 class TestOrbitDecisionOnLawAbidingLists:
     @given(case=law_cases())
